@@ -191,6 +191,7 @@ class AdaptedModel(LogitModel):
 
     def __init__(self, base: TinyNeuralLM, adapter: LoraAdapter) -> None:
         _check_fit(base, adapter)
+        self.window = base.context
         self.base = base
         self.vocab = base.vocab
         self._rank = adapter.rank
@@ -200,7 +201,6 @@ class AdaptedModel(LogitModel):
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
         base = self.base
-        _check_tokens(seq, base.vocab)
         x = base.embed_window(seq)
         pre = base.w1 @ x
         if self._w1t is not None:

@@ -15,6 +15,10 @@ format (little-endian, binary32 reals). A model's fingerprint is the 64-bit
 FNV-1a hash of its snapshot bytes, which makes "same parameters" checkable
 across processes with one integer.
 
+Each model reads a fixed window of trailing tokens (its ``window``), so one
+decoding step costs the same however long the history is. Callers check a
+whole sequence once, where it enters; each step checks only its window.
+
 Inference parameters are binary32: training happens elsewhere in binary64
 and rounds exactly once, when the snapshot is taken.
 """
@@ -69,38 +73,68 @@ def _check_tokens(seq: list[int], vocab: Vocab) -> None:
             )
 
 
+def _checked_window(seq: list[int], n: int, vocab: Vocab) -> list[int]:
+    """The last ``n`` tokens of ``seq``, each checked against ``vocab``.
+
+    Reads nothing of ``seq`` before the window.
+    """
+    if len(seq) == 0:
+        raise ValueError("sequence must be non-empty")
+    win = list(seq[-n:])
+    _check_tokens(win, vocab)
+    return win
+
+
 class LogitModel(ABC):
     """Anything that maps a token sequence to next-token logits."""
 
     vocab: Vocab
+    window: int  # how many trailing tokens next_logits reads
+    _fingerprint: int | None = None
 
     @abstractmethod
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        """Float32 logits for the token following ``seq``."""
+        """Float32 logits for the token following ``seq``.
+
+        Reads and validates only the last ``window`` tokens of ``seq``, so a
+        step costs O(window) however long ``seq`` is. A token out of vocab
+        before the window goes unseen here: callers check whole sequences
+        once, where they enter (``generate_blackbox``, ``generate_adapted``,
+        the server's prompt and commit checks).
+        """
 
     def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
         """Logits at the ``count`` trailing context boundaries of ``seq``.
 
         Row ``j`` (0-based) equals ``next_logits`` over the prefix of length
-        ``len(seq) - count + 1 + j``; the last row is the full sequence. Rows
-        are computed with the same code path as the sequential calls, so the
-        result is bit-identical to them by construction.
+        ``len(seq) - count + 1 + j``; the last row is the full sequence. Only
+        the last ``count - 1 + window`` tokens are read: every row's window
+        lies inside them, and rows are computed with the same code path as
+        the sequential calls, so the result is bit-identical to them.
         """
         if count < 1 or count > len(seq):
             raise ValueError(f"count {count} out of range for sequence length {len(seq)}")
-        rows = [self.next_logits(seq[: len(seq) - count + 1 + j]) for j in range(count)]
+        tail = seq[max(0, len(seq) - (count - 1 + self.window)):]
+        rows = [self.next_logits(tail[: len(tail) - count + 1 + j]) for j in range(count)]
         return np.stack(rows)
 
     def snapshot_bytes(self) -> bytes:
         return encode_model(self)
 
     def fingerprint(self) -> int:
-        """64-bit FNV-1a over the model's snapshot bytes."""
-        return fnv1a64(self.snapshot_bytes())
+        """64-bit FNV-1a over the model's snapshot bytes.
+
+        Hashed on the first call and memoized: models are immutable.
+        """
+        if self._fingerprint is None:
+            self._fingerprint = fnv1a64(self.snapshot_bytes())
+        return self._fingerprint
 
 
 class BigramTableModel(LogitModel):
     """Additive-smoothed bigram counts; logits are ln(counts[last] + alpha)."""
+
+    window = 1
 
     def __init__(self, vocab: Vocab, counts: np.ndarray, alpha: float) -> None:
         counts = np.asarray(counts, dtype=np.int64)
@@ -124,8 +158,8 @@ class BigramTableModel(LogitModel):
         self._logit_table.setflags(write=False)
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        _check_tokens(seq, self.vocab)
-        return self._logit_table[seq[-1]].copy()
+        (last,) = _checked_window(seq, 1, self.vocab)
+        return self._logit_table[last].copy()
 
 
 class TinyNeuralLM(LogitModel):
@@ -178,19 +212,24 @@ class TinyNeuralLM(LogitModel):
         for arr in (self.embedding, self.w1, self.b1, self.w2, self.b2):
             arr.setflags(write=False)
 
+    @property
+    def window(self) -> int:
+        return self.context
+
     def window_ids(self, seq: list[int]) -> list[int]:
         """The last ``context`` tokens of ``seq``, left-padded with bos."""
-        if len(seq) >= self.context:
-            return list(seq[-self.context:])
-        pad = self.context - len(seq)
-        return [self.vocab.bos_id] * pad + list(seq)
+        win = list(seq[-self.context:])
+        return [self.vocab.bos_id] * (self.context - len(win)) + win
 
     def embed_window(self, seq: list[int]) -> np.ndarray:
-        """Concatenated window embeddings: float32 vector of length context*d."""
-        return self.embedding[self.window_ids(seq)].reshape(-1)
+        """Concatenated window embeddings: float32 vector of length context*d.
+
+        Checks the window's tokens; reads nothing of ``seq`` before it.
+        """
+        win = _checked_window(seq, self.context, self.vocab)
+        return self.embedding[self.window_ids(win)].reshape(-1)
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        _check_tokens(seq, self.vocab)
         x = self.embed_window(seq)
         pre = self.w1 @ x
         pre = pre + self.b1

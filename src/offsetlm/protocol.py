@@ -45,7 +45,7 @@ from .core import (
     sample_token,
 )
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
-from .models import LogitModel, TinyNeuralLM
+from .models import LogitModel, TinyNeuralLM, _check_tokens
 from .messages import (
     FLAVOR_ADAPTED,
     FLAVOR_BLACKBOX,
@@ -72,6 +72,7 @@ from .transport import (
     MalformedPayloadError,
     QueueChannel,
     SocketChannel,
+    max_draft_rows,
     queue_channel_pair,
 )
 
@@ -160,25 +161,35 @@ class ServerSession:
         return tuple(self.canonical[len(self.prompt):])
 
     def draft(self, blackbox: LogitModel) -> DraftBatch:
-        """Greedy autoregressive speculation from the canonical sequence."""
+        """Greedy autoregressive speculation from the canonical sequence.
+
+        Drafts up to ``draft_len`` tokens, fewer when the budget or one
+        DraftBatch frame (``max_draft_rows``) holds fewer. The drafted tokens
+        are appended to ``canonical`` in place while drafting and removed
+        again before returning, also when a forward raises, so a round costs
+        O(steps * window) however long the session has run.
+        """
         if self.done or self.budget_left() <= 0:
             raise BudgetExhaustedError(
                 f"session {self.session_id} has no token budget left"
             )
         if self.last_draft is not None:
             raise InvalidCommitError("previous draft has not been committed yet")
-        steps = min(self.draft_len, self.budget_left())
-        ctx = list(self.canonical)
-        tokens: list[int] = []
+        steps = min(self.draft_len, self.budget_left(), max_draft_rows(self.vocab.size))
+        ctx = self.canonical
+        start = len(ctx)
         rows: list[np.ndarray] = []
-        for _ in range(steps):
-            z = blackbox.next_logits(ctx)
-            tok = argmax_sample(z)
-            tokens.append(tok)
-            rows.append(z)
-            ctx.append(tok)
-            if tok == self.vocab.eos_id:
-                break
+        try:
+            for _ in range(steps):
+                z = blackbox.next_logits(ctx)
+                tok = argmax_sample(z)
+                rows.append(z)
+                ctx.append(tok)
+                if tok == self.vocab.eos_id:
+                    break
+            tokens = ctx[start:]
+        finally:
+            del ctx[start:]
         self.last_draft = tokens
         return DraftBatch(session_id=self.session_id, tokens=tuple(tokens), logits=np.stack(rows))
 
@@ -387,7 +398,12 @@ class Server:
 
 
 def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
-    """Plain autoregressive generation from the black-box model alone."""
+    """Plain autoregressive generation from the black-box model alone.
+
+    The prompt is checked against the vocabulary once, here; each step then
+    reads only the model's window.
+    """
+    _check_tokens(prompt, blackbox.vocab)
     rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
     seq = list(prompt)
     out: list[int] = []
@@ -413,8 +429,11 @@ def generate_adapted(
 
     One RNG draw per committed token, exactly like the per-token protocol
     mode — which is what makes server-side (transfer) and client-side
-    generation token-identical for the same seed.
+    generation token-identical for the same seed. The prompt is checked
+    against the vocabulary once, here; each step then reads only the models'
+    windows.
     """
+    _check_tokens(prompt, blackbox.vocab)
     rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
     seq = list(prompt)
     out: list[int] = []
@@ -555,12 +574,18 @@ class Client:
 
         Proxy logits for all drafted positions come from one batched call
         over ``mirror ++ draft[:-1]`` — position i's context is the mirror
-        plus the i accepted drafts before it.
+        plus the i accepted drafts before it. The draft is appended to
+        ``mirror`` in place for that call and removed again before
+        returning, also when a forward raises.
         """
         n = len(draft.tokens)
-        ctx_seq = mirror + list(draft.tokens[: n - 1])
-        z_p_rows = self.base_proxy.batch_next_logits(ctx_seq, n)
-        z_t_rows = self.tuned_proxy.batch_next_logits(ctx_seq, n)
+        start = len(mirror)
+        mirror.extend(draft.tokens[: n - 1])
+        try:
+            z_p_rows = self.base_proxy.batch_next_logits(mirror, n)
+            z_t_rows = self.tuned_proxy.batch_next_logits(mirror, n)
+        finally:
+            del mirror[start:]
         accept = n
         replacement: int | None = None
         for i in range(n):

@@ -97,6 +97,18 @@ class ZeroTokenResponseError(ValueError):
 # Message codec
 # ---------------------------------------------------------------------------
 
+_DRAFT_BATCH_HEAD = "<BQH"  # tag, session id, u16 token count
+
+
+def max_draft_rows(vocab_size: int) -> int:
+    """Most drafted tokens one DraftBatch frame can carry at ``vocab_size``.
+
+    The token count is a u16, and each row adds a u32 token and
+    ``vocab_size`` float32 logits under the payload cap.
+    """
+    per_row = 4 + 4 * vocab_size
+    return min(0xFFFF, (MAX_PAYLOAD_LEN - struct.calcsize(_DRAFT_BATCH_HEAD)) // per_row)
+
 
 def _pack_tokens(tokens) -> bytes:
     return struct.pack("<I", len(tokens)) + struct.pack(f"<{len(tokens)}I", *tokens)
@@ -132,7 +144,7 @@ def encode_message(msg: Message) -> bytes:
     if isinstance(msg, DraftBatch):
         n = len(msg.tokens)
         return (
-            struct.pack("<BQH", TAG_DRAFT_BATCH, msg.session_id, n)
+            struct.pack(_DRAFT_BATCH_HEAD, TAG_DRAFT_BATCH, msg.session_id, n)
             + struct.pack(f"<{n}I", *msg.tokens)
             + np.asarray(msg.logits, dtype="<f4").tobytes(order="C")
         )

@@ -53,6 +53,33 @@ def sample_transition_corpus(
     return docs
 
 
+class TailOnly(list):
+    """A token history that fails any read of more than its last ``limit`` tokens.
+
+    Indexing and slicing within the tail, ``len``, ``append``, ``extend`` and
+    ``del`` work; iteration, membership tests, copies and concatenation, which
+    read the whole history, raise. Passing one to a decoding step shows, without
+    timing anything, that the step's work does not grow with the history.
+    """
+
+    def __init__(self, tokens, limit: int) -> None:
+        super().__init__(tokens)
+        self.limit = limit
+
+    def _full_read(self, *args):
+        raise AssertionError(f"read the whole history of {len(self)} tokens")
+
+    __iter__ = __reversed__ = __contains__ = __add__ = copy = _full_read
+
+    def __getitem__(self, key):
+        start = key.indices(len(self))[0] if isinstance(key, slice) else key % len(self)
+        if start < len(self) - self.limit:
+            raise AssertionError(
+                f"read position {start} of {len(self)}, beyond the last {self.limit}"
+            )
+        return super().__getitem__(key)
+
+
 # ---------------------------------------------------------------------------
 # Independent oracles
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from offsetlm.lora import (
     _adapted_forward_f64,
     _base_params_f64,
 )
+from offsetlm.models import fnv1a64
 
 @pytest.fixture
 def base(vocab) -> TinyNeuralLM:
@@ -318,3 +319,13 @@ class TestAdapterBytes:
         b = init_adapter(base, rank=2, seed=0).snapshot()
         b.targets[0].a[0, 0] += np.float32(1e-3)
         assert a.fingerprint() != b.fingerprint()
+
+    def test_fingerprint_follows_a_training_step(self, base):
+        adapter = init_adapter(base, rank=2, seed=3)
+        before = adapter.fingerprint()
+        _, grads = loss_and_grads(base, adapter, [[3, 4, 5, 6]])
+        for t in adapter.targets:  # the update train_lora applies in place
+            t.b = t.b - 0.1 * grads[t.name]["b"]
+            t.a = t.a - 0.1 * grads[t.name]["a"]
+        assert adapter.fingerprint() != before
+        assert adapter.fingerprint() == fnv1a64(encode_adapter(adapter))

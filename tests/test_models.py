@@ -4,16 +4,21 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetlm import (
     BigramTableModel,
     TinyNeuralLM,
     Vocab,
+    apply_adapter,
     fit_bigram,
+    init_adapter,
     load_model,
     save_model,
     train_neural_lm,
 )
+from offsetlm import models
 from offsetlm.models import (
     EmptyCorpusError,
     SnapshotFormatError,
@@ -23,7 +28,7 @@ from offsetlm.models import (
     fnv1a64,
 )
 
-from conftest import pair_count_oracle, random_corpus
+from conftest import TailOnly, pair_count_oracle, random_corpus
 
 
 @pytest.fixture
@@ -340,3 +345,87 @@ class TestFingerprint:
     def test_architectures_with_same_vocab_differ(self, vocab, neural):
         bigram = fit_bigram([[3, 4]], vocab, alpha=1.0)
         assert bigram.fingerprint() != neural.fingerprint()
+
+
+def _window_models() -> dict:
+    vocab = Vocab(size=8, eos_id=1, bos_id=2)
+    rng = np.random.default_rng(4)
+    bigram = fit_bigram(random_corpus(rng, vocab, 6, 20), vocab, alpha=1.0)
+    neural = TinyNeuralLM.random(vocab, context=4, embed_dim=3, hidden_dim=5, seed=6)
+    adapter = init_adapter(neural, rank=2, seed=8, scaling=0.8)
+    for t in adapter.targets:
+        t.b = rng.normal(0.0, 0.4, size=t.b.shape)
+    return {"bigram": bigram, "neural": neural, "adapted": apply_adapter(neural, adapter)}
+
+
+WINDOW_MODELS = _window_models()
+LONG_SEQS = st.lists(st.integers(0, 7), min_size=64, max_size=400)
+
+
+class TestWindowContract:
+    """A step reads the model's window and nothing before it."""
+
+    def test_window_sizes(self):
+        assert {k: m.window for k, m in WINDOW_MODELS.items()} == {
+            "bigram": 1, "neural": 4, "adapted": 4,
+        }
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_MODELS))
+    @settings(max_examples=40, deadline=None)
+    @given(seq=LONG_SEQS)
+    def test_next_logits_equals_the_window_alone(self, kind, seq):
+        model = WINDOW_MODELS[kind]
+        want = model.next_logits(seq[-model.window:])
+        np.testing.assert_array_equal(model.next_logits(seq), want)
+        np.testing.assert_array_equal(model.next_logits(TailOnly(seq, model.window)), want)
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_MODELS))
+    @settings(max_examples=40, deadline=None)
+    @given(seq=LONG_SEQS, count=st.integers(1, 12))
+    def test_batch_of_a_long_sequence_equals_sequential_calls(self, kind, seq, count):
+        model = WINDOW_MODELS[kind]
+        assert len(seq) > count - 1 + model.window  # the trimming path
+        want = np.stack(
+            [model.next_logits(seq[: len(seq) - count + 1 + j]) for j in range(count)]
+        )
+        np.testing.assert_array_equal(model.batch_next_logits(seq, count), want)
+        tail = TailOnly(seq, count - 1 + model.window)
+        np.testing.assert_array_equal(model.batch_next_logits(tail, count), want)
+
+    @pytest.mark.parametrize("kind", sorted(WINDOW_MODELS))
+    def test_bad_token_inside_the_window_is_rejected(self, kind):
+        model = WINDOW_MODELS[kind]
+        with pytest.raises(VocabMismatchError):
+            model.next_logits([3] * 50 + [8])
+        with pytest.raises(VocabMismatchError):
+            model.next_logits([3] * 50 + [-1] + [3] * (model.window - 1))
+        with pytest.raises(ValueError):
+            model.next_logits([])
+
+
+class TestFingerprintMemo:
+    @pytest.fixture
+    def hash_calls(self, monkeypatch):
+        calls = []
+
+        def counting(data):
+            calls.append(len(data))
+            return fnv1a64(data)
+
+        monkeypatch.setattr(models, "fnv1a64", counting)
+        return calls
+
+    def test_equals_the_snapshot_hash_on_every_call(self, neural, hash_calls):
+        want = fnv1a64(neural.snapshot_bytes())
+        assert [neural.fingerprint() for _ in range(3)] == [want] * 3
+        assert len(hash_calls) == 1
+        assert decode_model(encode_model(neural)).fingerprint() == want
+
+    def test_loading_computes_no_hash(self, neural, tmp_path, hash_calls):
+        path = tmp_path / "m.prdm"
+        save_model(neural, path)
+        clone = load_model(path)
+        assert hash_calls == []
+        assert clone.fingerprint() == neural.fingerprint()
+        assert clone.fingerprint() == fnv1a64(encode_model(clone))
+        assert len(hash_calls) == 2  # once per model, not once per call

@@ -12,11 +12,13 @@ from offsetlm import (
     Client,
     CostLedger,
     GenerationConfig,
+    LogitModel,
     Server,
     SocketServer,
     TinyNeuralLM,
     Vocab,
     connect_in_process,
+    apply_adapter,
     connect_socket,
     generate_adapted,
     generate_blackbox,
@@ -35,8 +37,10 @@ from offsetlm.protocol import (
     RemoteProtocolError,
     ServerSession,
 )
+from offsetlm.models import VocabMismatchError
+from offsetlm.transport import max_draft_rows
 
-from conftest import argmax_oracle, monolithic_generate_oracle
+from conftest import TailOnly, argmax_oracle, monolithic_generate_oracle
 
 GREEDY_CFG = GenerationConfig(max_new_tokens=12, mode="greedy")
 
@@ -586,3 +590,99 @@ class TestResultIntegrity:
         client.conn.close()
         assert first == second
         assert len(third) == GREEDY_CFG.max_new_tokens
+
+
+class FailingModel(LogitModel):
+    """Delegates to ``inner`` for ``ok`` forwards, then raises."""
+
+    def __init__(self, inner: LogitModel, ok: int) -> None:
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.window = inner.window
+        self.ok = ok
+
+    def next_logits(self, seq):
+        if self.ok == 0:
+            raise RuntimeError("forward failed")
+        self.ok -= 1
+        return self.inner.next_logits(seq)
+
+
+class TestLinearDecoding:
+    """Per-step work reads a bounded tail; whole sequences are checked on entry."""
+
+    HISTORY = [3, 4, 5, 6, 7, 0] * 1000
+
+    def session(self, vocab, prompt=(3, 4, 5), draft_len=4) -> ServerSession:
+        return ServerSession(session_id=1, vocab=vocab, prompt=tuple(prompt),
+                             draft_len=draft_len, max_new_tokens=10)
+
+    def test_generate_checks_the_whole_prompt_on_entry(self, vocab, world):
+        blackbox, base, adapter = world
+        prompt = [vocab.size] + [3] * 10  # bad token far outside every window
+        with pytest.raises(VocabMismatchError):
+            generate_blackbox(blackbox, prompt, GREEDY_CFG)
+        with pytest.raises(VocabMismatchError):
+            generate_adapted(blackbox, base, apply_adapter(base, adapter), prompt, GREEDY_CFG)
+
+    def test_draft_reads_only_the_tail(self, vocab, world):
+        blackbox, _, _ = world
+        plain = self.session(vocab)
+        plain.canonical = list(self.HISTORY)
+        guarded = self.session(vocab)
+        guarded.canonical = TailOnly(self.HISTORY, limit=4)
+        assert guarded.draft(blackbox) == plain.draft(blackbox)
+        assert guarded.canonical == self.HISTORY
+
+    def test_verify_reads_only_the_tail(self, vocab, world):
+        blackbox, base, adapter = world
+        session = self.session(vocab)
+        session.canonical = list(self.HISTORY)
+        draft = session.draft(blackbox)
+        client = Client(None, vocab, base_proxy=base, adapter=adapter)
+        want = client._verify(list(self.HISTORY), draft, GREEDY_CFG, None, 0)
+        mirror = TailOnly(self.HISTORY, limit=len(draft.tokens) - 1 + base.window)
+        assert client._verify(mirror, draft, GREEDY_CFG, None, 0) == want
+        assert mirror == self.HISTORY
+
+    def test_draft_rolls_back_when_a_forward_raises(self, vocab, world):
+        blackbox, _, _ = world
+        session = self.session(vocab)
+        with pytest.raises(RuntimeError):
+            session.draft(FailingModel(blackbox, ok=2))
+        assert session.canonical == [3, 4, 5]
+        assert session.last_draft is None
+        assert session.draft(blackbox) == self.session(vocab).draft(blackbox)
+
+    @pytest.mark.parametrize("failing", ["base_proxy", "tuned_proxy"])
+    def test_verify_rolls_back_when_a_forward_raises(self, vocab, world, failing):
+        blackbox, base, adapter = world
+        draft = self.session(vocab).draft(blackbox)
+        client = Client(None, vocab, base_proxy=base, adapter=adapter)
+        setattr(client, failing, FailingModel(getattr(client, failing), ok=2))
+        mirror = [3, 4, 5]
+        with pytest.raises(RuntimeError):
+            client._verify(mirror, draft, GREEDY_CFG, None, 0)
+        assert mirror == [3, 4, 5]
+
+    def test_oversized_draft_is_capped_to_one_frame(self, vocab, world):
+        blackbox, _, _ = world  # greedy chains never reach eos
+        conn, thread = connect_in_process(Server(blackbox))
+        Client(conn, vocab).handshake()
+        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=70000,
+                                       max_new_tokens=70000))
+        first = conn.recv_message()
+        assert isinstance(first, DraftBatch)
+        assert len(first.tokens) == max_draft_rows(vocab.size) == 0xFFFF
+        assert thread.is_alive()
+        conn.send_message(Commit(session_id=1, accept_count=0xFFFF))
+        second = conn.recv_message()
+        assert isinstance(second, DraftBatch)
+        assert len(second.tokens) == 70000 - 0xFFFF
+        conn.send_message(Commit(session_id=1, accept_count=len(second.tokens), done=True))
+        result = conn.recv_message()
+        assert isinstance(result, GenerationResult)
+        assert result.tokens == first.tokens + second.tokens
+        conn.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()

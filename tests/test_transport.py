@@ -29,6 +29,7 @@ from offsetlm.transport import (
     CAT_INFERENCE,
     CAT_MODEL,
     CLIENT_TO_SERVER,
+    MAX_PAYLOAD_LEN,
     SERVER_TO_CLIENT,
     ConnectionClosedError,
     FrameTooLargeError,
@@ -42,6 +43,7 @@ from offsetlm.transport import (
     latency_report,
     ledger_record,
     ledger_report,
+    max_draft_rows,
     queue_channel_pair,
 )
 
@@ -156,6 +158,18 @@ class TestFrameSizes:
 
     def test_draft_batch_s8_v32_frame_is_1071_bytes(self):
         assert 4 + len(encode_message(draft_batch(n=8, vocab=32))) == 1071
+
+    def test_max_draft_rows_is_the_largest_batch_one_frame_carries(self):
+        # payload = 11 header bytes + rows * (4 + 4V), from the closed form above
+        head = len(encode_message(draft_batch(n=1, vocab=1))) - 8
+        for v in (1, 8, 255, 256, 512, 1024, 50257):
+            rows, per_row = max_draft_rows(v), 4 + 4 * v
+            assert 1 <= rows <= 0xFFFF
+            assert head + rows * per_row <= MAX_PAYLOAD_LEN
+            assert rows == 0xFFFF or head + (rows + 1) * per_row > MAX_PAYLOAD_LEN
+        assert max_draft_rows(255) == 0xFFFF
+        assert max_draft_rows(256) == (MAX_PAYLOAD_LEN - 11) // 1028 == 65280
+        assert max_draft_rows(512) == 32704
 
 
 class TestStrictDecoding:
