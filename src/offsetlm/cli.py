@@ -332,6 +332,38 @@ def _run_mode(client: Client, mode: str, prompt: list[int], config: GenerationCo
     raise _fail("bad-mode", f"unknown mode {mode!r}")
 
 
+def _run_session(conn, vocab: Vocab, base, adapter, mode: str, prompt: list[int],
+                 config: GenerationConfig, draft_len: int):
+    """Handshake, time one generation with ``latency_probe``, then close.
+
+    Returns the response tokens and the latency report.
+    """
+    tokens: list[int] = []
+    try:
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()
+
+        def run():
+            tokens.extend(_run_mode(client, mode, prompt, config, draft_len))
+            return tokens
+
+        lat = latency_probe(run)
+    finally:
+        conn.close()
+    return tokens, lat
+
+
+def _draft_lens(text: str) -> list[int]:
+    """Comma-separated draft lengths, at least one, each at least 1."""
+    try:
+        lens = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
+        raise _fail("bad-draft-len", f"draft lengths must be integers: {exc}") from exc
+    if not lens or min(lens) < 1:
+        raise _fail("bad-draft-len", f"draft lengths must be one or more integers >= 1, got {text!r}")
+    return lens
+
+
 @main.command("generate")
 @click.option("--mode", type=click.Choice(MODES), default=None)
 @click.option("--prompt", type=str, default=None, help="space-separated token ids")
@@ -365,6 +397,8 @@ def cmd_generate(mode, prompt, prompt_file, config_path, connect, blackbox_path,
     base_proxy_path = _resolve(base_proxy_path, cfg, "base_proxy", base_proxy_path, str)
     adapter_path = _resolve(adapter_path, cfg, "adapter", adapter_path, str)
     draft_len = _resolve(draft_len, cfg, "draft_len", 8, int)
+    if mode == "prada-sd" and draft_len < 1:
+        raise _fail("bad-draft-len", f"--draft-len must be at least 1, got {draft_len}")
     tokens_in = _resolve_prompt(prompt, prompt_file, cfg)
     gen_config = _generation_config(cfg, max_new_tokens, sampling, temperature, seed)
 
@@ -391,27 +425,13 @@ def cmd_generate(mode, prompt, prompt_file, config_path, connect, blackbox_path,
             raise _fail("bad-endpoint", "either --connect or --blackbox is required")
         blackbox = load_model(blackbox_path)
         vocab = blackbox.vocab
-        server_base = None
-        if mode == "prada-transfer":
-            # the server needs its own copy of the base proxy in this mode
-            server_base = load_model(base_proxy_path)
+        # the server needs the base proxy in transfer mode
+        server_base = base if mode == "prada-transfer" else None
         conn, _ = connect_in_process(Server(blackbox, server_base), ledger)
 
-    client = Client(conn, vocab, base_proxy=base, adapter=adapter)
-    try:
-        client.handshake()
-        out: dict = {}
-
-        def run():
-            out["tokens"] = _run_mode(client, mode, tokens_in, gen_config, draft_len)
-            return out["tokens"]
-
-        lat = latency_probe(run)
-    finally:
-        conn.close()
-
+    tokens, lat = _run_session(conn, vocab, base, adapter, mode, tokens_in, gen_config, draft_len)
     lines = [
-        f"record=result mode={mode} tokens={','.join(str(t) for t in out['tokens'])}",
+        f"record=result mode={mode} tokens={','.join(str(t) for t in tokens)}",
         ledger_report(ledger),
         latency_report(lat),
     ]
@@ -447,10 +467,12 @@ def cmd_bench(blackbox_path, base_proxy_path, adapter_path, prompt, prompt_file,
     """Run every requested mode in-process and tabulate bytes, rounds, latency."""
     cfg = load_config_file(config_path)
     mode_list = [m.strip() for m in _resolve(modes, cfg, "modes", ",".join(MODES), str).split(",") if m.strip()]
+    if not mode_list:
+        raise _fail("bad-mode", f"--modes names no mode; choose from {', '.join(MODES)}")
     for m in mode_list:
         if m not in MODES:
             raise _fail("bad-mode", f"unknown mode {m!r}")
-    sweep = [int(s) for s in _resolve(draft_lens, cfg, "draft_lens", "8", str).split(",") if s.strip()]
+    sweep = _draft_lens(_resolve(draft_lens, cfg, "draft_lens", "8", str))
     tokens_in = _resolve_prompt(prompt, prompt_file, cfg)
     gen_config = _generation_config(cfg, max_new_tokens, sampling, temperature, seed)
 
@@ -461,31 +483,16 @@ def cmd_bench(blackbox_path, base_proxy_path, adapter_path, prompt, prompt_file,
     for mode in mode_list:
         for s in sweep if mode == "prada-sd" else [1 if mode == "prada" else 0]:
             ledger = CostLedger()
-            server_base = load_model(base_proxy_path) if mode == "prada-transfer" else None
+            server_base = base if mode == "prada-transfer" else None
             conn, _ = connect_in_process(Server(blackbox, server_base), ledger)
-            client = Client(
-                conn,
-                blackbox.vocab,
-                base_proxy=None if mode == "api" else base,
-                adapter=None if mode == "api" else adapter,
-            )
-            try:
-                client.handshake()
-                out: dict = {}
-
-                def run():
-                    out["tokens"] = _run_mode(client, mode, tokens_in, gen_config, s)
-                    return out["tokens"]
-
-                lat = latency_probe(run)
-            finally:
-                conn.close()
+            proxy = (None, None) if mode == "api" else (base, adapter)
+            tokens, lat = _run_session(conn, blackbox.vocab, *proxy, mode, tokens_in, gen_config, s)
             rate = ledger.acceptance_rate()
             rows.append(
                 {
                     "mode": mode,
                     "draft_len": s,
-                    "response_tokens": len(out["tokens"]),
+                    "response_tokens": len(tokens),
                     "rounds": ledger.round_count,
                     "acceptance_rate": "" if rate is None else f"{rate:.6f}",
                     "data_bytes": ledger.bytes_total("data_transfer"),

@@ -1,4 +1,5 @@
-"""Vocabulary, token-sequence, logit, and sampling primitives.
+"""Vocabulary, token-sequence, logit, and sampling primitives, and the
+byte reader behind every binary decoder (PRDM, PRDL, wire messages).
 
 Conventions used throughout the package:
 
@@ -14,6 +15,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,18 +78,6 @@ def validate_sequence(tokens: list[int], vocab: Vocab) -> None:
         raise ValueError("sequence contains more than one eos token")
     if eos_positions and eos_positions[0] != len(tokens) - 1:
         raise ValueError("eos token must be the last element of a sequence")
-
-
-def as_logits(values, size: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a finite 1-D float32 logit vector."""
-    arr = np.asarray(values, dtype=np.float32)
-    if arr.ndim != 1:
-        raise ValueError(f"logit vector must be 1-D, got shape {arr.shape}")
-    if size is not None and arr.shape[0] != size:
-        raise ValueError(f"logit vector has length {arr.shape[0]}, expected {size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("logit vector contains non-finite entries")
-    return arr
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -176,3 +167,76 @@ def read_corpus(path, vocab: Vocab | None = None) -> list[list[int]]:
             else:
                 docs.append(parse_token_line(line, vocab))
     return docs
+
+
+class ByteReader:
+    """Sequential little-endian reads over one payload.
+
+    ``error(message, offset)`` builds the caller's exception, so each format
+    raises its own error type. A short read fails at the end of the data;
+    :meth:`fail` reports the current position or a given offset.
+    """
+
+    def __init__(self, data: bytes, error) -> None:
+        self.data = data
+        self.pos = 0
+        self.error = error
+
+    def fail(self, why: str, offset: int | None = None) -> Exception:
+        return self.error(why, self.pos if offset is None else offset)
+
+    def take(self, n: int) -> bytes:
+        if self.pos + n > len(self.data):
+            raise self.error(
+                f"truncated: needed {n} bytes, {len(self.data) - self.pos} left", len(self.data)
+            )
+        chunk = self.data[self.pos : self.pos + n]
+        self.pos += n
+        return chunk
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+
+    def u8(self) -> int:
+        return self.take(1)[0]
+
+    def u16(self) -> int:
+        return struct.unpack("<H", self.take(2))[0]
+
+    def u32(self) -> int:
+        return struct.unpack("<I", self.take(4))[0]
+
+    def u64(self) -> int:
+        return struct.unpack("<Q", self.take(8))[0]
+
+    def f32(self) -> float:
+        return struct.unpack("<f", self.take(4))[0]
+
+    def array(self, dtype: str, *shape: int) -> np.ndarray:
+        """A read-only view of ``shape`` items of ``dtype``."""
+        n = np.dtype(dtype).itemsize * math.prod(shape)
+        return np.frombuffer(self.take(n), dtype=dtype).reshape(shape)
+
+    def flag(self) -> bool:
+        b = self.u8()
+        if b not in (0, 1):
+            raise self.fail(f"flag byte must be 0 or 1, got {b}", self.pos - 1)
+        return bool(b)
+
+    def tokens(self) -> list[int]:
+        """A u32 count, then that many u32 token ids."""
+        n = self.u32()
+        return list(struct.unpack(f"<{n}I", self.take(4 * n)))
+
+    def text(self) -> str:
+        """A u16 byte length, then that many bytes of UTF-8."""
+        n = self.u16()
+        raw = self.take(n)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise self.fail(f"invalid UTF-8 text: {exc}", self.pos - n) from exc
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise self.fail(f"{len(self.data) - self.pos} trailing bytes")

@@ -7,6 +7,11 @@ product — it computes ``W @ x + scaling * (B @ (A @ x))``, which is what
 makes rank-r adaptation cheap. Targets are the two dense layers of
 :class:`~offsetlm.models.TinyNeuralLM`, named ``"w1"`` and ``"w2"``.
 
+There is no adapted copy of the forward pass: inference (binary32, one
+window) and training (binary64, a batch of windows) both call the base
+model's :func:`~offsetlm.models.mlp_forward` with the adapter's
+``(scaling, A, B)`` as the low-rank term of each dense layer.
+
 Training is plain mini-batch SGD on mean next-token cross-entropy with the
 base model frozen: only ``A`` and ``B`` receive gradients (hand-derived,
 verified against central finite differences in the test suite). All training
@@ -25,8 +30,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import make_rng
-from .models import LogitModel, TinyNeuralLM, fnv1a64, _check_tokens
+from .core import ByteReader, make_rng
+from .models import (
+    LogitModel,
+    TinyNeuralLM,
+    _checked_window,
+    fnv1a64,
+    mlp_forward,
+    training_positions,
+)
 
 PRDL_MAGIC = b"PRDL"
 PRDL_VERSION = 1
@@ -194,26 +206,21 @@ class AdaptedModel(LogitModel):
         self.window = base.context
         self.base = base
         self.vocab = base.vocab
-        self._rank = adapter.rank
-        snap = adapter.snapshot()
-        self._w1t = snap.target("w1")
-        self._w2t = snap.target("w2")
+        self._low_rank = _low_rank(adapter.snapshot(), np.float32)
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        base = self.base
-        x = base.embed_window(seq)
-        pre = base.w1 @ x
-        if self._w1t is not None:
-            t = self._w1t
-            pre = pre + np.float32(t.scaling) * (t.b @ (t.a @ x))
-        pre = pre + base.b1
-        hid = np.tanh(pre)
-        out = base.w2 @ hid
-        if self._w2t is not None:
-            t = self._w2t
-            out = out + np.float32(t.scaling) * (t.b @ (t.a @ hid))
-        out = out + base.b2
-        return out
+        win = _checked_window(seq, self.window, self.vocab)
+        return mlp_forward(self.base.params, self.base.window_ids(win), self._low_rank)[2]
+
+
+def _low_rank(adapter: LoraAdapter, dtype) -> tuple:
+    """Per dense layer, the adapter's ``(scaling, a, b)`` at ``dtype``, or None."""
+    terms = []
+    for name in ("w1", "w2"):
+        t = adapter.target(name)
+        terms.append(None if t is None else (
+            dtype(t.scaling), np.asarray(t.a, dtype=dtype), np.asarray(t.b, dtype=dtype)))
+    return tuple(terms)
 
 
 def apply_adapter(base: TinyNeuralLM, adapter: LoraAdapter) -> AdaptedModel:
@@ -224,54 +231,6 @@ def apply_adapter(base: TinyNeuralLM, adapter: LoraAdapter) -> AdaptedModel:
 # ---------------------------------------------------------------------------
 # Training (binary64)
 # ---------------------------------------------------------------------------
-
-
-def _base_params_f64(base: TinyNeuralLM):
-    return (
-        base.embedding.astype(np.float64),
-        base.w1.astype(np.float64),
-        base.b1.astype(np.float64),
-        base.w2.astype(np.float64),
-        base.b2.astype(np.float64),
-    )
-
-
-def _positions(batch: list[list[int]], base: TinyNeuralLM):
-    windows, targets = [], []
-    for seq in batch:
-        if len(seq) < 2:
-            raise DegenerateBatchError(
-                "training sequences must have length >= 2 to yield a prediction"
-            )
-        _check_tokens(seq, base.vocab)
-        for j in range(len(seq) - 1):
-            windows.append(base.window_ids(seq[: j + 1]))
-            targets.append(seq[j + 1])
-    return np.asarray(windows, dtype=np.int64), np.asarray(targets, dtype=np.int64)
-
-
-def _adapted_forward_f64(base_p, adapter: LoraAdapter, windows: np.ndarray):
-    """Binary64 factored forward over a batch of context windows.
-
-    Returns (X, H, logits) — the intermediates the backward pass needs.
-    """
-    emb, w1, b1, w2, b2 = base_p
-    n = windows.shape[0]
-    x = emb[windows].reshape(n, -1)
-    pre = x @ w1.T
-    t1 = adapter.target("w1")
-    if t1 is not None:
-        pre = pre + t1.scaling * ((x @ np.asarray(t1.a, dtype=np.float64).T)
-                                  @ np.asarray(t1.b, dtype=np.float64).T)
-    pre = pre + b1
-    hid = np.tanh(pre)
-    logits = hid @ w2.T
-    t2 = adapter.target("w2")
-    if t2 is not None:
-        logits = logits + t2.scaling * ((hid @ np.asarray(t2.a, dtype=np.float64).T)
-                                        @ np.asarray(t2.b, dtype=np.float64).T)
-    logits = logits + b2
-    return x, hid, logits
 
 
 def loss_and_grads(
@@ -285,10 +244,15 @@ def loss_and_grads(
     """
     if len(batch) == 0:
         raise DegenerateBatchError("batch must be non-empty")
+    if any(len(seq) < 2 for seq in batch):
+        raise DegenerateBatchError(
+            "training sequences must have length >= 2 to yield a prediction"
+        )
     _check_fit(base, adapter)
-    base_p = _base_params_f64(base)
-    windows, targets = _positions(batch, base)
-    x, hid, logits = _adapted_forward_f64(base_p, adapter, windows)
+    windows, targets = training_positions(batch, base.vocab, base.context)
+    params = tuple(p.astype(np.float64) for p in base.params)
+    low_rank = _low_rank(adapter, np.float64)
+    x, hid, logits = mlp_forward(params, windows, low_rank)
     n = windows.shape[0]
 
     z = logits - logits.max(axis=1, keepdims=True)
@@ -299,29 +263,18 @@ def loss_and_grads(
     g[np.arange(n), targets] -= 1.0
     g /= n
 
-    _, w1, _, w2, _ = base_p
+    t1, t2 = low_rank  # (scaling, a, b): b is the up factor, not a bias
     grads: dict[str, dict[str, np.ndarray]] = {}
-    t2 = adapter.target("w2")
     if t2 is not None:
-        a2 = np.asarray(t2.a, dtype=np.float64)
-        b2f = np.asarray(t2.b, dtype=np.float64)
-        grads["w2"] = {
-            "b": t2.scaling * (g.T @ (hid @ a2.T)),
-            "a": t2.scaling * (b2f.T @ (g.T @ hid)),
-        }
-    t1 = adapter.target("w1")
+        s2, a2, b2 = t2
+        grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
     if t1 is not None:
-        d_hid = g @ w2
+        d_hid = g @ params[3]  # the base w2
         if t2 is not None:
-            d_hid = d_hid + t2.scaling * ((g @ np.asarray(t2.b, dtype=np.float64))
-                                          @ np.asarray(t2.a, dtype=np.float64))
+            d_hid = d_hid + s2 * ((g @ b2) @ a2)
         d_pre = d_hid * (1.0 - hid * hid)
-        a1 = np.asarray(t1.a, dtype=np.float64)
-        b1f = np.asarray(t1.b, dtype=np.float64)
-        grads["w1"] = {
-            "b": t1.scaling * (d_pre.T @ (x @ a1.T)),
-            "a": t1.scaling * (b1f.T @ (d_pre.T @ x)),
-        }
+        s1, a1, b1 = t1
+        grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
     return loss, grads
 
 
@@ -375,41 +328,28 @@ def encode_adapter(adapter: LoraAdapter) -> bytes:
 
 def decode_adapter(data: bytes) -> LoraAdapter:
     """Parse PRDL bytes; raises AdapterFormatError on any malformation."""
-    pos = 0
-
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(data):
-            raise AdapterFormatError(
-                f"adapter payload truncated at byte {len(data)} (needed {pos + n})"
-            )
-        chunk = data[pos : pos + n]
-        pos += n
-        return chunk
-
-    if take(4) != PRDL_MAGIC:
+    r = ByteReader(data, lambda why, at: AdapterFormatError(f"adapter {why} (at byte {at})"))
+    if r.take(4) != PRDL_MAGIC:
         raise AdapterFormatError("bad adapter magic")
-    (version,) = struct.unpack("<B", take(1))
+    version = r.u8()
     if version != PRDL_VERSION:
         raise AdapterFormatError(f"unsupported adapter version {version}")
-    (rank,) = struct.unpack("<I", take(4))
+    rank = r.u32()
     if rank < 1:
         raise AdapterFormatError("adapter rank must be positive")
-    (n_targets,) = struct.unpack("<H", take(2))
     targets = []
-    for _ in range(n_targets):
-        (tag,) = struct.unpack("<B", take(1))
+    for _ in range(r.u16()):
+        tag = r.u8()
         if tag not in TAG_TARGETS:
-            raise AdapterFormatError(f"unknown target tag {tag} at byte {pos - 1}")
-        m, n = struct.unpack("<II", take(8))
+            raise r.fail(f"unknown target tag {tag}", r.pos - 1)
+        m, n = r.unpack("<II")
         if m < 1 or n < 1:
             raise AdapterFormatError("target dimensions must be positive")
-        (scaling,) = struct.unpack("<f", take(4))
-        b = np.frombuffer(take(4 * m * rank), dtype="<f4").reshape(m, rank).copy()
-        a = np.frombuffer(take(4 * rank * n), dtype="<f4").reshape(rank, n).copy()
-        targets.append(LoraTarget(name=TAG_TARGETS[tag], b=b, a=a, scaling=float(scaling)))
-    if pos != len(data):
-        raise AdapterFormatError(f"adapter has trailing bytes at offset {pos}")
+        scaling = r.f32()
+        b = r.array("<f4", m, rank).copy()
+        a = r.array("<f4", rank, n).copy()
+        targets.append(LoraTarget(name=TAG_TARGETS[tag], b=b, a=a, scaling=scaling))
+    r.finish()
     try:
         return LoraAdapter(rank=rank, targets=targets)
     except ValueError as exc:

@@ -21,6 +21,11 @@ whole sequence once, where it enters; each step checks only its window.
 
 Inference parameters are binary32: training happens elsewhere in binary64
 and rounds exactly once, when the snapshot is taken.
+
+The window MLP is written once, in :func:`mlp_forward`: single-step
+inference (binary32, one window), the adapted model of :mod:`offsetlm.lora`
+(the same call plus a low-rank term per dense layer), and both trainers
+(binary64, a batch of windows from :func:`training_positions`) all run it.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import Vocab
+from .core import ByteReader, Vocab
 
 PRDM_MAGIC = b"PRDM"
 PRDM_VERSION = 1
@@ -165,9 +170,10 @@ class BigramTableModel(LogitModel):
 class TinyNeuralLM(LogitModel):
     """Fixed-window MLP language model (binary32 inference snapshot).
 
-    Forward pass for a sequence: take the last ``context`` tokens (left-pad
-    with ``bos_id``), look up and concatenate their embeddings, apply
-    ``tanh(W1 @ x + b1)``, then project with ``W2 @ h + b2``.
+    Forward pass for a sequence (:func:`mlp_forward`): take the last
+    ``context`` tokens (left-pad with ``bos_id``), look up and concatenate
+    their embeddings, apply ``tanh(W1 @ x + b1)``, then project with
+    ``W2 @ h + b2``.
     """
 
     def __init__(
@@ -209,7 +215,9 @@ class TinyNeuralLM(LogitModel):
         self.b1 = b1
         self.w2 = w2
         self.b2 = b2
-        for arr in (self.embedding, self.w1, self.b1, self.w2, self.b2):
+        # in the order mlp_forward takes them
+        self.params = (self.embedding, self.w1, self.b1, self.w2, self.b2)
+        for arr in self.params:
             arr.setflags(write=False)
 
     @property
@@ -221,22 +229,9 @@ class TinyNeuralLM(LogitModel):
         win = list(seq[-self.context:])
         return [self.vocab.bos_id] * (self.context - len(win)) + win
 
-    def embed_window(self, seq: list[int]) -> np.ndarray:
-        """Concatenated window embeddings: float32 vector of length context*d.
-
-        Checks the window's tokens; reads nothing of ``seq`` before it.
-        """
-        win = _checked_window(seq, self.context, self.vocab)
-        return self.embedding[self.window_ids(win)].reshape(-1)
-
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        x = self.embed_window(seq)
-        pre = self.w1 @ x
-        pre = pre + self.b1
-        hid = np.tanh(pre)
-        out = self.w2 @ hid
-        out = out + self.b2
-        return out
+        win = _checked_window(seq, self.context, self.vocab)
+        return mlp_forward(self.params, self.window_ids(win))[2]
 
     @staticmethod
     def random(
@@ -252,6 +247,32 @@ class TinyNeuralLM(LogitModel):
         d, h, v = embed_dim, hidden_dim, vocab.size
         params = _init_neural_params(rng, v, context, d, h, scale)
         return TinyNeuralLM(vocab, context, *[p.astype(np.float32) for p in params])
+
+
+def mlp_forward(params, windows, low_rank=(None, None)):
+    """The window MLP: ``(x, hid, logits)`` for one window or a batch.
+
+    ``params`` is ``(embedding, w1, b1, w2, b2)`` and fixes the dtype:
+    binary32 snapshots for inference, binary64 copies for training.
+    ``windows`` is one window of ``context`` token ids or an ``(n, context)``
+    batch; rows compute as ``x @ w.T``. ``low_rank`` holds, per dense layer,
+    ``None`` or an adapter term ``(scaling, a, b)`` that adds
+    ``scaling * (x @ a.T) @ b.T`` without forming ``b @ a``. ``x`` and
+    ``hid`` are returned for the backward pass.
+    """
+    emb, w1, b1, w2, b2 = params
+    x = emb[windows]
+    x = x.reshape(x.shape[:-2] + (-1,))
+    hid = np.tanh(_dense(x, w1, b1, low_rank[0]))
+    return x, hid, _dense(hid, w2, b2, low_rank[1])
+
+
+def _dense(x, w, bias, term):
+    out = x @ w.T
+    if term is not None:
+        scaling, a, b = term
+        out = out + scaling * ((x @ a.T) @ b.T)
+    return out + bias
 
 
 def _init_neural_params(rng, v, context, d, h, scale):
@@ -311,17 +332,14 @@ def train_neural_lm(
         rng, vocab.size, context, embed_dim, hidden_dim, 0.5
     )
 
-    windows, targets = _training_positions(usable, vocab, context)
+    windows, targets = training_positions(usable, vocab, context)
     n = windows.shape[0]
     for _ in range(max(0, epochs)):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             win, tgt = windows[idx], targets[idx]
-            x = emb[win].reshape(len(idx), -1)  # (b, context*d)
-            pre = x @ w1.T + b1
-            hid = np.tanh(pre)
-            logits = hid @ w2.T + b2
+            x, hid, logits = mlp_forward((emb, w1, b1, w2, b2), win)
             z = logits - logits.max(axis=1, keepdims=True)
             p = np.exp(z)
             p /= p.sum(axis=1, keepdims=True)
@@ -341,31 +359,22 @@ def train_neural_lm(
             b2 -= lr * d_b2
             for c in range(context):
                 np.add.at(emb, win[:, c], -lr * d_x[:, c, :])
-    return TinyNeuralLM(
-        vocab,
-        context,
-        emb.astype(np.float32),
-        w1.astype(np.float32),
-        b1.astype(np.float32),
-        w2.astype(np.float32),
-        b2.astype(np.float32),
-    )
+    return TinyNeuralLM(vocab, context, *[p.astype(np.float32) for p in (emb, w1, b1, w2, b2)])
 
 
-def _training_positions(corpus, vocab: Vocab, context: int):
-    """All (window, next-token) pairs in the corpus as integer arrays."""
+def training_positions(docs, vocab: Vocab, context: int):
+    """Every (window, next token) pair of ``docs`` as int64 arrays.
+
+    Row ``j`` of a document is ``TinyNeuralLM.window_ids(doc[:j + 1])`` and
+    its target is ``doc[j + 1]``. Each document is checked against ``vocab``.
+    """
     windows, targets = [], []
-    for doc in corpus:
+    for doc in docs:
         _check_tokens(doc, vocab)
-        for j in range(len(doc) - 1):
-            prefix = doc[: j + 1]
-            if len(prefix) >= context:
-                win = prefix[-context:]
-            else:
-                win = [vocab.bos_id] * (context - len(prefix)) + prefix
-            windows.append(win)
-            targets.append(doc[j + 1])
-    return np.asarray(windows, dtype=np.int64), np.asarray(targets, dtype=np.int64)
+        padded = np.array([vocab.bos_id] * context + list(doc), dtype=np.int64)
+        windows.append(np.lib.stride_tricks.sliding_window_view(padded, context)[1 : len(doc)])
+        targets.append(padded[context + 1 :])
+    return np.concatenate(windows), np.concatenate(targets)
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +395,7 @@ def encode_model(model: LogitModel) -> bytes:
     else:
         assert isinstance(model, TinyNeuralLM)
         body = struct.pack("<III", model.context, model.embed_dim, model.hidden_dim)
-        for arr in (model.embedding, model.w1, model.b1, model.w2, model.b2):
+        for arr in model.params:
             body += arr.astype("<f4").tobytes(order="C")
     return head + body
 
@@ -399,60 +408,34 @@ def _arch_tag(model: LogitModel) -> int:
     raise TypeError(f"cannot snapshot model of type {type(model).__name__}")
 
 
-class _Reader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise SnapshotFormatError(
-                f"snapshot truncated at byte {len(self.data)} (needed {self.pos + n})"
-            )
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-
 def decode_model(data: bytes) -> LogitModel:
     """Parse PRDM bytes back into a model; raises SnapshotFormatError."""
-    r = _Reader(data)
+    r = ByteReader(data, lambda why, at: SnapshotFormatError(f"snapshot {why} (at byte {at})"))
     if r.take(4) != PRDM_MAGIC:
         raise SnapshotFormatError("bad snapshot magic")
-    version, arch = struct.unpack("<BB", r.take(2))
+    version, arch = r.unpack("<BB")
     if version != PRDM_VERSION:
         raise SnapshotFormatError(f"unsupported snapshot version {version}")
-    size, eos_id, bos_id = struct.unpack("<III", r.take(12))
+    size, eos_id, bos_id = r.unpack("<III")
     try:
         vocab = Vocab(size=size, eos_id=eos_id, bos_id=bos_id)
     except ValueError as exc:
         raise SnapshotFormatError(f"invalid vocab in snapshot: {exc}") from exc
     if arch == ARCH_BIGRAM:
-        counts = np.frombuffer(r.take(4 * size * size), dtype="<u4").reshape(size, size)
-        (alpha,) = struct.unpack("<f", r.take(4))
+        counts, alpha = r.array("<u4", size, size), r.f32()
         try:
-            model: LogitModel = BigramTableModel(vocab, counts.astype(np.int64), float(alpha))
+            model: LogitModel = BigramTableModel(vocab, counts.astype(np.int64), alpha)
         except ValueError as exc:
             raise SnapshotFormatError(f"invalid bigram snapshot: {exc}") from exc
     elif arch == ARCH_TINY_NEURAL:
-        context, d, h = struct.unpack("<III", r.take(12))
+        context, d, h = r.unpack("<III")
         if context < 1 or d < 1 or h < 1:
             raise SnapshotFormatError("invalid tiny-neural dimensions in snapshot")
-        emb = np.frombuffer(r.take(4 * size * d), dtype="<f4").reshape(size, d)
-        w1 = np.frombuffer(r.take(4 * h * context * d), dtype="<f4").reshape(h, context * d)
-        b1 = np.frombuffer(r.take(4 * h), dtype="<f4")
-        w2 = np.frombuffer(r.take(4 * size * h), dtype="<f4").reshape(size, h)
-        b2 = np.frombuffer(r.take(4 * size), dtype="<f4")
-        model = TinyNeuralLM(vocab, context, emb, w1, b1, w2, b2)
+        shapes = ((size, d), (h, context * d), (h,), (size, h), (size,))
+        model = TinyNeuralLM(vocab, context, *[r.array("<f4", *shape) for shape in shapes])
     else:
         raise SnapshotFormatError(f"unknown architecture tag {arch}")
-    if r.pos != len(data):
-        raise SnapshotFormatError(
-            f"snapshot has {len(data) - r.pos} trailing bytes at offset {r.pos}"
-        )
+    r.finish()
     return model
 
 

@@ -397,25 +397,33 @@ class Server:
         return GenerationResult(session_id=msg.session_id, tokens=tuple(tokens))
 
 
-def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
-    """Plain autoregressive generation from the black-box model alone.
+def _generate(step, vocab: Vocab, prompt: list[int], config: GenerationConfig) -> list[int]:
+    """The shared in-process loop: ``step(seq, rng)`` picks each next token.
 
     The prompt is checked against the vocabulary once, here; each step then
-    reads only the model's window.
+    reads only the models' windows. A prompt ending in eos yields nothing.
     """
-    _check_tokens(prompt, blackbox.vocab)
+    _check_tokens(prompt, vocab)
     rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
     seq = list(prompt)
     out: list[int] = []
-    if seq and seq[-1] == blackbox.vocab.eos_id:
+    if seq[-1] == vocab.eos_id:
         return out
     while len(out) < config.max_new_tokens:
-        tok = sample_token(blackbox.next_logits(seq), config, rng)
+        tok = step(seq, rng)
         out.append(tok)
         seq.append(tok)
-        if tok == blackbox.vocab.eos_id:
+        if tok == vocab.eos_id:
             break
     return out
+
+
+def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
+    """Plain autoregressive generation from the black-box model alone."""
+    return _generate(
+        lambda seq, rng: sample_token(blackbox.next_logits(seq), config, rng),
+        blackbox.vocab, prompt, config,
+    )
 
 
 def generate_adapted(
@@ -429,28 +437,18 @@ def generate_adapted(
 
     One RNG draw per committed token, exactly like the per-token protocol
     mode — which is what makes server-side (transfer) and client-side
-    generation token-identical for the same seed. The prompt is checked
-    against the vocabulary once, here; each step then reads only the models'
-    windows.
+    generation token-identical for the same seed.
     """
-    _check_tokens(prompt, blackbox.vocab)
-    rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
-    seq = list(prompt)
-    out: list[int] = []
-    if seq and seq[-1] == blackbox.vocab.eos_id:
-        return out
-    while len(out) < config.max_new_tokens:
+
+    def step(seq: list[int], rng) -> int:
         triple = OffsetTriple(
             z_b=blackbox.next_logits(seq),
             z_p=base_proxy.next_logits(seq),
             z_p_tuned=tuned_proxy.next_logits(seq),
         )
-        tok = adapted_next_token(triple, config, rng)
-        out.append(tok)
-        seq.append(tok)
-        if tok == blackbox.vocab.eos_id:
-            break
-    return out
+        return adapted_next_token(triple, config, rng)
+
+    return _generate(step, blackbox.vocab, prompt, config)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import ByteReader
 from .messages import (
     Commit,
     DraftBatch,
@@ -174,61 +175,9 @@ def encode_message(msg: Message) -> bytes:
     raise TypeError(f"cannot encode object of type {type(msg).__name__}")
 
 
-class _PayloadReader:
-    def __init__(self, data: bytes) -> None:
-        self.data = data
-        self.pos = 0
-
-    def fail(self, why: str) -> MalformedPayloadError:
-        return MalformedPayloadError(why, self.pos)
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise MalformedPayloadError(
-                f"payload truncated: needed {n} bytes, {len(self.data) - self.pos} left",
-                len(self.data),
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
-
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
-    def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
-
-    def flag(self) -> bool:
-        b = self.u8()
-        if b not in (0, 1):
-            raise MalformedPayloadError(f"flag byte must be 0 or 1, got {b}", self.pos - 1)
-        return bool(b)
-
-    def tokens(self) -> list[int]:
-        n = self.u32()
-        return list(struct.unpack(f"<{n}I", self.take(4 * n)))
-
-    def text(self) -> str:
-        n = self.u16()
-        raw = self.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise MalformedPayloadError(f"invalid UTF-8 text: {exc}", self.pos - n) from exc
-
-
 def decode_message(data: bytes) -> Message:
     """Parse payload bytes back into a message, validating as it goes."""
-    r = _PayloadReader(data)
+    r = ByteReader(data, MalformedPayloadError)
     if len(data) == 0:
         raise r.fail("empty payload")
     tag = r.u8()
@@ -262,7 +211,7 @@ def decode_message(data: bytes) -> Message:
                     f"draft logits block of {rest} bytes does not divide into {n} float32 rows"
                 )
             vocab = rest // (4 * n)
-            logits = np.frombuffer(r.take(rest), dtype="<f4").reshape(n, vocab)
+            logits = r.array("<f4", n, vocab)
             msg = DraftBatch(session_id=session_id, tokens=tuple(tokens), logits=logits)
         elif tag == TAG_COMMIT:
             session_id = r.u64()
@@ -300,8 +249,7 @@ def decode_message(data: bytes) -> Message:
         if isinstance(exc, MalformedPayloadError):
             raise
         raise r.fail(f"message invariant violated: {exc}") from exc
-    if r.pos != len(data):
-        raise r.fail(f"{len(data) - r.pos} trailing bytes after message")
+    r.finish()
     return msg
 
 

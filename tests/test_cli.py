@@ -295,6 +295,8 @@ class TestGenerate:
             (["generate", "--mode", "api", "--prompt", "3", "--connect", "nonsense"], "bad-endpoint"),
             (["generate", "--mode", "api", "--prompt", "3", "--connect", "h:9"], "bad-vocab"),
             (["generate", "--mode", "prada", "--prompt", "3", "--blackbox", "IGNORED"], "missing-proxy"),
+            (["generate", "--mode", "prada-sd", "--prompt", "3", "--blackbox", "IGNORED",
+              "--draft-len", "0"], "bad-draft-len"),
         ],
     )
     def test_error_codes(self, runner, blackbox_path, args, code):
@@ -392,3 +394,61 @@ class TestBench:
         ])
         assert result.exit_code != 0
         assert "error code=bad-mode" in result.stderr
+
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (["--modes", ""], "bad-mode"),
+            (["--modes", "", "--csv", "CSV"], "bad-mode"),
+            (["--modes", " , "], "bad-mode"),
+            (["--draft-lens", ""], "bad-draft-len"),
+            (["--draft-lens", "x"], "bad-draft-len"),
+            (["--draft-lens", "0"], "bad-draft-len"),
+            (["--draft-lens", "4,-2"], "bad-draft-len"),
+        ],
+    )
+    def test_bad_sweep_rejected_before_loading(self, runner, tmp_path, blackbox_path,
+                                               base_proxy_path, adapter_path, monkeypatch,
+                                               args, code):
+        import offsetlm.cli as cli_mod
+
+        def boom(*args, **kwargs):  # pragma: no cover - would mean a model loaded
+            raise AssertionError("a bad sweep must be rejected before any model loads")
+
+        monkeypatch.setattr(cli_mod, "load_model", boom)
+        result = runner.invoke(main, [
+            "bench", "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path),
+            "--adapter", str(adapter_path), "--prompt", "3",
+        ] + [str(tmp_path / "out.csv") if a == "CSV" else a for a in args])
+        assert result.exit_code != 0
+        assert f"error code={code} msg=\"" in result.stderr, result.stderr
+        assert "record=bench" not in result.output
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_each_model_file_loads_once(self, runner, blackbox_path, base_proxy_path,
+                                        adapter_path, monkeypatch):
+        # the in-process server shares the client's base proxy in transfer mode
+        import offsetlm.cli as cli_mod
+
+        loaded = []
+
+        def counting_load(path):
+            loaded.append(str(path))
+            return load_model(path)
+
+        monkeypatch.setattr(cli_mod, "load_model", counting_load)
+        result = runner.invoke(main, [
+            "bench", "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path),
+            "--adapter", str(adapter_path), "--prompt", "3 4", "--max-new-tokens", "4",
+            "--modes", "prada-transfer,api,prada-transfer",
+        ])
+        assert result.exit_code == 0, result.stderr
+        assert sorted(loaded) == sorted([str(blackbox_path), str(base_proxy_path)])
+        loaded.clear()
+        result = runner.invoke(main, [
+            "generate", "--mode", "prada-transfer", "--prompt", "3 4",
+            "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path),
+            "--adapter", str(adapter_path), "--max-new-tokens", "4",
+        ])
+        assert result.exit_code == 0, result.stderr
+        assert sorted(loaded) == sorted([str(blackbox_path), str(base_proxy_path)])

@@ -27,10 +27,9 @@ from offsetlm.lora import (
     DegenerateBatchError,
     RankTooLargeError,
     ShapeMismatchError,
-    _adapted_forward_f64,
-    _base_params_f64,
+    _low_rank,
 )
-from offsetlm.models import fnv1a64
+from offsetlm.models import fnv1a64, mlp_forward
 
 @pytest.fixture
 def base(vocab) -> TinyNeuralLM:
@@ -45,6 +44,12 @@ def rich_adapter(base: TinyNeuralLM, rank: int = 2, seed: int = 13) -> LoraAdapt
         t.b = rng.normal(0.0, 0.3, size=t.b.shape)
         t.a = rng.normal(0.0, 0.3, size=t.a.shape)
     return adapter
+
+
+def forward_f64(base: TinyNeuralLM, adapter: LoraAdapter, windows: np.ndarray):
+    """The training forward: binary64 base params, the adapter as low-rank terms."""
+    params = tuple(p.astype(np.float64) for p in base.params)
+    return mlp_forward(params, windows, _low_rank(adapter, np.float64))
 
 
 def dense_oracle_logits(base: TinyNeuralLM, adapter: LoraAdapter, seq) -> np.ndarray:
@@ -116,9 +121,18 @@ class TestAdaptedModel:
     def test_factored_f64_matches_dense_within_1e12(self, base):
         adapter = rich_adapter(base)
         windows = np.array([base.window_ids([3, 4, 5]), base.window_ids([6])])
-        _, _, logits = _adapted_forward_f64(_base_params_f64(base), adapter, windows)
+        _, _, logits = forward_f64(base, adapter, windows)
         np.testing.assert_allclose(logits[0], dense_oracle_logits(base, adapter, [3, 4, 5]), atol=1e-12)
         np.testing.assert_allclose(logits[1], dense_oracle_logits(base, adapter, [6]), atol=1e-12)
+
+    def test_inference_agrees_with_training_forward(self, base):
+        # both run mlp_forward: binary32 one window at a time, binary64 batched
+        adapter = rich_adapter(base)
+        model = apply_adapter(base, adapter)
+        seqs = [[3], [4, 5], [3, 4, 5, 6, 7], [7, 7, 3, 4], [base.vocab.bos_id, 6]]
+        _, _, logits = forward_f64(base, adapter, np.array([base.window_ids(s) for s in seqs]))
+        for seq, row in zip(seqs, logits):
+            np.testing.assert_allclose(model.next_logits(seq), row, rtol=0, atol=1e-5)
 
     def test_wire_snapshot_gives_identical_logits(self, base):
         adapter = rich_adapter(base)
@@ -157,7 +171,7 @@ class TestLossAndGrads:
         l1, _ = loss_and_grads(base, adapter, [[3, 4]])
         # position 2 alone: condition on prefix [3,4], predict 5
         windows = np.array([base.window_ids([3, 4])])
-        _, _, z = _adapted_forward_f64(_base_params_f64(base), adapter, windows)
+        _, _, z = forward_f64(base, adapter, windows)
         z = z[0] - z[0].max()
         l2 = float(np.log(np.exp(z).sum()) - z[5])
         assert loss_both == pytest.approx((l1 + l2) / 2.0, abs=1e-12)

@@ -26,6 +26,7 @@ from offsetlm.models import (
     decode_model,
     encode_model,
     fnv1a64,
+    training_positions,
 )
 
 from conftest import TailOnly, pair_count_oracle, random_corpus
@@ -260,6 +261,28 @@ class TestTrainNeuralLm:
     def test_requires_a_trainable_pair(self, vocab):
         with pytest.raises(EmptyCorpusError):
             train_neural_lm([[3], []], vocab)
+
+
+class TestTrainingPositions:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=12), min_size=1, max_size=5),
+        context=st.integers(1, 6),
+    )
+    def test_rows_are_the_model_windows_and_next_tokens(self, docs, context):
+        # documents shorter than the context get bos-padded windows
+        vocab = Vocab(size=8, eos_id=1, bos_id=2)
+        model = TinyNeuralLM.random(vocab, context=context, embed_dim=2, hidden_dim=2)
+        windows, targets = training_positions(docs, vocab, context)
+        want = [(model.window_ids(doc[: j + 1]), doc[j + 1])
+                for doc in docs for j in range(len(doc) - 1)]
+        assert windows.shape == (len(want), context)
+        assert windows.dtype == targets.dtype == np.int64
+        assert [(list(w), t) for w, t in zip(windows.tolist(), targets.tolist())] == want
+
+    def test_checks_every_token(self, vocab):
+        with pytest.raises(VocabMismatchError):
+            training_positions([[3, 4], [5, 8]], vocab, 2)
 
 
 class TestSnapshotFormat:

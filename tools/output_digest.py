@@ -1,0 +1,121 @@
+"""Print one SHA-256 over the package's numeric outputs at fixed seeds.
+
+Covers, at several model shapes: binary32 logits and ``batch_next_logits``
+rows of the base, adapted and black-box models; ``train_neural_lm`` snapshot
+bytes; ``train_lora`` factors (binary64) and adapter bytes; ``loss_and_grads``
+loss and gradients; and the tokens of every generation mode, greedy and
+stochastic (in-process ``generate_*`` and every protocol mode, ``prada-sd``
+at S = 1 and 8).
+
+A refactor that must not change any output runs this before and after, on
+one machine, and compares the last line. The digest depends on the numpy and
+BLAS build, so it is never a golden value to commit.
+
+    PYTHONPATH=src python3 tools/output_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import struct
+
+import numpy as np
+
+from offsetlm import (
+    Client,
+    GenerationConfig,
+    Server,
+    TinyNeuralLM,
+    TrainConfig,
+    Vocab,
+    apply_adapter,
+    connect_in_process,
+    encode_adapter,
+    encode_model,
+    generate_adapted,
+    generate_blackbox,
+    loss_and_grads,
+    train_lora,
+    train_neural_lm,
+)
+
+# (vocab size, context, embed dim, hidden dim, adapter rank)
+SHAPES = ((8, 3, 4, 6, 2), (32, 4, 16, 32, 4), (61, 1, 8, 5, 3), (257, 8, 32, 128, 8))
+
+
+def corpus(rng: np.random.Generator, vocab: Vocab, docs: int) -> list[list[int]]:
+    """Seeded documents of 2-19 ordinary tokens, some shorter than any context."""
+    return [
+        [int(t) for t in rng.integers(3, vocab.size, size=int(rng.integers(2, 20)))]
+        for _ in range(docs)
+    ]
+
+
+def shape_digest(index: int, shape: tuple[int, ...]) -> str:
+    v, context, embed, hidden, rank = shape
+    vocab = Vocab(size=v, eos_id=1, bos_id=2)
+    rng = np.random.Generator(np.random.PCG64(100 + index))
+    docs = corpus(rng, vocab, 12)
+    h = hashlib.sha256()
+
+    def feed(*arrays) -> None:
+        for arr in arrays:
+            h.update(np.ascontiguousarray(arr).tobytes())
+
+    trained = train_neural_lm(docs, vocab, context=context, embed_dim=embed,
+                              hidden_dim=hidden, epochs=2, batch_size=5, seed=index)
+    h.update(encode_model(trained))
+
+    base = TinyNeuralLM.random(vocab, context, embed, hidden, seed=index)
+    blackbox = TinyNeuralLM.random(vocab, context, embed, hidden, seed=50 + index, scale=1.5)
+    adapter = train_lora(base, docs, TrainConfig(lr=0.3, batch_size=3, epochs=2, rank=rank, seed=index))
+    for t in adapter.targets:
+        feed(t.a, t.b)
+    h.update(encode_adapter(adapter))
+    for t in adapter.targets:
+        t.scaling = 0.7  # training uses 1.0; a product with 1.0 hides reassociation
+    loss, grads = loss_and_grads(base, adapter, docs[:5])
+    h.update(struct.pack("<d", loss))
+    for name in sorted(grads):
+        feed(grads[name]["a"], grads[name]["b"])
+
+    tuned = apply_adapter(base, adapter)
+    for seq in docs[:4] + [[3], [2, 3, 4] * 5]:
+        for model in (base, tuned, blackbox):
+            feed(model.next_logits(seq), model.batch_next_logits(seq, len(seq)))
+
+    prompt = docs[0][:3]
+    for mode in ("greedy", "stochastic"):
+        config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=0.9, seed=7 + index)
+        runs = [generate_blackbox(blackbox, prompt, config),
+                generate_adapted(blackbox, base, tuned, prompt, config)]
+        for run in (
+            lambda client: client.run_api(prompt, config),
+            lambda client: client.run_per_token(prompt, config),
+            lambda client: client.run_speculative(prompt, config, draft_len=1),
+            lambda client: client.run_speculative(prompt, config, draft_len=8),
+            lambda client: client.run_transfer(prompt, config),
+        ):
+            conn, _ = connect_in_process(Server(blackbox, base))
+            client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+            try:
+                client.handshake()
+                runs.append(run(client))
+            finally:
+                conn.close()
+        for tokens in runs:
+            h.update(struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens))
+    return h.hexdigest()
+
+
+def main() -> None:
+    total = hashlib.sha256()
+    for index, shape in enumerate(SHAPES):
+        digest = shape_digest(index, shape)
+        total.update(bytes.fromhex(digest))
+        print("shape=" + "x".join(map(str, shape)) + f" sha256={digest}")
+    print(f"digest sha256={total.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
