@@ -252,14 +252,18 @@ def loss_and_grads(
     windows, targets = training_positions(batch, base.vocab, base.context)
     params = tuple(p.astype(np.float64) for p in base.params)
     low_rank = _low_rank(adapter, np.float64)
-    x, hid, logits = mlp_forward(params, windows, low_rank)
+    x, hid, logp = mlp_forward(params, windows, low_rank)
     n = windows.shape[0]
 
-    z = logits - logits.max(axis=1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    # Log-softmax in place in the fresh logits buffer. One more (n, V) buffer
+    # holds the exponentials for the row sums, then g = exp(logp).
+    logp -= logp.max(axis=1, keepdims=True)
+    e = np.exp(logp)
+    logp -= np.log(e.sum(axis=1, keepdims=True))
     loss = float(-logp[np.arange(n), targets].mean())
 
-    g = np.exp(logp)
+    g = np.exp(logp, out=e)
+    del logp  # the backward pass holds only g at (n, V)
     g[np.arange(n), targets] -= 1.0
     g /= n
 
@@ -271,8 +275,11 @@ def loss_and_grads(
     if t1 is not None:
         d_hid = g @ params[3]  # the base w2
         if t2 is not None:
-            d_hid = d_hid + s2 * ((g @ b2) @ a2)
-        d_pre = d_hid * (1.0 - hid * hid)
+            t = (g @ b2) @ a2
+            t *= s2
+            d_hid += t
+        d_pre = d_hid
+        d_pre *= 1.0 - hid * hid
         s1, a1, b1 = t1
         grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
     return loss, grads

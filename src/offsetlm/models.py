@@ -259,11 +259,18 @@ def mlp_forward(params, windows, low_rank=(None, None)):
     ``None`` or an adapter term ``(scaling, a, b)`` that adds
     ``scaling * (x @ a.T) @ b.T`` without forming ``b @ a``. ``x`` and
     ``hid`` are returned for the backward pass.
+
+    All three outputs are fresh arrays the caller owns; no input is written.
+    Each dense layer allocates its output and at most one temporary of the
+    same shape (the low-rank term), and updates the output in place with the
+    same operands and grouping as ``x @ w.T + scaling * ((x @ a.T) @ b.T) +
+    bias``, so in-place and out-of-place results are bit-identical.
     """
     emb, w1, b1, w2, b2 = params
     x = emb[windows]
     x = x.reshape(x.shape[:-2] + (-1,))
-    hid = np.tanh(_dense(x, w1, b1, low_rank[0]))
+    hid = _dense(x, w1, b1, low_rank[0])
+    np.tanh(hid, out=hid)
     return x, hid, _dense(hid, w2, b2, low_rank[1])
 
 
@@ -271,8 +278,11 @@ def _dense(x, w, bias, term):
     out = x @ w.T
     if term is not None:
         scaling, a, b = term
-        out = out + scaling * ((x @ a.T) @ b.T)
-    return out + bias
+        t = (x @ a.T) @ b.T
+        t *= scaling
+        out += t
+    out += bias
+    return out
 
 
 def _init_neural_params(rng, v, context, d, h, scale):

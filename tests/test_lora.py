@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from offsetlm import (
     save_adapter,
     train_lora,
 )
+from offsetlm import lora
 from offsetlm.lora import (
     AdapterFormatError,
     DegenerateBatchError,
@@ -29,7 +32,7 @@ from offsetlm.lora import (
     ShapeMismatchError,
     _low_rank,
 )
-from offsetlm.models import fnv1a64, mlp_forward
+from offsetlm.models import VocabMismatchError, fnv1a64, mlp_forward, training_positions
 
 @pytest.fixture
 def base(vocab) -> TinyNeuralLM:
@@ -50,6 +53,79 @@ def forward_f64(base: TinyNeuralLM, adapter: LoraAdapter, windows: np.ndarray):
     """The training forward: binary64 base params, the adapter as low-rank terms."""
     params = tuple(p.astype(np.float64) for p in base.params)
     return mlp_forward(params, windows, _low_rank(adapter, np.float64))
+
+
+def reference_forward(params, windows, low_rank):
+    """The window MLP written out of place: every operation makes a new array."""
+    def dense(x, w, bias, term):
+        out = x @ w.T
+        if term is not None:
+            scaling, a, b = term
+            out = out + scaling * ((x @ a.T) @ b.T)
+        return out + bias
+
+    emb, w1, b1, w2, b2 = params
+    x = emb[windows]
+    x = x.reshape(x.shape[:-2] + (-1,))
+    hid = np.tanh(dense(x, w1, b1, low_rank[0]))
+    return x, hid, dense(hid, w2, b2, low_rank[1])
+
+
+def reference_loss_and_grads(base: TinyNeuralLM, adapter: LoraAdapter, batch):
+    """The out-of-place training step that ``loss_and_grads`` must match bit for bit.
+
+    Same operands, operations and grouping; only the buffers differ.
+    """
+    windows, targets = training_positions(batch, base.vocab, base.context)
+    params = tuple(p.astype(np.float64) for p in base.params)
+    low_rank = _low_rank(adapter, np.float64)
+    x, hid, logits = reference_forward(params, windows, low_rank)
+    n = windows.shape[0]
+
+    z = logits - logits.max(axis=1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+    loss = float(-logp[np.arange(n), targets].mean())
+
+    g = np.exp(logp)
+    g[np.arange(n), targets] -= 1.0
+    g /= n
+
+    t1, t2 = low_rank
+    grads = {}
+    if t2 is not None:
+        s2, a2, b2 = t2
+        grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
+    if t1 is not None:
+        d_hid = g @ params[3]
+        if t2 is not None:
+            d_hid = d_hid + s2 * ((g @ b2) @ a2)
+        d_pre = d_hid * (1.0 - hid * hid)
+        s1, a1, b1 = t1
+        grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
+    return loss, grads
+
+
+def assert_same_step(got, want) -> None:
+    assert got[0] == want[0]
+    assert sorted(got[1]) == sorted(want[1])
+    for name, factors in want[1].items():
+        for factor, arr in factors.items():
+            assert np.array_equal(got[1][name][factor], arr), (name, factor)
+
+
+def with_biases(base: TinyNeuralLM, seed: int) -> TinyNeuralLM:
+    """``base`` with nonzero biases: ``TinyNeuralLM.random`` draws zeros, and
+    adding a zero bias hides a change in the order of the additions."""
+    rng = np.random.default_rng(seed)
+    return TinyNeuralLM(base.vocab, base.context, base.embedding, base.w1,
+                        rng.normal(0.0, 0.5, size=base.b1.shape), base.w2,
+                        rng.normal(0.0, 0.5, size=base.b2.shape))
+
+
+def train_size_base(seed: int = 4) -> TinyNeuralLM:
+    """A proxy at the train-adapter benchmark's shape (V=512, context 8, embed 16, hidden 64)."""
+    return with_biases(TinyNeuralLM.random(Vocab(size=512, eos_id=1, bos_id=2), context=8,
+                                           embed_dim=16, hidden_dim=64, seed=seed), seed)
 
 
 def dense_oracle_logits(base: TinyNeuralLM, adapter: LoraAdapter, seq) -> np.ndarray:
@@ -216,6 +292,88 @@ class TestLossAndGrads:
             loss_and_grads(base, adapter, [[3]])
 
 
+class TestInPlaceStep:
+    """The allocation-lean binary64 step: bit-identical, bounded, non-aliasing."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        names=st.sampled_from([("w1",), ("w2",), ("w1", "w2")]),
+        lengths=st.lists(st.integers(2, 24), min_size=1, max_size=6),
+    )
+    def test_matches_out_of_place_reference(self, seed, names, lengths):
+        vocab = Vocab(size=32, eos_id=1, bos_id=2)
+        base = with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6,
+                                               seed=seed % 7), seed)
+        adapter = rich_adapter(base, rank=2, seed=seed)
+        adapter.targets = [t for t in adapter.targets if t.name in names]
+        rng = np.random.default_rng(seed)
+        batch = [[int(t) for t in rng.integers(0, vocab.size, size=k)] for k in lengths]
+        assert_same_step(loss_and_grads(base, adapter, batch),
+                         reference_loss_and_grads(base, adapter, batch))
+
+    @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
+    def test_matches_reference_on_a_large_batch(self, names):
+        # 32 x 64 tokens: 2016 positions, large enough for threaded GEMM
+        base = train_size_base()
+        adapter = rich_adapter(base, rank=8, seed=21)
+        adapter.targets = [t for t in adapter.targets if t.name in names]
+        rng = np.random.default_rng(5)
+        batch = [[int(t) for t in rng.integers(3, 512, size=64)] for _ in range(32)]
+        assert_same_step(loss_and_grads(base, adapter, batch),
+                         reference_loss_and_grads(base, adapter, batch))
+
+    def test_binary32_window_matches_reference(self, base):
+        base = with_biases(base, 3)
+        adapter = rich_adapter(base)
+        model = apply_adapter(base, adapter)
+        low_rank = _low_rank(adapter.snapshot(), np.float32)
+        for seq in ([3], [4, 5], [3, 4, 5, 6, 7], [base.vocab.bos_id, 6]):
+            window = base.window_ids(seq)
+            want_base = reference_forward(base.params, window, (None, None))[2]
+            want_tuned = reference_forward(base.params, window, low_rank)[2]
+            assert np.array_equal(base.next_logits(seq), want_base)
+            assert np.array_equal(model.next_logits(seq), want_tuned)
+
+    def test_peak_memory_below_three_logit_arrays(self):
+        # tracemalloc counts numpy's data buffers but not BLAS scratch space,
+        # so the figure does not depend on the machine's BLAS
+        base = train_size_base()
+        adapter = rich_adapter(base, rank=8)
+        rng = np.random.default_rng(6)
+        batch = [[int(t) for t in rng.integers(3, 512, size=65)] for _ in range(32)]
+        n, v = 32 * 64, base.vocab.size
+        loss_and_grads(base, adapter, batch)  # warm any lazy allocation first
+        tracemalloc.start()
+        try:
+            loss_and_grads(base, adapter, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * v * 8, peak / (n * v * 8)
+
+    def test_no_input_is_written(self, base):
+        adapter = rich_adapter(base)
+        params = tuple(p.astype(np.float64) for p in base.params)  # writable
+        low_rank = _low_rank(adapter, np.float64)
+        windows = np.array([base.window_ids([3, 4, 5]), base.window_ids([6]),
+                            base.window_ids([7, 7, 3, 4])])
+        inputs = [*params, windows] + [arr for term in low_rank for arr in term[1:]]
+        before = [arr.copy() for arr in inputs]
+        outputs = mlp_forward(params, windows, low_rank)
+        for arr, old in zip(inputs, before):
+            assert np.array_equal(arr, old)
+            assert not any(np.shares_memory(out, arr) for out in outputs)
+
+        factors = [arr for t in adapter.targets for arr in (t.a, t.b)]
+        saved = [arr.copy() for arr in factors]
+        batch = [[3, 4, 5, 6], [7, 3]]
+        loss_and_grads(base, adapter, batch)
+        assert batch == [[3, 4, 5, 6], [7, 3]]
+        for arr, old in zip(factors, saved):
+            assert np.array_equal(arr, old)
+
+
 class TestTrainLora:
     def test_zero_epochs_returns_the_seeded_init(self, base):
         cfg = TrainConfig(epochs=0, rank=3, seed=11)
@@ -252,6 +410,27 @@ class TestTrainLora:
     def test_empty_corpus_rejected(self, base):
         with pytest.raises(DegenerateBatchError):
             train_lora(base, [], TrainConfig())
+
+    @pytest.mark.parametrize("corpus, error", [
+        ([[3, 4, 5], [6]], DegenerateBatchError),  # a document with no prediction
+        ([[3, 4, 5], [6, 8]], VocabMismatchError),  # 8 is outside the vocab
+    ])
+    def test_bad_document_rejected(self, base, corpus, error):
+        with pytest.raises(error):
+            train_lora(base, corpus, TrainConfig(epochs=1, batch_size=2))
+
+    def test_each_step_calls_the_module_loss_and_grads(self, base, monkeypatch):
+        # tracing wraps lora.loss_and_grads; train_lora must look it up per step
+        calls = []
+        step = lora.loss_and_grads
+
+        def counted(*args):
+            calls.append(len(args[2]))
+            return step(*args)
+
+        monkeypatch.setattr(lora, "loss_and_grads", counted)
+        train_lora(base, [[3, 4, 5]] * 5, TrainConfig(epochs=2, batch_size=2, rank=2))
+        assert calls == [2, 2, 1] * 2
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

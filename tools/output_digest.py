@@ -5,7 +5,11 @@ rows of the base, adapted and black-box models; ``train_neural_lm`` snapshot
 bytes; ``train_lora`` factors (binary64) and adapter bytes; ``loss_and_grads``
 loss and gradients; and the tokens of every generation mode, greedy and
 stochastic (in-process ``generate_*`` and every protocol mode, ``prada-sd``
-at S = 1 and 8).
+at S = 1 and 8). One more case runs adapter training at the benchmark's
+train-adapter size (V = 512, context 8, embed 16, hidden 64, rank 8, 32
+documents of 64 tokens, batch 8, one epoch) and then ``loss_and_grads`` over
+the whole corpus (2016 positions), so the large-batch path, where BLAS runs
+threaded, is covered too.
 
 A refactor that must not change any output runs this before and after, on
 one machine, and compares the last line. The digest depends on the numpy and
@@ -41,6 +45,9 @@ from offsetlm import (
 
 # (vocab size, context, embed dim, hidden dim, adapter rank)
 SHAPES = ((8, 3, 4, 6, 2), (32, 4, 16, 32, 4), (61, 1, 8, 5, 3), (257, 8, 32, 128, 8))
+# the train-adapter benchmark's proxy shape, and its corpus: (documents, tokens each)
+TRAIN_SHAPE = (512, 8, 16, 64, 8)
+TRAIN_CORPUS = (32, 64)
 
 
 def corpus(rng: np.random.Generator, vocab: Vocab, docs: int) -> list[list[int]]:
@@ -51,16 +58,24 @@ def corpus(rng: np.random.Generator, vocab: Vocab, docs: int) -> list[list[int]]
     ]
 
 
+def feed(h, *arrays) -> None:
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+
+
+def feed_step(h, base: TinyNeuralLM, adapter, docs: list[list[int]]) -> None:
+    loss, grads = loss_and_grads(base, adapter, docs)
+    h.update(struct.pack("<d", loss))
+    for name in sorted(grads):
+        feed(h, grads[name]["a"], grads[name]["b"])
+
+
 def shape_digest(index: int, shape: tuple[int, ...]) -> str:
     v, context, embed, hidden, rank = shape
     vocab = Vocab(size=v, eos_id=1, bos_id=2)
     rng = np.random.Generator(np.random.PCG64(100 + index))
     docs = corpus(rng, vocab, 12)
     h = hashlib.sha256()
-
-    def feed(*arrays) -> None:
-        for arr in arrays:
-            h.update(np.ascontiguousarray(arr).tobytes())
 
     trained = train_neural_lm(docs, vocab, context=context, embed_dim=embed,
                               hidden_dim=hidden, epochs=2, batch_size=5, seed=index)
@@ -70,19 +85,16 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> str:
     blackbox = TinyNeuralLM.random(vocab, context, embed, hidden, seed=50 + index, scale=1.5)
     adapter = train_lora(base, docs, TrainConfig(lr=0.3, batch_size=3, epochs=2, rank=rank, seed=index))
     for t in adapter.targets:
-        feed(t.a, t.b)
+        feed(h, t.a, t.b)
     h.update(encode_adapter(adapter))
     for t in adapter.targets:
         t.scaling = 0.7  # training uses 1.0; a product with 1.0 hides reassociation
-    loss, grads = loss_and_grads(base, adapter, docs[:5])
-    h.update(struct.pack("<d", loss))
-    for name in sorted(grads):
-        feed(grads[name]["a"], grads[name]["b"])
+    feed_step(h, base, adapter, docs[:5])
 
     tuned = apply_adapter(base, adapter)
     for seq in docs[:4] + [[3], [2, 3, 4] * 5]:
         for model in (base, tuned, blackbox):
-            feed(model.next_logits(seq), model.batch_next_logits(seq, len(seq)))
+            feed(h, model.next_logits(seq), model.batch_next_logits(seq, len(seq)))
 
     prompt = docs[0][:3]
     for mode in ("greedy", "stochastic"):
@@ -108,12 +120,37 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> str:
     return h.hexdigest()
 
 
+def train_digest(seed: int) -> str:
+    """train_lora, then one full-corpus step, at the train-adapter benchmark's size."""
+    v, context, embed, hidden, rank = TRAIN_SHAPE
+    vocab = Vocab(size=v, eos_id=1, bos_id=2)
+    rng = np.random.Generator(np.random.PCG64(seed))
+    docs = [[int(t) for t in rng.integers(3, v, size=TRAIN_CORPUS[1])]
+            for _ in range(TRAIN_CORPUS[0])]
+    h = hashlib.sha256()
+    base = TinyNeuralLM.random(vocab, context, embed, hidden, seed=seed)
+    # random() draws zero biases, and adding zero hides reordered additions
+    base = TinyNeuralLM(vocab, context, base.embedding, base.w1, rng.normal(0.0, 0.5, size=hidden),
+                        base.w2, rng.normal(0.0, 0.5, size=v))
+    adapter = train_lora(base, docs, TrainConfig(lr=0.5, batch_size=8, epochs=1, rank=rank, seed=seed))
+    for t in adapter.targets:
+        feed(h, t.a, t.b)
+    feed_step(h, base, adapter, docs)
+    for t in adapter.targets:
+        t.scaling = 0.7
+    feed_step(h, base, adapter, docs)
+    return h.hexdigest()
+
+
 def main() -> None:
     total = hashlib.sha256()
     for index, shape in enumerate(SHAPES):
         digest = shape_digest(index, shape)
         total.update(bytes.fromhex(digest))
         print("shape=" + "x".join(map(str, shape)) + f" sha256={digest}")
+    digest = train_digest(len(SHAPES))
+    total.update(bytes.fromhex(digest))
+    print("train=" + "x".join(map(str, TRAIN_SHAPE + TRAIN_CORPUS)) + f" sha256={digest}")
     print(f"digest sha256={total.hexdigest()}")
 
 
