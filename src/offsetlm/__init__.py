@@ -34,7 +34,7 @@ from .models import (
     save_model,
     train_neural_lm,
 )
-from .offset import OffsetTriple, adaptation_offset, adapted_next_token, adjust, adjusted_logits
+from .offset import adapted_next_token, adjusted_logits
 from .protocol import (
     Client,
     Server,
@@ -52,7 +52,6 @@ from .transport import (
     encode_message,
     latency_probe,
     latency_report,
-    ledger_record,
     ledger_report,
 )
 

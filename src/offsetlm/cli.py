@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import csv as _csv
 import signal
-import sys
 
 import click
 

@@ -9,7 +9,7 @@ draft, session ids, budgets) belong to :mod:`offsetlm.protocol`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

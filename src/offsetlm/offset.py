@@ -20,8 +20,6 @@ agree bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import GenerationConfig, sample_token
@@ -31,51 +29,22 @@ class LengthMismatchError(ValueError):
     """Logit vectors of different lengths were combined."""
 
 
-@dataclass(frozen=True)
-class OffsetTriple:
-    """The three aligned logit vectors entering one adjustment."""
-
-    z_b: np.ndarray
-    z_p: np.ndarray
-    z_p_tuned: np.ndarray
-
-    def __post_init__(self) -> None:
-        lengths = {self.z_b.shape, self.z_p.shape, self.z_p_tuned.shape}
-        if len(lengths) != 1 or self.z_b.ndim != 1:
-            raise LengthMismatchError(
-                f"logit vectors disagree in shape: {self.z_b.shape}, "
-                f"{self.z_p.shape}, {self.z_p_tuned.shape}"
-            )
-
-
-def adaptation_offset(z_p_tuned: np.ndarray, z_p: np.ndarray) -> np.ndarray:
-    """Elementwise tuning delta (tuned minus base), binary32."""
-    if z_p_tuned.shape != z_p.shape:
+def adjusted_logits(z_b: np.ndarray, z_p: np.ndarray, z_p_tuned: np.ndarray) -> np.ndarray:
+    """Canonical composition ``z_b + (z_p_tuned - z_p)``, binary32."""
+    if not z_b.shape == z_p.shape == z_p_tuned.shape or z_b.ndim != 1:
         raise LengthMismatchError(
-            f"offset operands disagree in shape: {z_p_tuned.shape} vs {z_p.shape}"
+            f"logit vectors disagree in shape: {z_b.shape}, {z_p.shape}, {z_p_tuned.shape}"
         )
-    return (z_p_tuned.astype(np.float32, copy=False)
-            - z_p.astype(np.float32, copy=False))
-
-
-def adjust(z_b: np.ndarray, offset: np.ndarray) -> np.ndarray:
-    """Apply a tuning delta to black-box logits, binary32."""
-    if z_b.shape != offset.shape:
-        raise LengthMismatchError(
-            f"adjust operands disagree in shape: {z_b.shape} vs {offset.shape}"
-        )
+    offset = z_p_tuned.astype(np.float32, copy=False) - z_p.astype(np.float32, copy=False)
     return z_b.astype(np.float32, copy=False) + offset
 
 
-def adjusted_logits(triple: OffsetTriple) -> np.ndarray:
-    """Canonical composition ``z_b + (z_p_tuned - z_p)``."""
-    return adjust(triple.z_b, adaptation_offset(triple.z_p_tuned, triple.z_p))
-
-
 def adapted_next_token(
-    triple: OffsetTriple,
+    z_b: np.ndarray,
+    z_p: np.ndarray,
+    z_p_tuned: np.ndarray,
     config: GenerationConfig,
     rng: np.random.Generator | None = None,
 ) -> int:
     """Sample the next token from the offset-adjusted logits."""
-    return sample_token(adjusted_logits(triple), config, rng)
+    return sample_token(adjusted_logits(z_b, z_p, z_p_tuned), config, rng)

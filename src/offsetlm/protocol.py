@@ -63,14 +63,13 @@ from .messages import (
     StartSession,
     UploadAdapter,
 )
-from .offset import OffsetTriple, adapted_next_token
+from .offset import adapted_next_token
 from .transport import (
     ConnectionClosedError,
     CostLedger,
     FramedConnection,
     FrameTooLargeError,
     MalformedPayloadError,
-    QueueChannel,
     SocketChannel,
     max_draft_rows,
     queue_channel_pair,
@@ -103,10 +102,6 @@ class InvalidCommitError(ValueError):
 
 class BudgetExhaustedError(ValueError):
     """A draft was requested with no token budget left."""
-
-
-class UnknownSessionError(KeyError):
-    """A message referenced a session id the server does not know."""
 
 
 class RemoteProtocolError(Exception):
@@ -441,12 +436,13 @@ def generate_adapted(
     """
 
     def step(seq: list[int], rng) -> int:
-        triple = OffsetTriple(
-            z_b=blackbox.next_logits(seq),
-            z_p=base_proxy.next_logits(seq),
-            z_p_tuned=tuned_proxy.next_logits(seq),
+        return adapted_next_token(
+            blackbox.next_logits(seq),
+            base_proxy.next_logits(seq),
+            tuned_proxy.next_logits(seq),
+            config,
+            rng,
         )
-        return adapted_next_token(triple, config, rng)
 
     return _generate(step, blackbox.vocab, prompt, config)
 
@@ -587,10 +583,7 @@ class Client:
         accept = n
         replacement: int | None = None
         for i in range(n):
-            triple = OffsetTriple(
-                z_b=draft.logits[i], z_p=z_p_rows[i], z_p_tuned=z_t_rows[i]
-            )
-            sampled = adapted_next_token(triple, config, rng)
+            sampled = adapted_next_token(draft.logits[i], z_p_rows[i], z_t_rows[i], config, rng)
             if sampled != draft.tokens[i]:
                 accept = i
                 replacement = sampled
@@ -661,10 +654,10 @@ class Client:
 # ---------------------------------------------------------------------------
 
 
-def serve_channel(server: Server, channel, *, daemon: bool = True) -> threading.Thread:
-    """Serve one already-connected channel on a background thread."""
+def serve_channel(server: Server, channel) -> threading.Thread:
+    """Serve one already-connected channel on a background daemon thread."""
     conn = FramedConnection(channel, side="server")
-    thread = threading.Thread(target=server.serve_connection, args=(conn,), daemon=daemon)
+    thread = threading.Thread(target=server.serve_connection, args=(conn,), daemon=True)
     thread.start()
     return thread
 

@@ -4,10 +4,10 @@ Wire conventions (little-endian throughout):
 
 * every message is one frame: a 32-bit payload length followed by the
   payload, capped at 64 MiB;
-* the payload starts with a one-byte message tag; integers are
-  little-endian (token ids and counts 32-bit, session ids 64-bit), flags are
-  one byte, optional fields are prefixed with a presence byte, text is a
-  16-bit length plus UTF-8, and logit rows are binary32 row-major;
+* the payload is a one-byte message tag, then the message's fields in wire
+  order; :data:`MESSAGE_LAYOUTS` is the one place each message's tag, ledger
+  category and fields are declared, and :data:`FIELD_KINDS` says how each
+  kind of field is written and read;
 * a connection opens with the 5-byte preamble ``b"PRDA"`` + version.
 
 Decoding is strict: truncation, unknown tags, non-UTF-8 text, and invariant
@@ -29,6 +29,7 @@ import struct
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -52,16 +53,6 @@ MAX_PAYLOAD_LEN = 64 * 1024 * 1024
 PREAMBLE_MAGIC = b"PRDA"
 PREAMBLE_VERSION = 1
 PREAMBLE = PREAMBLE_MAGIC + bytes([PREAMBLE_VERSION])
-
-TAG_HELLO = 1
-TAG_HELLO_ACK = 2
-TAG_START_SESSION = 3
-TAG_DRAFT_BATCH = 4
-TAG_COMMIT = 5
-TAG_UPLOAD_ADAPTER = 6
-TAG_SERVER_GENERATE = 7
-TAG_GENERATION_RESULT = 8
-TAG_PROTOCOL_ERROR = 9
 
 CLIENT_TO_SERVER = "client_to_server"
 SERVER_TO_CLIENT = "server_to_client"
@@ -98,7 +89,120 @@ class ZeroTokenResponseError(ValueError):
 # Message codec
 # ---------------------------------------------------------------------------
 
-_DRAFT_BATCH_HEAD = "<BQH"  # tag, session id, u16 token count
+
+def _pack_text(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    if len(raw) > 0xFFFF:
+        raise ValueError("text field exceeds 16-bit length")
+    return struct.pack("<H", len(raw)) + raw
+
+
+def _read_draft_rows(r: ByteReader, fields: dict[str, Any]) -> np.ndarray:
+    n, rest = len(fields["tokens"]), len(r.data) - r.pos
+    if n < 1:
+        raise r.fail("draft batch token count must be at least 1")
+    if rest == 0 or rest % (4 * n) != 0:
+        raise r.fail(f"draft logits block of {rest} bytes does not divide into {n} float32 rows")
+    return r.array("<f4", n, rest // (4 * n))
+
+
+class FieldKind(NamedTuple):
+    write: Callable[[Any], bytes]
+    read: Callable[[ByteReader, dict[str, Any]], Any]  # also given the fields read so far
+
+
+FIELD_KINDS = {
+    "u8": FieldKind(struct.Struct("<B").pack, lambda r, _: r.u8()),
+    "u32": FieldKind(struct.Struct("<I").pack, lambda r, _: r.u32()),
+    "u64": FieldKind(struct.Struct("<Q").pack, lambda r, _: r.u64()),
+    "f32": FieldKind(struct.Struct("<f").pack, lambda r, _: r.f32()),
+    "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", lambda r, _: r.flag()),
+    "text": FieldKind(_pack_text, lambda r, _: r.text()),
+    "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), lambda r, _: r.tokens()),
+    # u32 byte length, then the bytes
+    "blob": FieldKind(lambda v: struct.pack("<I", len(v)) + v, lambda r, _: r.take(r.u32())),
+    # presence flag, then a u32 when present
+    "opt_u32": FieldKind(
+        lambda v: b"\x00" if v is None else struct.pack("<BI", 1, v),
+        lambda r, _: r.u32() if r.flag() else None,
+    ),
+    # u16 count, then that many u32 token ids
+    "draft_tokens": FieldKind(
+        lambda v: struct.pack(f"<H{len(v)}I", len(v), *v), lambda r, _: r.unpack(f"<{r.u16()}I")
+    ),
+    # binary32 rows to the end of the payload, one per drafted token (at
+    # least one); the decoder infers the row width from the bytes left
+    "draft_rows": FieldKind(lambda v: np.asarray(v, dtype="<f4").tobytes(), _read_draft_rows),
+}
+
+
+class MessageLayout(NamedTuple):
+    tag: int
+    category: str
+    fields: tuple[tuple[str, str], ...]  # (attribute, field kind) in wire order
+
+
+MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
+    Hello: MessageLayout(1, CAT_HANDSHAKE, (
+        ("protocol_version", "u32"), ("vocab_size", "u32"), ("eos_id", "u32"),
+        ("bos_id", "u32"), ("model_fingerprint", "u64"),
+    )),
+    HelloAck: MessageLayout(2, CAT_HANDSHAKE, (("accept", "flag"), ("reason", "text"))),
+    StartSession: MessageLayout(3, CAT_DATA, (
+        ("session_id", "u64"), ("prompt", "tokens"), ("draft_len", "u32"), ("max_new_tokens", "u32"),
+    )),
+    DraftBatch: MessageLayout(4, CAT_INFERENCE, (
+        ("session_id", "u64"), ("tokens", "draft_tokens"), ("logits", "draft_rows"),
+    )),
+    Commit: MessageLayout(5, CAT_INFERENCE, (
+        ("session_id", "u64"), ("accept_count", "u32"), ("replacement", "opt_u32"), ("done", "flag"),
+    )),
+    UploadAdapter: MessageLayout(6, CAT_MODEL, (("adapter_bytes", "blob"), ("base_fingerprint", "u64"))),
+    ServerGenerate: MessageLayout(7, CAT_DATA, (
+        ("session_id", "u64"), ("prompt", "tokens"), ("flavor", "u8"), ("mode", "u8"),
+        ("temperature", "f32"), ("seed", "u64"), ("max_new_tokens", "u32"),
+    )),
+    GenerationResult: MessageLayout(8, CAT_INFERENCE, (("session_id", "u64"), ("tokens", "tokens"))),
+    ProtocolError: MessageLayout(9, CAT_INFERENCE, (("code", "text"), ("text", "text"))),
+}
+_BY_TAG = {layout.tag: (cls, layout.fields) for cls, layout in MESSAGE_LAYOUTS.items()}
+
+
+def encode_message(msg: Message) -> bytes:
+    """Serialize one message to its tagged payload bytes."""
+    layout = MESSAGE_LAYOUTS.get(type(msg))
+    if layout is None:
+        raise TypeError(f"cannot encode object of type {type(msg).__name__}")
+    parts = [FIELD_KINDS[kind].write(getattr(msg, name)) for name, kind in layout.fields]
+    return bytes((layout.tag,)) + b"".join(parts)
+
+
+def decode_message(data: bytes) -> Message:
+    """Parse payload bytes back into a message, validating as it goes."""
+    r = ByteReader(data, MalformedPayloadError)
+    if len(data) == 0:
+        raise r.fail("empty payload")
+    tag = r.u8()
+    if tag not in _BY_TAG:
+        raise MalformedPayloadError(f"unknown message tag {tag}", 0)
+    cls, fields = _BY_TAG[tag]
+    try:
+        values: dict[str, Any] = {}
+        for name, kind in fields:
+            values[name] = FIELD_KINDS[kind].read(r, values)
+        msg = cls(**values)
+    except struct.error as exc:  # defensive; take() should catch first
+        raise r.fail(f"bad field encoding: {exc}") from exc
+    except ValueError as exc:
+        if isinstance(exc, MalformedPayloadError):
+            raise
+        raise r.fail(f"message invariant violated: {exc}") from exc
+    r.finish()
+    return msg
+
+
+# a one-row, one-logit batch minus its row: the tag, session id and u16 count
+_DRAFT_BATCH_HEAD_LEN = len(encode_message(DraftBatch(0, (0,), np.zeros((1, 1))))) - 8
 
 
 def max_draft_rows(vocab_size: int) -> int:
@@ -108,149 +212,7 @@ def max_draft_rows(vocab_size: int) -> int:
     ``vocab_size`` float32 logits under the payload cap.
     """
     per_row = 4 + 4 * vocab_size
-    return min(0xFFFF, (MAX_PAYLOAD_LEN - struct.calcsize(_DRAFT_BATCH_HEAD)) // per_row)
-
-
-def _pack_tokens(tokens) -> bytes:
-    return struct.pack("<I", len(tokens)) + struct.pack(f"<{len(tokens)}I", *tokens)
-
-
-def _pack_text(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ValueError("text field exceeds 16-bit length")
-    return struct.pack("<H", len(raw)) + raw
-
-
-def encode_message(msg: Message) -> bytes:
-    """Serialize one message to its tagged payload bytes."""
-    if isinstance(msg, Hello):
-        return struct.pack(
-            "<BIIIIQ",
-            TAG_HELLO,
-            msg.protocol_version,
-            msg.vocab_size,
-            msg.eos_id,
-            msg.bos_id,
-            msg.model_fingerprint,
-        )
-    if isinstance(msg, HelloAck):
-        return struct.pack("<BB", TAG_HELLO_ACK, 1 if msg.accept else 0) + _pack_text(msg.reason)
-    if isinstance(msg, StartSession):
-        return (
-            struct.pack("<BQ", TAG_START_SESSION, msg.session_id)
-            + _pack_tokens(msg.prompt)
-            + struct.pack("<II", msg.draft_len, msg.max_new_tokens)
-        )
-    if isinstance(msg, DraftBatch):
-        n = len(msg.tokens)
-        return (
-            struct.pack(_DRAFT_BATCH_HEAD, TAG_DRAFT_BATCH, msg.session_id, n)
-            + struct.pack(f"<{n}I", *msg.tokens)
-            + np.asarray(msg.logits, dtype="<f4").tobytes(order="C")
-        )
-    if isinstance(msg, Commit):
-        out = struct.pack("<BQI", TAG_COMMIT, msg.session_id, msg.accept_count)
-        if msg.replacement is None:
-            out += struct.pack("<B", 0)
-        else:
-            out += struct.pack("<BI", 1, msg.replacement)
-        return out + struct.pack("<B", 1 if msg.done else 0)
-    if isinstance(msg, UploadAdapter):
-        return (
-            struct.pack("<BI", TAG_UPLOAD_ADAPTER, len(msg.adapter_bytes))
-            + msg.adapter_bytes
-            + struct.pack("<Q", msg.base_fingerprint)
-        )
-    if isinstance(msg, ServerGenerate):
-        return (
-            struct.pack("<BQ", TAG_SERVER_GENERATE, msg.session_id)
-            + _pack_tokens(msg.prompt)
-            + struct.pack("<BBfQI", msg.flavor, msg.mode, msg.temperature, msg.seed, msg.max_new_tokens)
-        )
-    if isinstance(msg, GenerationResult):
-        return struct.pack("<BQ", TAG_GENERATION_RESULT, msg.session_id) + _pack_tokens(msg.tokens)
-    if isinstance(msg, ProtocolError):
-        return struct.pack("<B", TAG_PROTOCOL_ERROR) + _pack_text(msg.code) + _pack_text(msg.text)
-    raise TypeError(f"cannot encode object of type {type(msg).__name__}")
-
-
-def decode_message(data: bytes) -> Message:
-    """Parse payload bytes back into a message, validating as it goes."""
-    r = ByteReader(data, MalformedPayloadError)
-    if len(data) == 0:
-        raise r.fail("empty payload")
-    tag = r.u8()
-    try:
-        if tag == TAG_HELLO:
-            msg: Message = Hello(
-                protocol_version=r.u32(),
-                vocab_size=r.u32(),
-                eos_id=r.u32(),
-                bos_id=r.u32(),
-                model_fingerprint=r.u64(),
-            )
-        elif tag == TAG_HELLO_ACK:
-            msg = HelloAck(accept=r.flag(), reason=r.text())
-        elif tag == TAG_START_SESSION:
-            msg = StartSession(
-                session_id=r.u64(),
-                prompt=tuple(r.tokens()),
-                draft_len=r.u32(),
-                max_new_tokens=r.u32(),
-            )
-        elif tag == TAG_DRAFT_BATCH:
-            session_id = r.u64()
-            n = r.u16()
-            if n < 1:
-                raise r.fail("draft batch token count must be at least 1")
-            tokens = list(struct.unpack(f"<{n}I", r.take(4 * n)))
-            rest = len(data) - r.pos
-            if rest == 0 or rest % (4 * n) != 0:
-                raise r.fail(
-                    f"draft logits block of {rest} bytes does not divide into {n} float32 rows"
-                )
-            vocab = rest // (4 * n)
-            logits = r.array("<f4", n, vocab)
-            msg = DraftBatch(session_id=session_id, tokens=tuple(tokens), logits=logits)
-        elif tag == TAG_COMMIT:
-            session_id = r.u64()
-            accept_count = r.u32()
-            replacement = r.u32() if r.flag() else None
-            msg = Commit(
-                session_id=session_id,
-                accept_count=accept_count,
-                replacement=replacement,
-                done=r.flag(),
-            )
-        elif tag == TAG_UPLOAD_ADAPTER:
-            blob_len = r.u32()
-            blob = r.take(blob_len)
-            msg = UploadAdapter(adapter_bytes=blob, base_fingerprint=r.u64())
-        elif tag == TAG_SERVER_GENERATE:
-            msg = ServerGenerate(
-                session_id=r.u64(),
-                prompt=tuple(r.tokens()),
-                flavor=r.u8(),
-                mode=r.u8(),
-                temperature=r.f32(),
-                seed=r.u64(),
-                max_new_tokens=r.u32(),
-            )
-        elif tag == TAG_GENERATION_RESULT:
-            msg = GenerationResult(session_id=r.u64(), tokens=tuple(r.tokens()))
-        elif tag == TAG_PROTOCOL_ERROR:
-            msg = ProtocolError(code=r.text(), text=r.text())
-        else:
-            raise MalformedPayloadError(f"unknown message tag {tag}", 0)
-    except struct.error as exc:  # defensive; take() should catch first
-        raise r.fail(f"bad field encoding: {exc}") from exc
-    except ValueError as exc:
-        if isinstance(exc, MalformedPayloadError):
-            raise
-        raise r.fail(f"message invariant violated: {exc}") from exc
-    r.finish()
-    return msg
+    return min(0xFFFF, (MAX_PAYLOAD_LEN - _DRAFT_BATCH_HEAD_LEN) // per_row)
 
 
 # ---------------------------------------------------------------------------
@@ -409,20 +371,7 @@ class CostLedger:
 
 def classify_message(msg: Message) -> str:
     """Ledger category for a message type."""
-    if isinstance(msg, (Hello, HelloAck)):
-        return CAT_HANDSHAKE
-    if isinstance(msg, (StartSession, ServerGenerate)):
-        return CAT_DATA
-    if isinstance(msg, UploadAdapter):
-        return CAT_MODEL
-    return CAT_INFERENCE
-
-
-def ledger_record(ledger: CostLedger, msg: Message, direction: str, category: str | None = None) -> int:
-    """Attribute one message's full frame size (header included) to the ledger."""
-    nbytes = FRAME_HEADER_LEN + len(encode_message(msg))
-    ledger.record_frame(category or classify_message(msg), direction, nbytes)
-    return nbytes
+    return MESSAGE_LAYOUTS[type(msg)].category
 
 
 def ledger_report(ledger: CostLedger) -> str:

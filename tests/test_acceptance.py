@@ -32,7 +32,6 @@ from offsetlm import (
     CostLedger,
     GenerationConfig,
     LoraAdapter,
-    OffsetTriple,
     Server,
     SocketServer,
     TinyNeuralLM,
@@ -367,11 +366,7 @@ def test_criterion_4_adaptation_shrinks_kl(world):
         kl_adapted = []
         for ctx, n_draws in zip(contexts, draws):
             z_b = world.blackbox.next_logits(ctx)
-            triple = OffsetTriple(
-                z_b=z_b,
-                z_p=world.base.next_logits(ctx),
-                z_p_tuned=tuned.next_logits(ctx),
-            )
+            z_p, z_p_tuned = world.base.next_logits(ctx), tuned.next_logits(ctx)
             reference = softmax64(
                 world.shifted_reference.next_logits(ctx).astype(np.float64), 1.0
             )
@@ -380,7 +375,7 @@ def test_criterion_4_adaptation_shrinks_kl(world):
             hist_adapted = np.zeros(world.vocab.size)
             for _ in range(n_draws):
                 hist_black[seeded_sample(z_b, 1.0, rng_black)] += 1
-                hist_adapted[adapted_next_token(triple, config, rng_adapted)] += 1
+                hist_adapted[adapted_next_token(z_b, z_p, z_p_tuned, config, rng_adapted)] += 1
             kl_black.append(_kl_to_reference(hist_black, reference))
             kl_adapted.append(_kl_to_reference(hist_adapted, reference))
 

@@ -9,10 +9,7 @@ from hypothesis import strategies as st
 
 from offsetlm import (
     GenerationConfig,
-    OffsetTriple,
-    adaptation_offset,
     adapted_next_token,
-    adjust,
     adjusted_logits,
     argmax_sample,
     make_rng,
@@ -31,109 +28,80 @@ def vec(*values) -> np.ndarray:
 
 def triple_strategy(size: int):
     row = st.lists(finite_f32, min_size=size, max_size=size)
-    return st.tuples(row, row, row).map(
-        lambda rows: OffsetTriple(z_b=vec(*rows[0]), z_p=vec(*rows[1]), z_p_tuned=vec(*rows[2]))
-    )
+    return st.tuples(row, row, row).map(lambda rows: tuple(vec(*r) for r in rows))
 
 
 def dyadic_triple_strategy(size: int):
     """Triples on a 1/64 grid within ±512: all compositions are exact."""
     row = st.lists(st.integers(-(2**15), 2**15), min_size=size, max_size=size)
     to_vec = lambda units: np.array(units, dtype=np.float32) * np.float32(2.0**-6)
-    return st.tuples(row, row, row).map(
-        lambda rows: OffsetTriple(
-            z_b=to_vec(rows[0]), z_p=to_vec(rows[1]), z_p_tuned=to_vec(rows[2])
-        )
-    )
+    return st.tuples(row, row, row).map(lambda rows: tuple(to_vec(r) for r in rows))
 
 
 class TestComposition:
     def test_worked_example(self):
-        triple = OffsetTriple(
-            z_b=vec(1.0, 2.0, 3.0),
-            z_p=vec(0.5, 0.5, 0.5),
-            z_p_tuned=vec(0.5, 1.5, 0.5),
-        )
-        np.testing.assert_array_equal(adjusted_logits(triple), vec(1.0, 3.0, 3.0))
+        out = adjusted_logits(vec(1.0, 2.0, 3.0), vec(0.5, 0.5, 0.5), vec(0.5, 1.5, 0.5))
+        np.testing.assert_array_equal(out, vec(1.0, 3.0, 3.0))
 
     def test_zero_offset_is_bitwise_identity(self):
         z_b = vec(0.25, -3.5, 7.125, 0.1)
         z_p = vec(1.0, 2.0, -0.5, 0.3)
-        triple = OffsetTriple(z_b=z_b, z_p=z_p, z_p_tuned=z_p.copy())
-        out = adjusted_logits(triple)
+        out = adjusted_logits(z_b, z_p, z_p.copy())
         np.testing.assert_array_equal(out, z_b)
         assert out.dtype == np.float32
 
     @given(triple_strategy(5))
     @example(  # cancellation: (z_p_tuned - z_p) rounds -256.00001 to -256.0
-        OffsetTriple(
-            z_b=np.array([0.0, 0.0, 255.0, 0.0, 0.0], dtype=np.float32),
-            z_p=np.array([0.0, 0.0, 257.0, 0.0, 0.0], dtype=np.float32),
-            z_p_tuned=np.array([0.0, 0.0, 0.99999, 0.0, 0.0], dtype=np.float32),
+        (
+            vec(0.0, 0.0, 255.0, 0.0, 0.0),
+            vec(0.0, 0.0, 257.0, 0.0, 0.0),
+            vec(0.0, 0.0, 0.99999, 0.0, 0.0),
         )
     )
     def test_matches_binary64_oracle(self, triple):
         # Composition runs in binary32, so rounding error scales with the
         # largest operand, not with the (possibly cancelled-to-tiny) result.
-        oracle = (
-            triple.z_b.astype(np.float64)
-            + triple.z_p_tuned.astype(np.float64)
-            - triple.z_p.astype(np.float64)
+        z_b, z_p, z_p_tuned = (z.astype(np.float64) for z in triple)
+        oracle = z_b + z_p_tuned - z_p
+        got = adjusted_logits(*triple).astype(np.float64)
+        scale = np.maximum.reduce(
+            [np.ones_like(oracle), np.abs(z_b), np.abs(z_p), np.abs(z_p_tuned)]
         )
-        got = adjusted_logits(triple).astype(np.float64)
-        scale = np.maximum.reduce([
-            np.ones_like(oracle),
-            np.abs(triple.z_b, dtype=np.float64),
-            np.abs(triple.z_p, dtype=np.float64),
-            np.abs(triple.z_p_tuned, dtype=np.float64),
-        ])
         assert np.all(np.abs(got - oracle) / scale < 1e-6)
+        # and bit-for-bit the binary32 formula in its fixed order
+        b32, p32, t32 = triple
+        np.testing.assert_array_equal(adjusted_logits(*triple), b32 + (t32 - p32))
 
     @given(dyadic_triple_strategy(4), st.integers(-32, 32))
     def test_greedy_choice_shift_invariant(self, triple, shift):
-        shifted = OffsetTriple(
-            z_b=triple.z_b + np.float32(shift),
-            z_p=triple.z_p,
-            z_p_tuned=triple.z_p_tuned,
+        z_b, z_p, z_p_tuned = triple
+        shifted = (z_b + np.float32(shift), z_p, z_p_tuned)
+        assert argmax_sample(adjusted_logits(*triple)) == argmax_sample(
+            adjusted_logits(*shifted)
         )
-        assert argmax_sample(adjusted_logits(triple)) == argmax_sample(
-            adjusted_logits(shifted)
-        )
-
-    def test_offset_then_adjust_equals_direct(self):
-        triple = OffsetTriple(
-            z_b=vec(1.0, -2.0, 0.5),
-            z_p=vec(0.1, 0.2, 0.3),
-            z_p_tuned=vec(-0.4, 0.5, 0.6),
-        )
-        delta = adaptation_offset(triple.z_p_tuned, triple.z_p)
-        np.testing.assert_array_equal(adjust(triple.z_b, delta), adjusted_logits(triple))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(LengthMismatchError):
-            OffsetTriple(z_b=vec(1.0, 2.0), z_p=vec(1.0), z_p_tuned=vec(1.0))
-        with pytest.raises(LengthMismatchError):
-            adaptation_offset(vec(1.0, 2.0), vec(1.0))
-        with pytest.raises(LengthMismatchError):
-            adjust(vec(1.0), vec(1.0, 2.0))
+        for bad in range(3):
+            operands = [vec(1.0, 2.0)] * 3
+            operands[bad] = vec(1.0)
+            with pytest.raises(LengthMismatchError):
+                adjusted_logits(*operands)
+        with pytest.raises(LengthMismatchError):  # equal shapes, but not 1-D
+            adjusted_logits(*[vec(1.0, 2.0).reshape(1, 2)] * 3)
 
 
 class TestAdaptedNextToken:
     def test_greedy_picks_adjusted_argmax(self):
-        triple = OffsetTriple(
-            z_b=vec(5.0, 0.0, 0.0),
-            z_p=vec(0.0, 0.0, 0.0),
-            z_p_tuned=vec(0.0, 0.0, 10.0),
-        )
+        triple = (vec(5.0, 0.0, 0.0), vec(0.0, 0.0, 0.0), vec(0.0, 0.0, 10.0))
         config = GenerationConfig(max_new_tokens=1, mode="greedy")
-        assert adapted_next_token(triple, config, make_rng(0)) == 2
+        assert adapted_next_token(*triple, config, make_rng(0)) == 2
 
     def test_stochastic_consumes_exactly_one_draw(self):
-        triple = OffsetTriple(z_b=vec(0.0, 1.0), z_p=vec(0.0, 0.0), z_p_tuned=vec(0.5, 0.0))
+        triple = (vec(0.0, 1.0), vec(0.0, 0.0), vec(0.5, 0.0))
         config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=0.8, seed=4)
         rng = make_rng(4)
-        tok = adapted_next_token(triple, config, rng)
+        tok = adapted_next_token(*triple, config, rng)
         after = rng.random()
         ref = make_rng(4)
-        assert tok == seeded_sample(adjusted_logits(triple), 0.8, ref)
+        assert tok == seeded_sample(adjusted_logits(*triple), 0.8, ref)
         assert after == ref.random()

@@ -41,7 +41,6 @@ from offsetlm.transport import (
     classify_message,
     latency_probe,
     latency_report,
-    ledger_record,
     ledger_report,
     max_draft_rows,
     queue_channel_pair,
@@ -76,6 +75,26 @@ EXAMPLES = [
     GenerationResult(session_id=4, tokens=(6, 7, 1)),
     GenerationResult(session_id=4, tokens=()),
     ProtocolError(code="unknown-session", text="no session 12"),
+]
+
+# encode_message(EXAMPLES[i]).hex(), pinned: a round trip cannot catch two
+# same-width fields swapped in both the encoder and the decoder
+GOLDEN_HEX = [
+    "01010000002000000001000000020000000500000000000080",
+    "02010000",
+    "02001d00766f636162756c617279206d69736d617463683a20333220213d203136",
+    "030900000000000000030000000300000004000000050000000800000028000000",
+    "030000000000000000000000000100000000000000",
+    "0407000000000000000300040000000300000002000000bdf2233fdfd5d63da12109bf"
+    "fd22b93e79e9a63fe673723ffe2734bf55f9a1bfea8e1fbf6e45293d4ecd14c0ec0a60be"
+    "037a9fbfe0753bbf8f540bbf",
+    "050900000000000000030000000000",
+    "05090000000000000002000000010b00000001",
+    "06070000005052444c2e2e2e4d00000000000000",
+    "070400000000000000010000000600000001010000003f2a000000000000000c000000",
+    "08040000000000000003000000060000000700000001000000",
+    "08040000000000000000000000",
+    "090f00756e6b6e6f776e2d73657373696f6e0d006e6f2073657373696f6e203132",
 ]
 
 
@@ -136,6 +155,13 @@ class TestRoundTrip:
         assert isinstance(clone, DraftBatch)
         assert clone.logits.dtype == np.float32
         np.testing.assert_array_equal(clone.logits, msg.logits)
+
+    @pytest.mark.parametrize(
+        "msg, golden", zip(EXAMPLES, GOLDEN_HEX), ids=[type(m).__name__ for m in EXAMPLES]
+    )
+    def test_wire_bytes_are_pinned(self, msg, golden):
+        assert encode_message(msg).hex() == golden
+        assert decode_message(bytes.fromhex(golden)) == msg
 
     def test_encode_rejects_foreign_objects(self):
         with pytest.raises(TypeError):
@@ -371,14 +397,6 @@ class TestCostLedger:
                     GenerationResult(session_id=1, tokens=(3,)),
                     ProtocolError(code="x")):
             assert classify_message(msg) == CAT_INFERENCE
-
-    def test_ledger_record_returns_exact_frame_size(self):
-        ledger = CostLedger()
-        n = ledger_record(ledger, draft_batch(n=8, vocab=32), SERVER_TO_CLIENT)
-        assert n == 1071
-        assert ledger.bytes_total(CAT_INFERENCE) == 1071
-        assert ledger.bytes_total(CAT_INFERENCE, SERVER_TO_CLIENT) == 1071
-        assert ledger.bytes_total(CAT_INFERENCE, CLIENT_TO_SERVER) == 0
 
     def test_record_frame_validation(self):
         ledger = CostLedger()

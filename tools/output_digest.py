@@ -5,11 +5,13 @@ rows of the base, adapted and black-box models; ``train_neural_lm`` snapshot
 bytes; ``train_lora`` factors (binary64) and adapter bytes; ``loss_and_grads``
 loss and gradients; and the tokens of every generation mode, greedy and
 stochastic (in-process ``generate_*`` and every protocol mode, ``prada-sd``
-at S = 1 and 8). One more case runs adapter training at the benchmark's
-train-adapter size (V = 512, context 8, embed 16, hidden 64, rank 8, 32
-documents of 64 tokens, batch 8, one epoch) and then ``loss_and_grads`` over
-the whole corpus (2016 positions), so the large-batch path, where BLAS runs
-threaded, is covered too.
+at S = 1 and 8), with each protocol session's billed bytes per ledger
+category and direction and its round and token counters. One more case
+runs adapter training at the benchmark's train-adapter size (V = 512,
+context 8, embed 16, hidden 64, rank 8, 32 documents of 64 tokens, batch 8,
+one epoch) and then ``loss_and_grads`` over the whole corpus (2016
+positions), so the large-batch path, where BLAS runs threaded, is covered
+too.
 
 A refactor that must not change any output runs this before and after, on
 one machine, and compares the last line. The digest depends on the numpy and
@@ -27,6 +29,7 @@ import numpy as np
 
 from offsetlm import (
     Client,
+    CostLedger,
     GenerationConfig,
     Server,
     TinyNeuralLM,
@@ -108,13 +111,17 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> str:
             lambda client: client.run_speculative(prompt, config, draft_len=8),
             lambda client: client.run_transfer(prompt, config),
         ):
-            conn, _ = connect_in_process(Server(blackbox, base))
+            ledger = CostLedger()
+            conn, _ = connect_in_process(Server(blackbox, base), ledger)
             client = Client(conn, vocab, base_proxy=base, adapter=adapter)
             try:
                 client.handshake()
                 runs.append(run(client))
             finally:
                 conn.close()
+            billed = (sorted(ledger.bytes_by.items()), ledger.round_count, ledger.tokens_drafted,
+                      ledger.tokens_committed, ledger.tokens_dropped, ledger.replacements)
+            h.update(repr(billed).encode())
         for tokens in runs:
             h.update(struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens))
     return h.hexdigest()
