@@ -68,18 +68,6 @@ class GenerationConfig:
             raise ValueError("temperature must be positive for stochastic sampling")
 
 
-def validate_sequence(tokens: list[int], vocab: Vocab) -> None:
-    """Check the token-sequence invariants; raise ValueError on violation."""
-    for tok in tokens:
-        if not 0 <= tok < vocab.size:
-            raise ValueError(f"token {tok} out of range for vocab size {vocab.size}")
-    eos_positions = [i for i, tok in enumerate(tokens) if tok == vocab.eos_id]
-    if len(eos_positions) > 1:
-        raise ValueError("sequence contains more than one eos token")
-    if eos_positions and eos_positions[0] != len(tokens) - 1:
-        raise ValueError("eos token must be the last element of a sequence")
-
-
 def make_rng(seed: int) -> np.random.Generator:
     """The package-wide seeded generator: numpy PCG64.
 
@@ -128,18 +116,6 @@ def sample_token(logits: np.ndarray, config: GenerationConfig, rng: np.random.Ge
     if rng is None:
         raise ValueError("stochastic sampling requires an rng")
     return seeded_sample(logits, config.temperature, rng)
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Log-probabilities of ``logits``, returned as float32.
-
-    Computed in binary64 with max subtraction; ``exp`` of the result sums to
-    one within 1e-9 in binary64 accumulation (1e-6 after the float32 round).
-    """
-    z = np.asarray(logits, dtype=np.float64)
-    z = z - np.max(z)
-    lse = np.log(np.sum(np.exp(z)))
-    return (z - lse).astype(np.float32)
 
 
 def parse_token_line(line: str, vocab: Vocab | None = None) -> list[int]:

@@ -108,21 +108,6 @@ class LogitModel(ABC):
         the server's prompt and commit checks).
         """
 
-    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
-        """Logits at the ``count`` trailing context boundaries of ``seq``.
-
-        Row ``j`` (0-based) equals ``next_logits`` over the prefix of length
-        ``len(seq) - count + 1 + j``; the last row is the full sequence. Only
-        the last ``count - 1 + window`` tokens are read: every row's window
-        lies inside them, and rows are computed with the same code path as
-        the sequential calls, so the result is bit-identical to them.
-        """
-        if count < 1 or count > len(seq):
-            raise ValueError(f"count {count} out of range for sequence length {len(seq)}")
-        tail = seq[max(0, len(seq) - (count - 1 + self.window)):]
-        rows = [self.next_logits(tail[: len(tail) - count + 1 + j]) for j in range(count)]
-        return np.stack(rows)
-
     def snapshot_bytes(self) -> bytes:
         return encode_model(self)
 

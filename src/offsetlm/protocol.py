@@ -10,19 +10,22 @@ with their logit rows. Commits that accept only a prefix simply truncate
 the speculated suffix away — the canonical sequence is the only state, so
 rollback is exact by construction.
 
-The **client** owns the proxy pair (base + adapter). For each draft batch it
-recomputes proxy logits at every drafted position in one batched call,
-applies the tuning offset to the black-box logit rows, samples, and accepts
-the longest prefix on which its samples agree with the draft; the first
-disagreement is replaced with the client's own token and the rest of the
-draft is dropped. The client mirrors the canonical sequence locally and the
-final result echoed by the server must match that mirror exactly.
+The **client** owns the proxy pair (base + adapter). It walks each draft
+batch one position at a time with the per-token step: both proxies' logits
+for the position, the tuning offset applied to the black-box row, one
+sample. It stops at the first sample that differs from the draft, which
+becomes the replacement; the rest of the draft is dropped unread. The client
+mirrors the canonical sequence locally and the final result echoed by the
+server must match that mirror exactly.
 
 ``run_per_token`` is literally ``run_speculative`` with a draft length of
 one. ``run_transfer`` instead uploads the serialized adapter once and asks
 the server to run the whole offset-adapted generation locally; with the same
 models, adapter, and config it returns the identical token sequence (both
 paths consume one RNG draw per committed token).
+
+Every loop stops by one rule, :func:`finished`: the budget is spent or the
+sequence ends in eos.
 """
 
 from __future__ import annotations
@@ -123,6 +126,15 @@ def _raise_remote(err: ProtocolError) -> None:
     raise RemoteProtocolError(err.code, err.text)
 
 
+def finished(seq: list[int], prompt_len: int, max_new_tokens: int, eos_id: int) -> bool:
+    """The stop rule: ``max_new_tokens`` tokens follow the prompt, or ``seq`` ends in eos.
+
+    Reads only ``len(seq)`` and the last token. A prompt that already ends
+    in eos is finished before the first step.
+    """
+    return len(seq) - prompt_len >= max_new_tokens or seq[-1] == eos_id
+
+
 # ---------------------------------------------------------------------------
 # Server side
 # ---------------------------------------------------------------------------
@@ -138,19 +150,17 @@ class ServerSession:
     draft_len: int
     max_new_tokens: int
     canonical: list[int] = field(default_factory=list)
-    tokens_generated: int = 0
     last_draft: list[int] | None = None
-    done: bool = False
 
     def __post_init__(self) -> None:
         self.canonical = list(self.prompt)
-        if self.max_new_tokens == 0:
-            self.done = True
-        if self.prompt and self.prompt[-1] == self.vocab.eos_id:
-            self.done = True
+
+    @property
+    def done(self) -> bool:
+        return finished(self.canonical, len(self.prompt), self.max_new_tokens, self.vocab.eos_id)
 
     def budget_left(self) -> int:
-        return self.max_new_tokens - self.tokens_generated
+        return self.max_new_tokens - (len(self.canonical) - len(self.prompt))
 
     def response_tokens(self) -> tuple[int, ...]:
         return tuple(self.canonical[len(self.prompt):])
@@ -207,17 +217,11 @@ class ServerSession:
         self.canonical.extend(drafted[: commit.accept_count])
         if commit.replacement is not None:
             self.canonical.append(commit.replacement)
-        self.tokens_generated += commit.accept_count + (1 if commit.replacement is not None else 0)
         self.last_draft = None
-        done_now = (
-            self.tokens_generated >= self.max_new_tokens
-            or (self.tokens_generated > 0 and self.canonical[-1] == self.vocab.eos_id)
-        )
-        if bool(commit.done) != done_now:
+        if bool(commit.done) != self.done:
             raise OutOfSyncError(
-                f"client done={commit.done} disagrees with server done={done_now}"
+                f"client done={commit.done} disagrees with server done={self.done}"
             )
-        self.done = done_now
 
 
 class _ConnectionState:
@@ -401,16 +405,9 @@ def _generate(step, vocab: Vocab, prompt: list[int], config: GenerationConfig) -
     _check_tokens(prompt, vocab)
     rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
     seq = list(prompt)
-    out: list[int] = []
-    if seq[-1] == vocab.eos_id:
-        return out
-    while len(out) < config.max_new_tokens:
-        tok = step(seq, rng)
-        out.append(tok)
-        seq.append(tok)
-        if tok == vocab.eos_id:
-            break
-    return out
+    while not finished(seq, len(prompt), config.max_new_tokens, vocab.eos_id):
+        seq.append(step(seq, rng))
+    return seq[len(prompt):]
 
 
 def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
@@ -511,10 +508,14 @@ class Client:
     ) -> list[int]:
         """Draft/verify generation; returns the committed response tokens.
 
-        Greedy runs are token-identical for every draft length; stochastic
-        runs are deterministic per (seed, draft_len) but not comparable
-        across draft lengths, because verification consumes one RNG draw per
-        inspected draft position.
+        The tokens equal ``run_per_token`` and ``generate_adapted`` for every
+        draft length, greedy and stochastic: verification runs the per-token
+        step at each inspected position and commits every position it
+        inspects, so the k-th RNG draw always picks response token k.
+
+        A draft whose rows are not ``vocab.size`` wide or whose tokens fall
+        outside the vocabulary raises :class:`OutOfSyncError` before any
+        forward.
         """
         if self.base_proxy is None or self.tuned_proxy is None:
             raise ValueError("speculative generation needs a base proxy and an adapter")
@@ -523,7 +524,6 @@ class Client:
         rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
         session_id = next(self._session_ids)
         mirror = list(prompt)
-        generated = 0
         self.conn.send_message(
             StartSession(
                 session_id=session_id,
@@ -546,9 +546,13 @@ class Client:
                 return got
             if not isinstance(msg, DraftBatch) or msg.session_id != session_id:
                 raise OutOfSyncError(f"unexpected message {msg!r} mid-session")
-            commit, new_tokens = self._verify(mirror, msg, config, rng, generated)
-            mirror.extend(new_tokens)
-            generated += len(new_tokens)
+            v = self.vocab.size
+            if msg.logits.shape != (len(msg.tokens), v) or max(msg.tokens) >= v:
+                raise OutOfSyncError(
+                    f"draft of {len(msg.tokens)} tokens up to {max(msg.tokens)} with "
+                    f"{msg.logits.shape} logits does not fit vocab size {v}"
+                )
+            commit = self._verify(mirror, msg, config, rng, len(prompt))
             if self.ledger is not None:
                 self.ledger.note_draft(len(msg.tokens))
                 self.ledger.note_commit(
@@ -562,46 +566,41 @@ class Client:
         draft: DraftBatch,
         config: GenerationConfig,
         rng,
-        generated: int,
-    ) -> tuple[Commit, list[int]]:
+        prompt_len: int,
+    ) -> Commit:
         """Accept the agreeing prefix of a draft; replace the first divergence.
 
-        Proxy logits for all drafted positions come from one batched call
-        over ``mirror ++ draft[:-1]`` — position i's context is the mirror
-        plus the i accepted drafts before it. The draft is appended to
-        ``mirror`` in place for that call and removed again before
-        returning, also when a forward raises.
+        Each position runs the per-token step of ``generate_adapted`` with the
+        draft's black-box row: both proxies' ``next_logits`` over ``mirror``,
+        then one ``adapted_next_token`` draw. The sampled token is appended to
+        ``mirror``, and the walk stops at the first one that differs from the
+        draft. On return ``mirror`` holds the committed tokens; when a forward
+        raises, it is rolled back to its length on entry.
         """
-        n = len(draft.tokens)
         start = len(mirror)
-        mirror.extend(draft.tokens[: n - 1])
+        accept, replacement = len(draft.tokens), None
         try:
-            z_p_rows = self.base_proxy.batch_next_logits(mirror, n)
-            z_t_rows = self.tuned_proxy.batch_next_logits(mirror, n)
-        finally:
+            for i, (z_b, drafted) in enumerate(zip(draft.logits, draft.tokens)):
+                tok = adapted_next_token(
+                    z_b,
+                    self.base_proxy.next_logits(mirror),
+                    self.tuned_proxy.next_logits(mirror),
+                    config,
+                    rng,
+                )
+                mirror.append(tok)
+                if tok != drafted:
+                    accept, replacement = i, tok
+                    break
+        except BaseException:
             del mirror[start:]
-        accept = n
-        replacement: int | None = None
-        for i in range(n):
-            sampled = adapted_next_token(draft.logits[i], z_p_rows[i], z_t_rows[i], config, rng)
-            if sampled != draft.tokens[i]:
-                accept = i
-                replacement = sampled
-                break
-        new_tokens = list(draft.tokens[:accept])
-        if replacement is not None:
-            new_tokens.append(replacement)
-        total = generated + len(new_tokens)
-        done = total >= config.max_new_tokens or (
-            len(new_tokens) > 0 and new_tokens[-1] == self.vocab.eos_id
-        )
-        commit = Commit(
+            raise
+        return Commit(
             session_id=draft.session_id,
             accept_count=accept,
             replacement=replacement,
-            done=done,
+            done=finished(mirror, prompt_len, config.max_new_tokens, self.vocab.eos_id),
         )
-        return commit, new_tokens
 
     def run_per_token(self, prompt: list[int], config: GenerationConfig) -> list[int]:
         """One round trip per committed token: the draft-length-1 loop."""

@@ -23,6 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import monolithic_generate_oracle
 
@@ -43,6 +45,7 @@ from offsetlm import (
     connect_socket,
     encode_adapter,
     fit_bigram,
+    generate_adapted,
     generate_blackbox,
     init_adapter,
     load_model,
@@ -224,6 +227,47 @@ def test_criterion_1_speculative_matches_per_token(world):
 
             assert spec == expected
             assert sequential == expected
+
+
+def test_criterion_1_stochastic_speculative_matches_per_token(world):
+    """Stochastic draft/verify equals per-token decoding for every S.
+
+    Verification draws once per inspected draft position and commits every
+    position it inspects, so the k-th draw always picks response token k.
+    """
+    neural_bb = TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        draft_len=st.sampled_from([1, 2, 3, 5, 8]),
+        seed=st.integers(0, 2**32 - 1),
+        temperature=st.sampled_from([0.5, 0.8, 1.0, 1.3, 2.0]),
+        neural=st.booleans(),
+        adapter_name=st.sampled_from(["mild", "strong"]),
+        prompt=st.lists(st.sampled_from(world.ordinary), min_size=1, max_size=12),
+    )
+    def check(draft_len, seed, temperature, neural, adapter_name, prompt):
+        blackbox = neural_bb if neural else world.blackbox
+        adapter = getattr(world, adapter_name)
+        config = GenerationConfig(max_new_tokens=16, mode="stochastic",
+                                  temperature=temperature, seed=seed)
+        tuned = apply_adapter(world.base, adapter)
+        expected = monolithic_generate_oracle(blackbox, world.base, tuned, prompt, config)
+        assert generate_adapted(blackbox, world.base, tuned, prompt, config) == expected
+
+        client, conn, _ = _connected(world, adapter, blackbox=blackbox)
+        spec = client.run_speculative(prompt, config, draft_len=draft_len)
+        conn.close()
+
+        client, conn, _ = _connected(world, adapter, blackbox=blackbox)
+        sequential = client.run_per_token(prompt, config)
+        conn.close()
+
+        assert spec == expected
+        assert sequential == expected
+
+    with verdict(1, "stochastic-speculative-equivalence", 30.0):
+        check()
 
 
 # ---------------------------------------------------------------------------

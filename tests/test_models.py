@@ -187,40 +187,6 @@ class TestTinyNeuralLM:
             neural.w2[0, 0] = 1.0
 
 
-class TestBatchNextLogits:
-    @pytest.fixture(params=["bigram", "neural"])
-    def model(self, request, vocab):
-        if request.param == "bigram":
-            rng = np.random.default_rng(1)
-            return fit_bigram(random_corpus(rng, vocab, 6, 10), vocab, alpha=1.0)
-        return TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=2)
-
-    def test_degenerate_batch_equals_single_call(self, model):
-        seq = [3, 4, 5, 6]
-        out = model.batch_next_logits(seq, 1)
-        assert out.shape == (1, model.vocab.size)
-        np.testing.assert_array_equal(out[0], model.next_logits(seq))
-
-    def test_full_batch_matches_sequential_calls(self, model):
-        seq = [3, 5, 4, 6]
-        out = model.batch_next_logits(seq, len(seq))
-        assert out.shape == (4, model.vocab.size)
-        for j in range(4):
-            np.testing.assert_array_equal(out[j], model.next_logits(seq[: j + 1]))
-
-    def test_trailing_boundaries_example(self, vocab3):
-        model = fit_bigram([[1, 2, 1, 2, 1]], vocab3, alpha=1.0)
-        out = model.batch_next_logits([1, 2, 1], 2)
-        np.testing.assert_array_equal(out[0], model.next_logits([1, 2]))
-        np.testing.assert_array_equal(out[1], model.next_logits([1, 2, 1]))
-
-    def test_count_out_of_range(self, model):
-        with pytest.raises(ValueError):
-            model.batch_next_logits([3, 4], 3)
-        with pytest.raises(ValueError):
-            model.batch_next_logits([3, 4], 0)
-
-
 class TestTrainNeuralLm:
     def test_zero_epochs_equals_seeded_init(self, vocab):
         corpus = [[3, 4, 5, 6], [4, 4, 3]]
@@ -401,19 +367,6 @@ class TestWindowContract:
         want = model.next_logits(seq[-model.window:])
         np.testing.assert_array_equal(model.next_logits(seq), want)
         np.testing.assert_array_equal(model.next_logits(TailOnly(seq, model.window)), want)
-
-    @pytest.mark.parametrize("kind", sorted(WINDOW_MODELS))
-    @settings(max_examples=40, deadline=None)
-    @given(seq=LONG_SEQS, count=st.integers(1, 12))
-    def test_batch_of_a_long_sequence_equals_sequential_calls(self, kind, seq, count):
-        model = WINDOW_MODELS[kind]
-        assert len(seq) > count - 1 + model.window  # the trimming path
-        want = np.stack(
-            [model.next_logits(seq[: len(seq) - count + 1 + j]) for j in range(count)]
-        )
-        np.testing.assert_array_equal(model.batch_next_logits(seq, count), want)
-        tail = TailOnly(seq, count - 1 + model.window)
-        np.testing.assert_array_equal(model.batch_next_logits(tail, count), want)
 
     @pytest.mark.parametrize("kind", sorted(WINDOW_MODELS))
     def test_bad_token_inside_the_window_is_rejected(self, kind):

@@ -24,7 +24,7 @@ from offsetlm import (
     generate_blackbox,
     init_adapter,
 )
-from offsetlm.messages import Commit, DraftBatch, GenerationResult, StartSession
+from offsetlm.messages import Commit, DraftBatch, GenerationResult, HelloAck, StartSession
 from offsetlm.protocol import (
     BudgetExhaustedError,
     ERR_INVALID_PROMPT,
@@ -36,9 +36,10 @@ from offsetlm.protocol import (
     OutOfSyncError,
     RemoteProtocolError,
     ServerSession,
+    finished,
 )
 from offsetlm.models import VocabMismatchError
-from offsetlm.transport import max_draft_rows
+from offsetlm.transport import FramedConnection, max_draft_rows, queue_channel_pair
 
 from conftest import TailOnly, argmax_oracle, monolithic_generate_oracle
 
@@ -142,7 +143,8 @@ class TestServerSession:
         batch = session.draft(blackbox)
         session.apply_commit(Commit(session_id=1, accept_count=4, done=False))
         assert session.canonical == [3, 4, *batch.tokens]
-        assert session.tokens_generated == 4
+        assert session.response_tokens() == batch.tokens
+        assert session.budget_left() == 6
         assert not session.done
 
     def test_partial_accept_takes_the_replacement(self, vocab, world):
@@ -151,7 +153,8 @@ class TestServerSession:
         batch = session.draft(blackbox)
         session.apply_commit(Commit(session_id=1, accept_count=1, replacement=6, done=False))
         assert session.canonical == [3, 4, batch.tokens[0], 6]
-        assert session.tokens_generated == 2
+        assert session.response_tokens() == (batch.tokens[0], 6)
+        assert session.budget_left() == 8
 
     def test_commit_validation(self, vocab, world):
         blackbox, _, _ = world
@@ -175,6 +178,14 @@ class TestServerSession:
         session.draft(blackbox)
         with pytest.raises(OutOfSyncError):
             session.apply_commit(Commit(session_id=1, accept_count=2, done=True))
+
+    def test_stop_rule(self, vocab):
+        eos = vocab.eos_id
+        assert not finished([3, 4], 2, 1, eos)
+        assert finished([3, 4, 5], 2, 1, eos)  # budget spent
+        assert finished([3, 4, eos], 2, 5, eos)  # ends in eos
+        assert finished([3, eos], 2, 5, eos)  # prompt already ends in eos
+        assert finished([3], 1, 0, eos)  # zero budget
 
     def test_budget_boundary_sets_done(self, vocab, world):
         blackbox, _, _ = world
@@ -262,6 +273,11 @@ class TestModeEquivalence:
             runs.append(client.run_speculative([3], config, draft_len=4))
             client.conn.close()
         assert runs[0] == runs[1]
+        client = connected_client(Server(blackbox), vocab, base, adapter)
+        assert client.run_per_token([3], config) == runs[0]
+        client.conn.close()
+        tuned = apply_adapter(base, adapter)
+        assert generate_adapted(blackbox, base, tuned, [3], config) == runs[0]
 
     def test_api_mode_is_the_plain_blackbox(self, vocab, world):
         blackbox, _, _ = world
@@ -452,6 +468,47 @@ class TestWireErrors:
         conn.close()
 
 
+def rogue_server(draft: DraftBatch) -> tuple[FramedConnection, threading.Thread]:
+    """A queue-channel peer that accepts the Hello, then answers any StartSession with ``draft``."""
+    client_end, server_end = queue_channel_pair(timeout=5.0)
+
+    def serve() -> None:
+        conn = FramedConnection(server_end, side="server")
+        conn.expect_preamble()
+        conn.recv_message()
+        conn.send_message(HelloAck(True, ""))
+        conn.recv_message()
+        conn.send_message(draft)
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return FramedConnection(client_end, side="client"), thread
+
+
+class TestRogueServer:
+    """The client checks a draft's shape before it runs a forward on it."""
+
+    @pytest.mark.parametrize("fault", ["wide-rows", "token-out-of-vocab"])
+    def test_bad_draft_geometry_is_out_of_sync(self, vocab, world, fault):
+        _, base, adapter = world
+        v = vocab.size
+        if fault == "wide-rows":
+            draft = DraftBatch(session_id=1, tokens=(3, 4), logits=np.zeros((2, v + 1), np.float32))
+        else:
+            draft = DraftBatch(session_id=1, tokens=(3, 4000, 4), logits=np.zeros((3, v), np.float32))
+        conn, thread = rogue_server(draft)
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()
+        client.base_proxy = CountingModel(client.base_proxy)
+        client.tuned_proxy = CountingModel(client.tuned_proxy)
+        with pytest.raises(OutOfSyncError):
+            client.run_speculative([3], GREEDY_CFG, draft_len=4)
+        assert client.base_proxy.calls == client.tuned_proxy.calls == 0
+        conn.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
 class TestLedgerIntegration:
     def test_zero_adapter_accepts_every_draft(self, vocab, world):
         blackbox, base, _ = world
@@ -481,6 +538,20 @@ class TestLedgerIntegration:
         assert ledger.replacements > 0
         assert ledger.tokens_committed == 24
         ledger.check_token_flow()
+
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    def test_each_proxy_runs_once_per_committed_token(self, vocab, world, mode):
+        blackbox, base, adapter = world
+        ledger = CostLedger()
+        client = connected_client(Server(blackbox), vocab, base, adapter, ledger)
+        client.base_proxy = CountingModel(client.base_proxy)
+        client.tuned_proxy = CountingModel(client.tuned_proxy)
+        config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=1.2, seed=3)
+        got = client.run_speculative([3], config, draft_len=4)
+        client.conn.close()
+        assert ledger.tokens_committed == len(got)
+        assert ledger.tokens_drafted > ledger.tokens_committed  # some drafts were cut short
+        assert client.base_proxy.calls == client.tuned_proxy.calls == ledger.tokens_committed
 
 
 class TestTransports:
@@ -608,6 +679,20 @@ class FailingModel(LogitModel):
         return self.inner.next_logits(seq)
 
 
+class CountingModel(LogitModel):
+    """Delegates to ``inner`` and counts its ``next_logits`` calls."""
+
+    def __init__(self, inner: LogitModel) -> None:
+        self.inner = inner
+        self.vocab = inner.vocab
+        self.window = inner.window
+        self.calls = 0
+
+    def next_logits(self, seq):
+        self.calls += 1
+        return self.inner.next_logits(seq)
+
+
 class TestLinearDecoding:
     """Per-step work reads a bounded tail; whole sequences are checked on entry."""
 
@@ -627,23 +712,22 @@ class TestLinearDecoding:
 
     def test_draft_reads_only_the_tail(self, vocab, world):
         blackbox, _, _ = world
-        plain = self.session(vocab)
-        plain.canonical = list(self.HISTORY)
-        guarded = self.session(vocab)
+        plain = self.session(vocab, prompt=self.HISTORY)
+        guarded = self.session(vocab, prompt=self.HISTORY)
         guarded.canonical = TailOnly(self.HISTORY, limit=4)
         assert guarded.draft(blackbox) == plain.draft(blackbox)
         assert guarded.canonical == self.HISTORY
 
     def test_verify_reads_only_the_tail(self, vocab, world):
         blackbox, base, adapter = world
-        session = self.session(vocab)
-        session.canonical = list(self.HISTORY)
-        draft = session.draft(blackbox)
+        draft = self.session(vocab, prompt=self.HISTORY).draft(blackbox)
         client = Client(None, vocab, base_proxy=base, adapter=adapter)
-        want = client._verify(list(self.HISTORY), draft, GREEDY_CFG, None, 0)
-        mirror = TailOnly(self.HISTORY, limit=len(draft.tokens) - 1 + base.window)
-        assert client._verify(mirror, draft, GREEDY_CFG, None, 0) == want
-        assert mirror == self.HISTORY
+        plain = list(self.HISTORY)
+        want = client._verify(plain, draft, GREEDY_CFG, None, len(self.HISTORY))
+        mirror = TailOnly(self.HISTORY, limit=base.window)
+        assert client._verify(mirror, draft, GREEDY_CFG, None, len(self.HISTORY)) == want
+        assert len(plain) > len(self.HISTORY)
+        assert mirror == plain
 
     def test_draft_rolls_back_when_a_forward_raises(self, vocab, world):
         blackbox, _, _ = world
@@ -662,7 +746,7 @@ class TestLinearDecoding:
         setattr(client, failing, FailingModel(getattr(client, failing), ok=2))
         mirror = [3, 4, 5]
         with pytest.raises(RuntimeError):
-            client._verify(mirror, draft, GREEDY_CFG, None, 0)
+            client._verify(mirror, draft, GREEDY_CFG, None, 3)
         assert mirror == [3, 4, 5]
 
     def test_oversized_draft_is_capped_to_one_frame(self, vocab, world):

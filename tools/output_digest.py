@@ -1,7 +1,7 @@
 """Print one SHA-256 over the package's numeric outputs at fixed seeds.
 
-Covers, at several model shapes: binary32 logits and ``batch_next_logits``
-rows of the base, adapted and black-box models; ``train_neural_lm`` snapshot
+Covers, at several model shapes: binary32 ``next_logits`` rows of the base,
+adapted and black-box models at every prefix of a few sequences; ``train_neural_lm`` snapshot
 bytes; ``train_lora`` factors (binary64) and adapter bytes; ``loss_and_grads``
 loss and gradients; and the tokens of every generation mode, greedy and
 stochastic (in-process ``generate_*`` and every protocol mode, ``prada-sd``
@@ -12,6 +12,11 @@ context 8, embed 16, hidden 64, rank 8, 32 documents of 64 tokens, batch 8,
 one epoch) and then ``loss_and_grads`` over the whole corpus (2016
 positions), so the large-batch path, where BLAS runs threaded, is covered
 too.
+
+It also checks the mode equivalences on the way: ``api`` must equal
+``generate_blackbox``, and ``prada`` (per token), ``prada-sd`` at S = 1 and 8
+and the transfer mode must each equal ``generate_adapted``, greedy and
+stochastic. A mismatch exits nonzero and names the run.
 
 A refactor that must not change any output runs this before and after, on
 one machine, and compares the last line. The digest depends on the numpy and
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+from functools import partial
 
 import numpy as np
 
@@ -97,28 +103,32 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> str:
     tuned = apply_adapter(base, adapter)
     for seq in docs[:4] + [[3], [2, 3, 4] * 5]:
         for model in (base, tuned, blackbox):
-            feed(h, model.next_logits(seq), model.batch_next_logits(seq, len(seq)))
+            prefixes = np.stack([model.next_logits(seq[: j + 1]) for j in range(len(seq))])
+            feed(h, model.next_logits(seq), prefixes)
 
     prompt = docs[0][:3]
     for mode in ("greedy", "stochastic"):
         config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=0.9, seed=7 + index)
-        runs = [generate_blackbox(blackbox, prompt, config),
-                generate_adapted(blackbox, base, tuned, prompt, config)]
-        for run in (
-            lambda client: client.run_api(prompt, config),
-            lambda client: client.run_per_token(prompt, config),
-            lambda client: client.run_speculative(prompt, config, draft_len=1),
-            lambda client: client.run_speculative(prompt, config, draft_len=8),
-            lambda client: client.run_transfer(prompt, config),
+        plain = generate_blackbox(blackbox, prompt, config)
+        adapted = generate_adapted(blackbox, base, tuned, prompt, config)
+        runs = [plain, adapted]
+        for name, want, run in (
+            ("api", plain, Client.run_api),
+            ("prada", adapted, Client.run_per_token),
+            ("prada-sd S=1", adapted, partial(Client.run_speculative, draft_len=1)),
+            ("prada-sd S=8", adapted, partial(Client.run_speculative, draft_len=8)),
+            ("prada-transfer", adapted, Client.run_transfer),
         ):
             ledger = CostLedger()
             conn, _ = connect_in_process(Server(blackbox, base), ledger)
             client = Client(conn, vocab, base_proxy=base, adapter=adapter)
             try:
                 client.handshake()
-                runs.append(run(client))
+                runs.append(run(client, prompt, config))
             finally:
                 conn.close()
+            if runs[-1] != want:
+                raise SystemExit(f"shape {shape} {mode}: {name} gave {runs[-1]}, expected {want}")
             billed = (sorted(ledger.bytes_by.items()), ledger.round_count, ledger.tokens_drafted,
                       ledger.tokens_committed, ledger.tokens_dropped, ledger.replacements)
             h.update(repr(billed).encode())
