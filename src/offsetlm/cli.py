@@ -14,8 +14,8 @@ Generation modes:
                        proxy model is ever loaded on the client;
 * ``prada``          — per-token offset-adapted generation (one round trip
                        per committed token);
-* ``prada-sd``       — the speculative draft/verify variant (``--draft-len``
-                       tokens per round);
+* ``prada-sd``       — the speculative draft/verify variant (at most
+                       ``--draft-len`` tokens per round);
 * ``prada-transfer`` — upload the adapter once and generate server-side.
 
 Every option can also come from a flat ``key=value`` config file
@@ -374,7 +374,7 @@ def _draft_lens(text: str) -> list[int]:
 @click.option("--base-proxy", "base_proxy_path", type=click.Path(exists=True), default=None)
 @click.option("--adapter", "adapter_path", type=click.Path(exists=True), default=None)
 @click.option("--max-new-tokens", type=int, default=None)
-@click.option("--draft-len", type=int, default=None)
+@click.option("--draft-len", type=int, default=None, help="most tokens the server drafts per prada-sd round")
 @click.option("--sampling", type=click.Choice([GREEDY, STOCHASTIC]), default=None)
 @click.option("--temperature", type=float, default=None)
 @click.option("--seed", type=int, default=None)
@@ -454,7 +454,7 @@ def cmd_generate(mode, prompt, prompt_file, config_path, connect, blackbox_path,
 @click.option("--prompt-file", type=click.Path(exists=True), default=None)
 @click.option("--config", "config_path", type=click.Path(exists=True), default=None)
 @click.option("--modes", type=str, default=None, help="comma-separated subset of modes")
-@click.option("--draft-lens", type=str, default=None, help="comma-separated draft lengths for prada-sd")
+@click.option("--draft-lens", type=str, default=None, help="comma-separated prada-sd draft-length ceilings")
 @click.option("--max-new-tokens", type=int, default=None)
 @click.option("--sampling", type=click.Choice([GREEDY, STOCHASTIC]), default=None)
 @click.option("--temperature", type=float, default=None)

@@ -5,9 +5,12 @@ Roles
 
 The **server** owns the black-box generator. Per session it keeps one
 canonical token sequence (prompt plus committed tokens) and, each round,
-greedily drafts up to ``draft_len`` tokens ahead, returning them together
-with their logit rows. Commits that accept only a prefix simply truncate
-the speculated suffix away — the canonical sequence is the only state, so
+greedily drafts tokens ahead, returning them together with their logit
+rows. The client's ``draft_len`` is a ceiling: once a commit has carried a
+replacement, a round drafts ``ceil(committed / replacements)`` tokens, the
+mean committed run per replacement, read only from validated commits so
+replays draft alike. Commits that accept only a prefix simply truncate the
+speculated suffix away — the canonical sequence is the only state, so
 rollback is exact by construction.
 
 The **client** owns the proxy pair (base + adapter). It walks each draft
@@ -151,6 +154,7 @@ class ServerSession:
     max_new_tokens: int
     canonical: list[int] = field(default_factory=list)
     last_draft: list[int] | None = None
+    replacements: int = 0  # validated commits that carried a replacement
 
     def __post_init__(self) -> None:
         self.canonical = list(self.prompt)
@@ -165,14 +169,24 @@ class ServerSession:
     def response_tokens(self) -> tuple[int, ...]:
         return tuple(self.canonical[len(self.prompt):])
 
+    def draft_size(self) -> int:
+        """Rows for the next draft; ``draft_len`` is only a ceiling.
+
+        Before any replacement: ``draft_len``. After: the mean run of committed
+        tokens per replacement, ``ceil(committed / replacements)``, at most
+        ``draft_len``. Clamped by the budget and by ``max_draft_rows``.
+        """
+        committed = len(self.canonical) - len(self.prompt)
+        run = -(-committed // self.replacements) if self.replacements else self.draft_len
+        return min(self.draft_len, run, self.budget_left(), max_draft_rows(self.vocab.size))
+
     def draft(self, blackbox: LogitModel) -> DraftBatch:
         """Greedy autoregressive speculation from the canonical sequence.
 
-        Drafts up to ``draft_len`` tokens, fewer when the budget or one
-        DraftBatch frame (``max_draft_rows``) holds fewer. The drafted tokens
-        are appended to ``canonical`` in place while drafting and removed
-        again before returning, also when a forward raises, so a round costs
-        O(steps * window) however long the session has run.
+        Drafts :meth:`draft_size` tokens, fewer when eos comes first. The
+        drafted tokens are appended to ``canonical`` in place while drafting
+        and removed again before returning, also when a forward raises, so a
+        round costs O(steps * window) however long the session has run.
         """
         if self.done or self.budget_left() <= 0:
             raise BudgetExhaustedError(
@@ -180,12 +194,11 @@ class ServerSession:
             )
         if self.last_draft is not None:
             raise InvalidCommitError("previous draft has not been committed yet")
-        steps = min(self.draft_len, self.budget_left(), max_draft_rows(self.vocab.size))
         ctx = self.canonical
         start = len(ctx)
         rows: list[np.ndarray] = []
         try:
-            for _ in range(steps):
+            for _ in range(self.draft_size()):
                 z = blackbox.next_logits(ctx)
                 tok = argmax_sample(z)
                 rows.append(z)
@@ -217,6 +230,7 @@ class ServerSession:
         self.canonical.extend(drafted[: commit.accept_count])
         if commit.replacement is not None:
             self.canonical.append(commit.replacement)
+            self.replacements += 1
         self.last_draft = None
         if bool(commit.done) != self.done:
             raise OutOfSyncError(
@@ -462,9 +476,10 @@ class Client:
         self.conn = conn
         self.vocab = vocab
         self.base_proxy = base_proxy
-        self.adapter = adapter
+        # one snapshot feeds both the tuned proxy and the transfer upload
+        self.adapter = adapter.snapshot() if adapter is not None else None
         self.tuned_proxy = (
-            apply_adapter(base_proxy, adapter)
+            apply_adapter(base_proxy, self.adapter)
             if base_proxy is not None and adapter is not None
             else None
         )
@@ -614,7 +629,7 @@ class Client:
             raise ValueError("transfer mode needs a base proxy and an adapter")
         self.conn.send_message(
             UploadAdapter(
-                adapter_bytes=encode_adapter(self.adapter.snapshot()),
+                adapter_bytes=encode_adapter(self.adapter),
                 base_fingerprint=self.base_proxy.fingerprint(),
             )
         )

@@ -14,6 +14,7 @@ seeded, so each criterion is a deterministic replay.
 
 from __future__ import annotations
 
+import itertools
 import math
 import re
 import time
@@ -69,7 +70,7 @@ from offsetlm.messages import (
     StartSession,
     UploadAdapter,
 )
-from offsetlm.protocol import FingerprintMismatchError
+from offsetlm.protocol import FingerprintMismatchError, ServerSession
 from offsetlm.transport import (
     CAT_DATA,
     CAT_HANDSHAKE,
@@ -267,6 +268,58 @@ def test_criterion_1_stochastic_speculative_matches_per_token(world):
         assert sequential == expected
 
     with verdict(1, "stochastic-speculative-equivalence", 30.0):
+        check()
+
+
+def test_criterion_1_any_draft_size_schedule_matches_fixed_s(world, monkeypatch):
+    """Tokens do not depend on how the server sizes each draft.
+
+    The session's size choice is replaced by an arbitrary schedule of sizes
+    in [1, draft_len] (still clamped by the budget); greedy and stochastic
+    runs must equal the fixed-S run, ``generate_adapted`` and the oracle.
+    """
+    neural_bb = TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        draft_len=st.sampled_from([1, 2, 3, 5, 8]),
+        schedule=st.lists(st.integers(1, 8), min_size=1, max_size=20),
+        stochastic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        neural=st.booleans(),
+        adapter_name=st.sampled_from(["mild", "strong"]),
+        prompt=st.lists(st.sampled_from(world.ordinary), min_size=1, max_size=12),
+    )
+    def check(draft_len, schedule, stochastic, seed, neural, adapter_name, prompt):
+        blackbox = neural_bb if neural else world.blackbox
+        adapter = getattr(world, adapter_name)
+        config = GenerationConfig(max_new_tokens=16, mode="stochastic" if stochastic else "greedy",
+                                  temperature=1.0, seed=seed)
+        tuned = apply_adapter(world.base, adapter)
+        expected = monolithic_generate_oracle(blackbox, world.base, tuned, prompt, config)
+        assert generate_adapted(blackbox, world.base, tuned, prompt, config) == expected
+
+        sizes = itertools.cycle(1 + (s - 1) % draft_len for s in schedule)
+        drafted = []
+
+        def scheduled_size(session):
+            drafted.append(min(next(sizes), session.budget_left()))
+            return drafted[-1]
+
+        monkeypatch.setattr(ServerSession, "draft_size", scheduled_size)
+        client, conn, ledger = _connected(world, adapter, blackbox=blackbox)
+        scheduled = client.run_speculative(prompt, config, draft_len=draft_len)
+        conn.close()
+        monkeypatch.setattr(ServerSession, "draft_size", lambda session: min(
+            session.draft_len, session.budget_left()))
+        client, conn, _ = _connected(world, adapter, blackbox=blackbox)
+        fixed = client.run_speculative(prompt, config, draft_len=draft_len)
+        conn.close()
+
+        assert drafted and ledger.round_count == len(drafted)
+        assert scheduled == fixed == expected
+
+    with verdict(1, "draft-size-schedule-equivalence", 30.0):
         check()
 
 

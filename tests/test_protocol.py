@@ -195,6 +195,74 @@ class TestServerSession:
         assert session.done
         assert len(session.response_tokens()) == 4
 
+    def commit_all(self, session, blackbox, accept) -> list[int]:
+        """Draft and commit until done; ``accept(n)`` picks each accept count.
+
+        Returns the size of every draft. The dense black-box never drafts eos.
+        """
+        sizes = []
+        while not session.done:
+            n = len(session.draft(blackbox).tokens)
+            sizes.append(n)
+            k = accept(n)
+            committed = len(session.response_tokens()) + k + (k < n)
+            session.apply_commit(Commit(session_id=1, accept_count=k,
+                                        replacement=3 if k < n else None,
+                                        done=committed >= session.max_new_tokens))
+        return sizes
+
+    def test_full_acceptance_keeps_draft_len(self, vocab, world):
+        blackbox, _, _ = world
+        session = self.make(vocab, draft_len=4, budget=18)
+        assert self.commit_all(session, blackbox, lambda n: n) == [4, 4, 4, 4, 2]
+        assert session.replacements == 0
+
+    def test_all_reject_falls_to_one_row(self, vocab, world):
+        blackbox, _, _ = world
+        session = self.make(vocab, draft_len=8, budget=12)
+        assert self.commit_all(session, blackbox, lambda n: 0) == [8] + [1] * 11
+        assert session.replacements == 12
+
+    def test_draft_size_is_the_mean_run_per_replacement(self, vocab, world):
+        blackbox, _, _ = world
+        session = self.make(vocab, draft_len=8, budget=40)
+        # commits of 6 (5 + replacement), then 1 (replacement only): ceil(6/1), ceil(7/2)
+        sizes = iter([5, 0])
+        assert self.commit_all(session, blackbox, lambda n: next(sizes, n))[:3] == [8, 6, 4]
+
+    def test_draft_size_never_exceeds_its_bounds(self, vocab, world):
+        blackbox, _, _ = world
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            draft_len = int(rng.integers(1, 10))
+            session = self.make(vocab, draft_len=draft_len, budget=int(rng.integers(1, 30)))
+
+            def accept(n):
+                assert 1 <= n <= min(draft_len, session.budget_left())
+                return int(rng.integers(0, n + 1))
+
+            self.commit_all(session, blackbox, accept)
+        wide = Vocab(size=512, eos_id=1, bos_id=2)
+        session = self.make(wide, draft_len=10**6, budget=10**6)
+        assert session.draft_size() == max_draft_rows(512)
+        session.canonical.extend([3] * 10**5)
+        session.replacements = 1  # a mean run of 10**5 tokens
+        assert session.draft_size() == max_draft_rows(512)
+
+    def test_low_acceptance_drafts_at_most_two_rows_per_token(self, vocab32):
+        blackbox = dense_blackbox(vocab32)
+        base = TinyNeuralLM.random(vocab32, context=3, embed_dim=4, hidden_dim=6, seed=2)
+        adapter = rich_adapter(base)
+        config = GenerationConfig(max_new_tokens=64, mode="stochastic", temperature=2.0, seed=3)
+        ledger = CostLedger()
+        client = connected_client(Server(blackbox), vocab32, base, adapter, ledger)
+        got = client.run_speculative([3, 4], config, draft_len=8)
+        client.conn.close()
+        assert got == generate_adapted(blackbox, base, apply_adapter(base, adapter), [3, 4], config)
+        assert len(got) == ledger.tokens_committed == 64
+        assert ledger.acceptance_rate() < 0.1
+        assert ledger.tokens_drafted <= 2 * ledger.tokens_committed
+
 
 class TestHandshake:
     def test_accepts_matching_vocab(self, vocab, world):
@@ -278,6 +346,20 @@ class TestModeEquivalence:
         client.conn.close()
         tuned = apply_adapter(base, adapter)
         assert generate_adapted(blackbox, base, tuned, [3], config) == runs[0]
+
+    def test_adapter_edits_after_construction_reach_no_mode(self, vocab, world):
+        blackbox, base, adapter = world
+        tuned = apply_adapter(base, adapter)
+        for config in (GREEDY_CFG, GenerationConfig(max_new_tokens=16, mode="stochastic",
+                                                    temperature=1.0, seed=5)):
+            edited = adapter.snapshot()
+            client = connected_client(Server(blackbox, base), vocab, base, edited)
+            for t in edited.targets:
+                t.b *= -3.0  # the client keeps the adapter it was built with
+            speculative = client.run_speculative([3, 4], config, draft_len=4)
+            transfer = client.run_transfer([3, 4], config)
+            client.conn.close()
+            assert speculative == transfer == generate_adapted(blackbox, base, tuned, [3, 4], config)
 
     def test_api_mode_is_the_plain_blackbox(self, vocab, world):
         blackbox, _, _ = world

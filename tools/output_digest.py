@@ -1,12 +1,16 @@
-"""Print one SHA-256 over the package's numeric outputs at fixed seeds.
+"""Print two SHA-256 digests over the package's outputs at fixed seeds.
 
-Covers, at several model shapes: binary32 ``next_logits`` rows of the base,
-adapted and black-box models at every prefix of a few sequences; ``train_neural_lm`` snapshot
-bytes; ``train_lora`` factors (binary64) and adapter bytes; ``loss_and_grads``
-loss and gradients; and the tokens of every generation mode, greedy and
-stochastic (in-process ``generate_*`` and every protocol mode, ``prada-sd``
-at S = 1 and 8), with each protocol session's billed bytes per ledger
-category and direction and its round and token counters. One more case
+The ``values`` digest covers, at several model shapes: binary32
+``next_logits`` rows of the base, adapted and black-box models at every
+prefix of a few sequences; ``train_neural_lm`` snapshot bytes; ``train_lora``
+factors (binary64) and adapter bytes; ``loss_and_grads`` loss and gradients;
+and the tokens of every generation mode, greedy and stochastic (in-process
+``generate_*`` and every protocol mode, ``prada-sd`` at S = 1 and 8). The
+base and black-box models of every shape carry seeded nonzero biases, since
+adding zero hides a reordered bias addition. The ``billing`` digest covers
+each protocol session's billed bytes per ledger category and direction and
+its round and token counters, so a change to how drafts are sized moves it
+and leaves ``values`` alone. One more case
 runs adapter training at the benchmark's train-adapter size (V = 512,
 context 8, embed 16, hidden 64, rank 8, 32 documents of 64 tokens, batch 8,
 one epoch) and then ``loss_and_grads`` over the whole corpus (2016
@@ -19,8 +23,8 @@ and the transfer mode must each equal ``generate_adapted``, greedy and
 stochastic. A mismatch exits nonzero and names the run.
 
 A refactor that must not change any output runs this before and after, on
-one machine, and compares the last line. The digest depends on the numpy and
-BLAS build, so it is never a golden value to commit.
+one machine, and compares the last two lines. The digests depend on the numpy
+and BLAS build, so they are never golden values to commit.
 
     PYTHONPATH=src python3 tools/output_digest.py
 """
@@ -79,19 +83,28 @@ def feed_step(h, base: TinyNeuralLM, adapter, docs: list[list[int]]) -> None:
         feed(h, grads[name]["a"], grads[name]["b"])
 
 
-def shape_digest(index: int, shape: tuple[int, ...]) -> str:
+def with_biases(model: TinyNeuralLM, rng: np.random.Generator) -> TinyNeuralLM:
+    """``model`` with seeded nonzero biases; ``random()`` draws zeros."""
+    return TinyNeuralLM(model.vocab, model.context, model.embedding, model.w1,
+                        rng.normal(0.0, 0.5, size=model.w1.shape[0]), model.w2,
+                        rng.normal(0.0, 0.5, size=model.vocab.size))
+
+
+def shape_digest(index: int, shape: tuple[int, ...]) -> tuple[str, str]:
+    """The ``(values, billing)`` digests of one model shape."""
     v, context, embed, hidden, rank = shape
     vocab = Vocab(size=v, eos_id=1, bos_id=2)
     rng = np.random.Generator(np.random.PCG64(100 + index))
     docs = corpus(rng, vocab, 12)
-    h = hashlib.sha256()
+    h, billing = hashlib.sha256(), hashlib.sha256()
 
     trained = train_neural_lm(docs, vocab, context=context, embed_dim=embed,
                               hidden_dim=hidden, epochs=2, batch_size=5, seed=index)
     h.update(encode_model(trained))
 
-    base = TinyNeuralLM.random(vocab, context, embed, hidden, seed=index)
-    blackbox = TinyNeuralLM.random(vocab, context, embed, hidden, seed=50 + index, scale=1.5)
+    base = with_biases(TinyNeuralLM.random(vocab, context, embed, hidden, seed=index), rng)
+    blackbox = with_biases(
+        TinyNeuralLM.random(vocab, context, embed, hidden, seed=50 + index, scale=1.5), rng)
     adapter = train_lora(base, docs, TrainConfig(lr=0.3, batch_size=3, epochs=2, rank=rank, seed=index))
     for t in adapter.targets:
         feed(h, t.a, t.b)
@@ -131,10 +144,10 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> str:
                 raise SystemExit(f"shape {shape} {mode}: {name} gave {runs[-1]}, expected {want}")
             billed = (sorted(ledger.bytes_by.items()), ledger.round_count, ledger.tokens_drafted,
                       ledger.tokens_committed, ledger.tokens_dropped, ledger.replacements)
-            h.update(repr(billed).encode())
+            billing.update(repr(billed).encode())
         for tokens in runs:
             h.update(struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens))
-    return h.hexdigest()
+    return h.hexdigest(), billing.hexdigest()
 
 
 def train_digest(seed: int) -> str:
@@ -145,10 +158,7 @@ def train_digest(seed: int) -> str:
     docs = [[int(t) for t in rng.integers(3, v, size=TRAIN_CORPUS[1])]
             for _ in range(TRAIN_CORPUS[0])]
     h = hashlib.sha256()
-    base = TinyNeuralLM.random(vocab, context, embed, hidden, seed=seed)
-    # random() draws zero biases, and adding zero hides reordered additions
-    base = TinyNeuralLM(vocab, context, base.embedding, base.w1, rng.normal(0.0, 0.5, size=hidden),
-                        base.w2, rng.normal(0.0, 0.5, size=v))
+    base = with_biases(TinyNeuralLM.random(vocab, context, embed, hidden, seed=seed), rng)
     adapter = train_lora(base, docs, TrainConfig(lr=0.5, batch_size=8, epochs=1, rank=rank, seed=seed))
     for t in adapter.targets:
         feed(h, t.a, t.b)
@@ -160,15 +170,17 @@ def train_digest(seed: int) -> str:
 
 
 def main() -> None:
-    total = hashlib.sha256()
+    values, billing = hashlib.sha256(), hashlib.sha256()
     for index, shape in enumerate(SHAPES):
-        digest = shape_digest(index, shape)
-        total.update(bytes.fromhex(digest))
-        print("shape=" + "x".join(map(str, shape)) + f" sha256={digest}")
+        digests = shape_digest(index, shape)
+        values.update(bytes.fromhex(digests[0]))
+        billing.update(bytes.fromhex(digests[1]))
+        print("shape=" + "x".join(map(str, shape)) + " values=%s billing=%s" % digests)
     digest = train_digest(len(SHAPES))
-    total.update(bytes.fromhex(digest))
-    print("train=" + "x".join(map(str, TRAIN_SHAPE + TRAIN_CORPUS)) + f" sha256={digest}")
-    print(f"digest sha256={total.hexdigest()}")
+    values.update(bytes.fromhex(digest))
+    print("train=" + "x".join(map(str, TRAIN_SHAPE + TRAIN_CORPUS)) + f" values={digest}")
+    print(f"values sha256={values.hexdigest()}")
+    print(f"billing sha256={billing.hexdigest()}")
 
 
 if __name__ == "__main__":
