@@ -287,11 +287,8 @@ def fit_bigram(corpus: list[list[int]], vocab: Vocab, alpha: float) -> BigramTab
         raise EmptyCorpusError("corpus contains no tokens")
     counts = np.zeros((vocab.size, vocab.size), dtype=np.int64)
     for doc in corpus:
-        for tok in doc:
-            if not 0 <= tok < vocab.size:
-                raise VocabMismatchError(
-                    f"corpus token {tok} out of range for vocab size {vocab.size}"
-                )
+        if doc:
+            _check_tokens(doc, vocab)
         for a, b in zip(doc, doc[1:]):
             counts[a, b] += 1
     return BigramTableModel(vocab, counts, alpha)

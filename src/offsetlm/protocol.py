@@ -86,7 +86,6 @@ log = logging.getLogger(__name__)
 ERR_SESSION_UNKNOWN = "session-unknown"
 ERR_INVALID_COMMIT = "invalid-commit"
 ERR_OUT_OF_SYNC = "out-of-sync"
-ERR_BUDGET_EXHAUSTED = "budget-exhausted"
 ERR_FINGERPRINT_MISMATCH = "fingerprint-mismatch"
 ERR_MALFORMED_ADAPTER = "malformed-adapter"
 ERR_UNSUPPORTED = "unsupported-request"
@@ -367,6 +366,7 @@ class Server:
         except InvalidCommitError as exc:
             return ProtocolError(ERR_INVALID_COMMIT, str(exc))
         except OutOfSyncError as exc:
+            del state.sessions[msg.session_id]
             return ProtocolError(ERR_OUT_OF_SYNC, str(exc))
         if session.done:
             del state.sessions[msg.session_id]

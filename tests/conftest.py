@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from offsetlm import GenerationConfig, Vocab, make_rng
+from offsetlm import GenerationConfig, TinyNeuralLM, Vocab, make_rng
 from offsetlm.core import GREEDY, STOCHASTIC
 
 
@@ -17,6 +17,15 @@ def vocab() -> Vocab:
 @pytest.fixture
 def vocab32() -> Vocab:
     return Vocab(size=32, eos_id=1, bos_id=2)
+
+
+def with_biases(base: TinyNeuralLM, seed: int) -> TinyNeuralLM:
+    """``base`` with nonzero biases: ``TinyNeuralLM.random`` draws zeros, and
+    adding a zero bias hides a change in the order of the additions."""
+    rng = np.random.default_rng(seed)
+    return TinyNeuralLM(base.vocab, base.context, base.embedding, base.w1,
+                        rng.normal(0.0, 0.5, size=base.b1.shape), base.w2,
+                        rng.normal(0.0, 0.5, size=base.b2.shape))
 
 
 def random_corpus(rng: np.random.Generator, vocab: Vocab, n_docs: int, length: int) -> list[list[int]]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -452,3 +453,172 @@ class TestBench:
         ])
         assert result.exit_code == 0, result.stderr
         assert sorted(loaded) == sorted([str(blackbox_path), str(base_proxy_path)])
+
+
+def free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def as_flags(entries: dict) -> list[str]:
+    """Config entries spelled as command-line flags."""
+    return [part for key, value in entries.items()
+            for part in (f"--{key.replace('_', '-')}", str(value))]
+
+
+class TestConfigFile:
+    """Any option can come from ``--config`` under its long name with ``_``; a flag beats it."""
+
+    def invoke(self, runner, tmp_path, command, entries, flags=()):
+        cfg = tmp_path / f"{command}.cfg"
+        cfg.write_text("".join(f"{key}={value}\n" for key, value in entries.items()))
+        return runner.invoke(main, [command, "--config", str(cfg), *flags])
+
+    def test_fit_blackbox(self, runner, tmp_path, corpus_path):
+        entries = {
+            "corpus": corpus_path, "out": tmp_path / "cfg.prdm", "arch": "neural",
+            "vocab_size": 8, "eos_id": 1, "bos_id": 2, "context": 2, "embed_dim": 3,
+            "hidden_dim": 5, "lr": 0.2, "batch_size": 3, "epochs": 1, "seed": 7,
+        }
+        result = self.invoke(runner, tmp_path, "fit-blackbox", entries)
+        assert result.exit_code == 0, result.stderr
+        from_config = load_model(tmp_path / "cfg.prdm")
+        assert (from_config.context, from_config.embed_dim, from_config.hidden_dim) == (2, 3, 5)
+        result = runner.invoke(main, ["fit-blackbox", *as_flags({**entries, "out": tmp_path / "f.prdm"})])
+        assert result.exit_code == 0, result.stderr
+        assert load_model(tmp_path / "f.prdm").fingerprint() == from_config.fingerprint()
+
+        result = self.invoke(runner, tmp_path, "fit-blackbox", entries,
+                             ["--out", str(tmp_path / "flag.prdm"), "--hidden-dim", "4"])
+        assert result.exit_code == 0, result.stderr
+        assert load_model(tmp_path / "flag.prdm").hidden_dim == 4
+
+    def test_train_proxy(self, runner, tmp_path, corpus_path, base_proxy_path):
+        entries = {
+            "base": base_proxy_path, "corpus": corpus_path, "out": tmp_path / "cfg.prdl",
+            "rank": 3, "lr": 0.2, "batch_size": 3, "epochs": 1, "seed": 5,
+        }
+        result = self.invoke(runner, tmp_path, "train-proxy", entries)
+        assert result.exit_code == 0, result.stderr
+        assert load_adapter(tmp_path / "cfg.prdl").rank == 3
+        result = runner.invoke(main, ["train-proxy", *as_flags({**entries, "out": tmp_path / "f.prdl"})])
+        assert result.exit_code == 0, result.stderr
+        assert (tmp_path / "f.prdl").read_bytes() == (tmp_path / "cfg.prdl").read_bytes()
+
+        result = self.invoke(runner, tmp_path, "train-proxy", entries,
+                             ["--out", str(tmp_path / "flag.prdl"), "--rank", "2"])
+        assert result.exit_code == 0, result.stderr
+        assert load_adapter(tmp_path / "flag.prdl").rank == 2
+
+    def test_serve(self, runner, tmp_path, blackbox_path, base_proxy_path, monkeypatch):
+        monkeypatch.setattr(signal, "pause", lambda: None)
+        port, flag_port = free_port(), free_port()
+        entries = {"blackbox": blackbox_path, "base_proxy": base_proxy_path,
+                   "host": "127.0.0.1", "port": port}
+        result = self.invoke(runner, tmp_path, "serve", entries)
+        assert result.exit_code == 0, result.stderr
+        assert result.output.strip() == f"record=serve host=127.0.0.1 port={port}"
+        result = self.invoke(runner, tmp_path, "serve", entries, ["--port", str(flag_port)])
+        assert result.exit_code == 0, result.stderr
+        assert result.output.strip() == f"record=serve host=127.0.0.1 port={flag_port}"
+
+    def test_generate(self, runner, tmp_path, blackbox_path, base_proxy_path, adapter_path):
+        entries = {
+            "mode": "prada-sd", "prompt": "3 4", "blackbox": blackbox_path,
+            "base_proxy": base_proxy_path, "adapter": adapter_path, "max_new_tokens": 7,
+            "draft_len": 3, "sampling": "stochastic", "temperature": 0.8, "seed": 4,
+            "report": tmp_path / "cfg.report",
+        }
+        result = self.invoke(runner, tmp_path, "generate", entries)
+        assert result.exit_code == 0, result.stderr
+        assert (tmp_path / "cfg.report").read_text() == result.output
+        tokens = result_tokens(result.output)
+        assert len(tokens) == 7
+        flags = runner.invoke(main, ["generate", *as_flags({**entries, "report": tmp_path / "f.report"})])
+        assert flags.exit_code == 0, flags.stderr
+        assert result_tokens(flags.output) == tokens
+
+        result = self.invoke(runner, tmp_path, "generate", entries,
+                             ["--max-new-tokens", "3", "--report", str(tmp_path / "flag.report")])
+        assert result.exit_code == 0, result.stderr
+        assert result_tokens(result.output) == tokens[:3]
+        assert (tmp_path / "flag.report").read_text() == result.output
+
+    def test_generate_api_over_connect(self, runner, tmp_path, blackbox_path):
+        with SocketServer(Server(load_model(blackbox_path))) as srv:
+            host, port = srv.address
+            entries = {"mode": "api", "prompt": "3 4", "connect": f"{host}:{port}",
+                       "vocab_size": 8, "eos_id": 1, "bos_id": 2, "max_new_tokens": 5}
+            result = self.invoke(runner, tmp_path, "generate", entries)
+        assert result.exit_code == 0, result.stderr
+        assert len(result_tokens(result.output)) == 5
+
+    def test_bench(self, runner, tmp_path, blackbox_path, base_proxy_path, adapter_path):
+        entries = {
+            "blackbox": blackbox_path, "base_proxy": base_proxy_path, "adapter": adapter_path,
+            "prompt": "3 4", "modes": "api,prada-sd", "draft_lens": "2,3", "max_new_tokens": 5,
+            "sampling": "stochastic", "temperature": 0.7, "seed": 2, "csv": tmp_path / "cfg.csv",
+        }
+        result = self.invoke(runner, tmp_path, "bench", entries)
+        assert result.exit_code == 0, result.stderr
+        with open(tmp_path / "cfg.csv", newline="") as fh:
+            rows = [(r["mode"], r["draft_len"], r["response_tokens"]) for r in csv.DictReader(fh)]
+        assert rows == [("api", "0", "5"), ("prada-sd", "2", "5"), ("prada-sd", "3", "5")]
+
+        result = self.invoke(runner, tmp_path, "bench", entries, ["--modes", "prada"])
+        assert result.exit_code == 0, result.stderr
+        assert [l.split()[1] for l in result.output.splitlines()] == ["mode=prada"]
+
+    def test_prompt_file_flag_beats_config_prompt(
+        self, runner, tmp_path, blackbox_path, base_proxy_path, adapter_path
+    ):
+        prompt_file = tmp_path / "prompt.txt"
+        prompt_file.write_text("3 4\n")
+        common = {"mode": "prada", "blackbox": blackbox_path, "base_proxy": base_proxy_path,
+                  "adapter": adapter_path, "max_new_tokens": 4}
+        from_file = self.invoke(runner, tmp_path, "generate", {**common, "prompt": "7 7 7"},
+                                ["--prompt-file", str(prompt_file)])
+        assert from_file.exit_code == 0, from_file.stderr
+        from_prompt = runner.invoke(main, ["generate", *as_flags({**common, "prompt": "3 4"})])
+        assert result_tokens(from_file.output) == result_tokens(from_prompt.output)
+        # and the other way round: a --prompt flag beats a config prompt_file
+        from_flag = self.invoke(runner, tmp_path, "generate",
+                                {**common, "prompt_file": prompt_file}, ["--prompt", "7 7 7"])
+        cfg_direct = runner.invoke(main, ["generate", *as_flags({**common, "prompt": "7 7 7"})])
+        assert from_flag.exit_code == 0, from_flag.stderr
+        assert result_tokens(from_flag.output) == result_tokens(cfg_direct.output)
+
+    @pytest.mark.parametrize(
+        "command,key,value",
+        [
+            ("fit-blackbox", "vocab_size", "eight"),
+            ("fit-blackbox", "alpha", "lots"),
+            ("fit-blackbox", "arch", "zz"),
+            ("fit-blackbox", "corpus", "missing.txt"),
+            ("train-proxy", "base", "missing.prdm"),
+            ("serve", "port", "http"),
+            ("generate", "mode", "zz"),
+            ("generate", "sampling", "zz"),
+            ("bench", "temperature", "hot"),
+        ],
+    )
+    def test_entries_are_type_checked(self, runner, tmp_path, corpus_path, blackbox_path,
+                                      base_proxy_path, adapter_path, monkeypatch,
+                                      command, key, value):
+        monkeypatch.setattr(signal, "pause", lambda: None)
+        required = {
+            "fit-blackbox": {"corpus": corpus_path, "out": tmp_path / "m.prdm"},
+            "train-proxy": {"base": base_proxy_path, "corpus": corpus_path,
+                            "out": tmp_path / "a.prdl"},
+            "serve": {"blackbox": blackbox_path},
+            "generate": {"prompt": "3", "blackbox": blackbox_path},
+            "bench": {"blackbox": blackbox_path, "base_proxy": base_proxy_path,
+                      "adapter": adapter_path, "prompt": "3"},
+        }[command]
+        flags = as_flags({k: v for k, v in required.items() if k != key})
+        result = self.invoke(runner, tmp_path, command, {key: value}, flags)
+        assert result.exit_code != 0
+        assert f"error code=bad-config msg=\"config key {key}='{value}': " in result.stderr, \
+            result.stderr
+        assert not (tmp_path / "m.prdm").exists()

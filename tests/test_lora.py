@@ -34,9 +34,12 @@ from offsetlm.lora import (
 )
 from offsetlm.models import VocabMismatchError, fnv1a64, mlp_forward, training_positions
 
+from conftest import with_biases
+
+
 @pytest.fixture
 def base(vocab) -> TinyNeuralLM:
-    return TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=1)
+    return with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=1), 1)
 
 
 def rich_adapter(base: TinyNeuralLM, rank: int = 2, seed: int = 13) -> LoraAdapter:
@@ -111,15 +114,6 @@ def assert_same_step(got, want) -> None:
     for name, factors in want[1].items():
         for factor, arr in factors.items():
             assert np.array_equal(got[1][name][factor], arr), (name, factor)
-
-
-def with_biases(base: TinyNeuralLM, seed: int) -> TinyNeuralLM:
-    """``base`` with nonzero biases: ``TinyNeuralLM.random`` draws zeros, and
-    adding a zero bias hides a change in the order of the additions."""
-    rng = np.random.default_rng(seed)
-    return TinyNeuralLM(base.vocab, base.context, base.embedding, base.w1,
-                        rng.normal(0.0, 0.5, size=base.b1.shape), base.w2,
-                        rng.normal(0.0, 0.5, size=base.b2.shape))
 
 
 def train_size_base(seed: int = 4) -> TinyNeuralLM:

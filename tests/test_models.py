@@ -29,7 +29,7 @@ from offsetlm.models import (
     training_positions,
 )
 
-from conftest import TailOnly, pair_count_oracle, random_corpus
+from conftest import TailOnly, pair_count_oracle, random_corpus, with_biases
 
 
 @pytest.fixture
@@ -39,7 +39,7 @@ def vocab3() -> Vocab:
 
 @pytest.fixture
 def neural(vocab) -> TinyNeuralLM:
-    return TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=9)
+    return with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=9), 9)
 
 
 class TestFitBigram:

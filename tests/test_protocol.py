@@ -41,7 +41,7 @@ from offsetlm.protocol import (
 from offsetlm.models import VocabMismatchError
 from offsetlm.transport import FramedConnection, max_draft_rows, queue_channel_pair
 
-from conftest import TailOnly, argmax_oracle, monolithic_generate_oracle
+from conftest import TailOnly, argmax_oracle, monolithic_generate_oracle, with_biases
 
 GREEDY_CFG = GenerationConfig(max_new_tokens=12, mode="greedy")
 
@@ -75,7 +75,7 @@ def rich_adapter(base: TinyNeuralLM, seed: int = 21, spread: float = 0.4):
 @pytest.fixture
 def world(vocab):
     blackbox = dense_blackbox(vocab)
-    base = TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=2)
+    base = with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=2), 2)
     return blackbox, base, rich_adapter(base)
 
 
@@ -523,6 +523,23 @@ class TestWireErrors:
 
         assert isinstance(reply, ProtocolError)
         client.conn.close()
+
+    def test_out_of_sync_commit_ends_the_session(self, vocab, world):
+        from offsetlm.messages import ProtocolError
+        from offsetlm.protocol import ERR_OUT_OF_SYNC, _ConnectionState
+
+        blackbox, _, _ = world
+        server, state = Server(blackbox), _ConnectionState()
+        start = StartSession(session_id=1, prompt=(3,), draft_len=4, max_new_tokens=4)
+        draft = server._dispatch(start, state)
+        assert isinstance(draft, DraftBatch) and len(draft.tokens) == 4
+        # the full accept spends the budget, so the server is done and the client is not
+        commit = Commit(session_id=1, accept_count=4, replacement=None, done=False)
+        reply = server._dispatch(commit, state)
+        assert isinstance(reply, ProtocolError) and reply.code == ERR_OUT_OF_SYNC
+        assert state.sessions == {}
+        reply = server._dispatch(commit, state)
+        assert isinstance(reply, ProtocolError) and reply.code == ERR_SESSION_UNKNOWN
 
     def test_malformed_frame_gets_error_then_close(self, vocab, world):
         import struct
