@@ -52,6 +52,11 @@ class GenerationConfig:
     ``"stochastic"`` (temperature softmax sampling driven by ``seed``).
     ``max_new_tokens`` counts committed response tokens only; zero is a legal
     degenerate budget yielding an empty response.
+
+    Every field fits the ``ServerGenerate`` wire layout, so a config that can
+    be built runs in every mode: ``max_new_tokens`` is in [0, 2**32), ``seed``
+    in [0, 2**64), and ``temperature`` is stored as its binary32 rounding,
+    which must not be NaN, and for stochastic sampling must be in (0, inf).
     """
 
     max_new_tokens: int
@@ -60,12 +65,20 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
+        if not 0 <= self.max_new_tokens < 1 << 32:
+            raise ValueError(f"max_new_tokens must be in [0, 2**32), got {self.max_new_tokens}")
+        if not 0 <= self.seed < 1 << 64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.mode not in (GREEDY, STOCHASTIC):
             raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if self.mode == STOCHASTIC and not self.temperature > 0.0:
-            raise ValueError("temperature must be positive for stochastic sampling")
+        try:
+            temperature = struct.unpack("<f", struct.pack("<f", self.temperature))[0]
+        except OverflowError as exc:
+            raise ValueError(f"temperature {self.temperature} is outside the binary32 range") from exc
+        if math.isnan(temperature) or self.mode == STOCHASTIC and not 0.0 < temperature < math.inf:
+            raise ValueError(f"{self.mode} sampling cannot use temperature {self.temperature} "
+                             f"(binary32: {temperature})")
+        object.__setattr__(self, "temperature", temperature)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -118,13 +131,22 @@ def sample_token(logits: np.ndarray, config: GenerationConfig, rng: np.random.Ge
     return seeded_sample(logits, config.temperature, rng)
 
 
+class VocabMismatchError(ValueError):
+    """A token id fell outside the model's vocabulary."""
+
+
+def check_token_range(tokens, vocab: Vocab) -> None:
+    """Raise :class:`VocabMismatchError` for the first id outside ``vocab``."""
+    for tok in tokens:
+        if not 0 <= tok < vocab.size:
+            raise VocabMismatchError(f"token {tok} out of range for vocab size {vocab.size}")
+
+
 def parse_token_line(line: str, vocab: Vocab | None = None) -> list[int]:
     """Parse one whitespace-separated decimal token-id line."""
     tokens = [int(part) for part in line.split()]
     if vocab is not None:
-        for tok in tokens:
-            if not 0 <= tok < vocab.size:
-                raise ValueError(f"token {tok} out of range for vocab size {vocab.size}")
+        check_token_range(tokens, vocab)
     return tokens
 
 

@@ -3,8 +3,10 @@
 These are plain records; their byte layout lives in :mod:`offsetlm.transport`.
 Structural invariants that a decoder can check without session state are
 enforced here in ``__post_init__`` so that a decoded message is always a
-well-formed one. Cross-message invariants (commit counts versus the last
-draft, session ids, budgets) belong to :mod:`offsetlm.protocol`.
+well-formed one. Sampling settings travel as the
+:class:`~offsetlm.core.GenerationConfig` itself, which checks its own ranges.
+Cross-message invariants (commit counts versus the last draft, session ids,
+budgets) belong to :mod:`offsetlm.protocol`.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import GenerationConfig
+
 PROTOCOL_VERSION = 1
 
 FLAVOR_BLACKBOX = 0  # generate from the black-box model alone (api mode)
 FLAVOR_ADAPTED = 1  # offset-adapted generation using the uploaded adapter
-
-MODE_GREEDY = 0
-MODE_STOCHASTIC = 1
 
 
 def _token_tuple(tokens, what: str) -> tuple[int, ...]:
@@ -67,10 +68,10 @@ class StartSession:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prompt", _token_tuple(self.prompt, "prompt"))
-        if self.draft_len < 1:
-            raise ValueError("draft_len must be at least 1")
-        if self.max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
+        if not 1 <= self.draft_len < 1 << 32:
+            raise ValueError(f"draft_len must be in [1, 2**32), got {self.draft_len}")
+        if not 0 <= self.max_new_tokens < 1 << 32:
+            raise ValueError(f"max_new_tokens must be in [0, 2**32), got {self.max_new_tokens}")
 
 
 @dataclass(eq=False)
@@ -144,27 +145,20 @@ class ServerGenerate:
     """Ask the server to run a whole generation locally.
 
     ``flavor`` selects the black-box alone (api mode) or the offset-adapted
-    composition using the previously uploaded adapter (transfer mode).
+    composition using the previously uploaded adapter (transfer mode). The
+    server samples with ``config`` as it arrives, so a transfer run samples
+    exactly as the client-side modes do with the same config.
     """
 
     session_id: int
     prompt: tuple[int, ...]
     flavor: int
-    mode: int
-    temperature: float
-    seed: int
-    max_new_tokens: int
+    config: GenerationConfig
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prompt", _token_tuple(self.prompt, "prompt"))
         if self.flavor not in (FLAVOR_BLACKBOX, FLAVOR_ADAPTED):
             raise ValueError(f"unknown generation flavor {self.flavor}")
-        if self.mode not in (MODE_GREEDY, MODE_STOCHASTIC):
-            raise ValueError(f"unknown sampling mode tag {self.mode}")
-        if self.mode == MODE_STOCHASTIC and not self.temperature > 0.0:
-            raise ValueError("stochastic sampling needs a positive temperature")
-        if self.max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
 
 
 @dataclass(frozen=True)

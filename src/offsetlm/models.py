@@ -35,7 +35,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import ByteReader, Vocab
+from .core import ByteReader, Vocab, VocabMismatchError, check_token_range  # noqa: F401
 
 PRDM_MAGIC = b"PRDM"
 PRDM_VERSION = 1
@@ -45,10 +45,6 @@ ARCH_TINY_NEURAL = 2
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 _U64 = (1 << 64) - 1
-
-
-class VocabMismatchError(ValueError):
-    """A token id fell outside the model's vocabulary."""
 
 
 class EmptyCorpusError(ValueError):
@@ -71,11 +67,7 @@ def fnv1a64(data: bytes) -> int:
 def _check_tokens(seq: list[int], vocab: Vocab) -> None:
     if len(seq) == 0:
         raise ValueError("sequence must be non-empty")
-    for tok in seq:
-        if not 0 <= tok < vocab.size:
-            raise VocabMismatchError(
-                f"token {tok} out of range for vocab size {vocab.size}"
-            )
+    check_token_range(seq, vocab)
 
 
 def _checked_window(seq: list[int], n: int, vocab: Vocab) -> list[int]:

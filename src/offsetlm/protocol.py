@@ -41,22 +41,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    GREEDY,
-    STOCHASTIC,
-    GenerationConfig,
-    Vocab,
-    argmax_sample,
-    make_rng,
-    sample_token,
-)
+from .core import STOCHASTIC, GenerationConfig, Vocab, argmax_sample, make_rng, sample_token
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
 from .models import LogitModel, TinyNeuralLM, _check_tokens
 from .messages import (
     FLAVOR_ADAPTED,
     FLAVOR_BLACKBOX,
-    MODE_GREEDY,
-    MODE_STOCHASTIC,
     PROTOCOL_VERSION,
     Commit,
     DraftBatch,
@@ -395,17 +385,11 @@ class Server:
             return ProtocolError(ERR_INVALID_PROMPT, why)
         if msg.flavor == FLAVOR_ADAPTED and adapted_proxy is None:
             return ProtocolError(ERR_UNSUPPORTED, "no adapter uploaded for adapted generation")
-        config = GenerationConfig(
-            max_new_tokens=msg.max_new_tokens,
-            mode=GREEDY if msg.mode == MODE_GREEDY else STOCHASTIC,
-            temperature=msg.temperature if msg.mode == MODE_STOCHASTIC else 1.0,
-            seed=msg.seed,
-        )
         if msg.flavor == FLAVOR_BLACKBOX:
-            tokens = generate_blackbox(self.blackbox, list(msg.prompt), config)
+            tokens = generate_blackbox(self.blackbox, list(msg.prompt), msg.config)
         else:
             tokens = generate_adapted(
-                self.blackbox, self.base_proxy, adapted_proxy, list(msg.prompt), config
+                self.blackbox, self.base_proxy, adapted_proxy, list(msg.prompt), msg.config
             )
         return GenerationResult(session_id=msg.session_id, tokens=tuple(tokens))
 
@@ -502,9 +486,7 @@ class Client:
                 model_fingerprint=fingerprint,
             )
         )
-        ack = self.conn.recv_message()
-        if isinstance(ack, ProtocolError):
-            _raise_remote(ack)
+        ack = self._recv()
         if not isinstance(ack, HelloAck):
             raise OutOfSyncError(f"expected HelloAck, got {type(ack).__name__}")
         if not ack.accept:
@@ -534,8 +516,6 @@ class Client:
         """
         if self.base_proxy is None or self.tuned_proxy is None:
             raise ValueError("speculative generation needs a base proxy and an adapter")
-        if draft_len < 1:
-            raise ValueError("draft_len must be at least 1")
         rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
         session_id = next(self._session_ids)
         mirror = list(prompt)
@@ -646,17 +626,7 @@ class Client:
         self, prompt: list[int], config: GenerationConfig, flavor: int
     ) -> list[int]:
         session_id = next(self._session_ids)
-        self.conn.send_message(
-            ServerGenerate(
-                session_id=session_id,
-                prompt=tuple(prompt),
-                flavor=flavor,
-                mode=MODE_GREEDY if config.mode == GREEDY else MODE_STOCHASTIC,
-                temperature=config.temperature,
-                seed=config.seed,
-                max_new_tokens=config.max_new_tokens,
-            )
-        )
+        self.conn.send_message(ServerGenerate(session_id, tuple(prompt), flavor, config))
         msg = self._recv()
         if not isinstance(msg, GenerationResult) or msg.session_id != session_id:
             raise OutOfSyncError(f"expected GenerationResult, got {msg!r}")

@@ -33,7 +33,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import ByteReader
+from .core import GREEDY, STOCHASTIC, ByteReader, GenerationConfig
 from .messages import (
     Commit,
     DraftBatch,
@@ -106,6 +106,22 @@ def _read_draft_rows(r: ByteReader, fields: dict[str, Any]) -> np.ndarray:
     return r.array("<f4", n, rest // (4 * n))
 
 
+_SAMPLING_MODES = (GREEDY, STOCHASTIC)  # a config's mode byte indexes this
+_CONFIG = struct.Struct("<BfQI")
+
+
+def _pack_config(c: GenerationConfig) -> bytes:
+    return _CONFIG.pack(_SAMPLING_MODES.index(c.mode), c.temperature, c.seed, c.max_new_tokens)
+
+
+def _read_config(r: ByteReader, _) -> GenerationConfig:
+    at = r.pos
+    mode, temperature, seed, max_new_tokens = r.unpack(_CONFIG.format)
+    if mode >= len(_SAMPLING_MODES):
+        raise r.fail(f"unknown sampling mode byte {mode}", at)
+    return GenerationConfig(max_new_tokens, _SAMPLING_MODES[mode], temperature, seed)
+
+
 class FieldKind(NamedTuple):
     write: Callable[[Any], bytes]
     read: Callable[[ByteReader, dict[str, Any]], Any]  # also given the fields read so far
@@ -133,6 +149,8 @@ FIELD_KINDS = {
     # binary32 rows to the end of the payload, one per drafted token (at
     # least one); the decoder infers the row width from the bytes left
     "draft_rows": FieldKind(lambda v: np.asarray(v, dtype="<f4").tobytes(), _read_draft_rows),
+    # a GenerationConfig: mode u8, temperature f32, seed u64, max_new_tokens u32
+    "config": FieldKind(_pack_config, _read_config),
 }
 
 
@@ -159,8 +177,7 @@ MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
     )),
     UploadAdapter: MessageLayout(6, CAT_MODEL, (("adapter_bytes", "blob"), ("base_fingerprint", "u64"))),
     ServerGenerate: MessageLayout(7, CAT_DATA, (
-        ("session_id", "u64"), ("prompt", "tokens"), ("flavor", "u8"), ("mode", "u8"),
-        ("temperature", "f32"), ("seed", "u64"), ("max_new_tokens", "u32"),
+        ("session_id", "u64"), ("prompt", "tokens"), ("flavor", "u8"), ("config", "config"),
     )),
     GenerationResult: MessageLayout(8, CAT_INFERENCE, (("session_id", "u64"), ("tokens", "tokens"))),
     ProtocolError: MessageLayout(9, CAT_INFERENCE, (("code", "text"), ("text", "text"))),

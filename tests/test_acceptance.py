@@ -27,7 +27,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import monolithic_generate_oracle
+from conftest import monolithic_generate_oracle, with_biases
 
 from offsetlm import (
     BigramTableModel,
@@ -198,9 +198,9 @@ def dense_blackbox(vocab: Vocab, seed: int = 0) -> BigramTableModel:
 def test_criterion_1_speculative_matches_per_token(world):
     with verdict(1, "speculative-equivalence", 30.0):
         rng = np.random.default_rng(0xACC)
-        neural_bb = TinyNeuralLM.random(
+        neural_bb = with_biases(TinyNeuralLM.random(
             world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42
-        )
+        ), 42)
         blackboxes = [world.blackbox, neural_bb]
         adapters = [world.zero, world.strong]
         config = GenerationConfig(max_new_tokens=16, mode="greedy")
@@ -236,7 +236,9 @@ def test_criterion_1_stochastic_speculative_matches_per_token(world):
     Verification draws once per inspected draft position and commits every
     position it inspects, so the k-th draw always picks response token k.
     """
-    neural_bb = TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42)
+    neural_bb = with_biases(
+        TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42), 42
+    )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -278,7 +280,9 @@ def test_criterion_1_any_draft_size_schedule_matches_fixed_s(world, monkeypatch)
     in [1, draft_len] (still clamped by the budget); greedy and stochastic
     runs must equal the fixed-S run, ``generate_adapted`` and the oracle.
     """
-    neural_bb = TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42)
+    neural_bb = with_biases(
+        TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42), 42
+    )
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -680,10 +684,12 @@ def _random_message(rng) -> Message:
             session_id=session_id,
             prompt=tokens,
             flavor=int(rng.integers(0, 2)),
-            mode=1 if stochastic else 0,
-            temperature=float(rng.integers(1, 64)) / 16.0,
-            seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
-            max_new_tokens=int(rng.integers(0, 100)),
+            config=GenerationConfig(
+                mode="stochastic" if stochastic else "greedy",
+                temperature=float(rng.integers(1, 64)) / 16.0,
+                seed=int(rng.integers(0, 2**64, dtype=np.uint64)),
+                max_new_tokens=int(rng.integers(0, 100)),
+            ),
         )
     if kind == 7:
         return GenerationResult(session_id=session_id, tokens=tokens)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from offsetlm import GenerationConfig, Vocab, argmax_sample, make_rng, seeded_sample
 from offsetlm.core import parse_token_line, read_corpus, softmax64
+from offsetlm.models import VocabMismatchError
 
 from conftest import argmax_oracle, softmax_oracle
 
@@ -49,6 +50,31 @@ class TestGenerationConfig:
             GenerationConfig(max_new_tokens=1, mode="beam")
         with pytest.raises(ValueError):
             GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(max_new_tokens=1, seed=-1),
+            dict(max_new_tokens=1, seed=2**64),
+            dict(max_new_tokens=2**32),
+            dict(max_new_tokens=1, mode="stochastic", temperature=1e-50),
+            dict(max_new_tokens=1, temperature=1e39),
+            dict(max_new_tokens=1, temperature=float("nan")),
+        ],
+        ids=["seed-negative", "seed-2^64", "budget-2^32", "stochastic-1e-50", "temperature-1e39",
+             "temperature-nan"],
+    )
+    def test_rejects_what_the_wire_cannot_carry(self, kwargs):
+        with pytest.raises(ValueError):
+            GenerationConfig(**kwargs)
+
+    def test_accepts_the_edges_of_the_wire_ranges(self):
+        assert GenerationConfig(max_new_tokens=1, seed=2**64 - 1).seed == 2**64 - 1
+        assert GenerationConfig(max_new_tokens=2**32 - 1).max_new_tokens == 2**32 - 1
+        assert GenerationConfig(max_new_tokens=1, mode="greedy", temperature=0.0).temperature == 0.0
+
+    def test_temperature_is_stored_as_its_binary32_rounding(self):
+        assert GenerationConfig(1, "stochastic", 0.9).temperature == 0.8999999761581421
 
 
 class TestArgmax:
@@ -139,6 +165,11 @@ class TestCorpusIo:
     def test_parse_line(self, vocab):
         assert parse_token_line("3 4  5", vocab) == [3, 4, 5]
         with pytest.raises(ValueError):
+            parse_token_line("3 99", vocab)
+
+    def test_parse_line_shares_the_models_range_error(self, vocab):
+        assert parse_token_line("", vocab) == []
+        with pytest.raises(VocabMismatchError, match="token 99 out of range"):
             parse_token_line("3 99", vocab)
 
     def test_read_corpus_round_trip(self, tmp_path, vocab):

@@ -387,6 +387,36 @@ class TestModeEquivalence:
             assert client.run_transfer([4, 5], config) == reference
             client.conn.close()
 
+    def test_stochastic_transfer_samples_with_the_client_temperature(self, vocab):
+        """T=0.9 has no exact binary32 value; every mode samples with the same one.
+
+        With this black-box row and a zero adapter, seed 0's first uniform falls
+        between token 0's probability at T=0.9 and at T=fl32(0.9), so sampling
+        with the two temperatures picks different tokens.
+        """
+
+        class FixedRow(LogitModel):
+            window = 1
+
+            def __init__(self, vocab):
+                self.vocab = vocab
+
+            def next_logits(self, seq):
+                row = np.zeros(self.vocab.size, dtype=np.float32)
+                row[0] = 2.2573001
+                return row
+
+        blackbox = FixedRow(vocab)
+        base = TinyNeuralLM.random(vocab, 3, 4, 6, seed=0)
+        adapter = init_adapter(base, 2, seed=0)
+        config = GenerationConfig(max_new_tokens=4, mode="stochastic", temperature=0.9, seed=0)
+        client = connected_client(Server(blackbox, base), vocab, base, adapter)
+        per_token = client.run_per_token([3], config)
+        transfer = client.run_transfer([3], config)
+        client.conn.close()
+        tuned = apply_adapter(base, adapter)
+        assert per_token == transfer == generate_adapted(blackbox, base, tuned, [3], config)
+
     def test_generate_adapted_equals_oracle_directly(self, vocab, world):
         blackbox, base, adapter = world
         from offsetlm import apply_adapter
@@ -459,6 +489,15 @@ class TestBudgetsAndStopping:
         with pytest.raises(RemoteProtocolError) as err:
             client.run_api([3, vocab.eos_id, 4], GREEDY_CFG)
         assert err.value.code == ERR_INVALID_PROMPT
+        client.conn.close()
+
+
+    def test_draft_len_must_fit_a_u32(self, vocab, world):
+        blackbox, base, adapter = world
+        client = connected_client(Server(blackbox), vocab, base, adapter)
+        for draft_len in (0, 2**32):
+            with pytest.raises(ValueError, match="draft_len"):
+                client.run_speculative([3], GREEDY_CFG, draft_len=draft_len)
         client.conn.close()
 
 

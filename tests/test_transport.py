@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetlm import CostLedger, FramedConnection, decode_message, encode_message
+from offsetlm import CostLedger, FramedConnection, GenerationConfig, decode_message, encode_message
 from offsetlm.messages import (
     Commit,
     DraftBatch,
@@ -71,7 +71,8 @@ EXAMPLES = [
     Commit(session_id=9, accept_count=3),
     Commit(session_id=9, accept_count=2, replacement=11, done=True),
     UploadAdapter(adapter_bytes=b"PRDL...", base_fingerprint=77),
-    ServerGenerate(session_id=4, prompt=(6,), flavor=1, mode=1, temperature=0.5, seed=42, max_new_tokens=12),
+    ServerGenerate(session_id=4, prompt=(6,), flavor=1,
+                   config=GenerationConfig(max_new_tokens=12, mode="stochastic", temperature=0.5, seed=42)),
     GenerationResult(session_id=4, tokens=(6, 7, 1)),
     GenerationResult(session_id=4, tokens=()),
     ProtocolError(code="unknown-session", text="no session 12"),
@@ -123,11 +124,11 @@ upload_msgs = st.builds(
 )
 generate_msgs = st.builds(
     lambda sid, prompt, flavor, mode, temp, seed, budget: ServerGenerate(
-        session_id=sid, prompt=prompt, flavor=flavor, mode=mode,
-        temperature=temp, seed=seed, max_new_tokens=budget,
+        session_id=sid, prompt=prompt, flavor=flavor,
+        config=GenerationConfig(max_new_tokens=budget, mode=mode, temperature=temp, seed=seed),
     ),
-    u64, token_lists.map(tuple), st.integers(0, 1), st.integers(0, 1),
-    st.floats(min_value=0.0625, max_value=8.0, width=32), u64, u32,
+    u64, token_lists.map(tuple), st.integers(0, 1), st.sampled_from(["greedy", "stochastic"]),
+    st.floats(min_value=0.0625, max_value=8.0), u64, u32,
 )
 result_msgs = st.builds(GenerationResult, u64, token_lists.map(tuple))
 error_msgs = st.builds(ProtocolError, st.text(min_size=1, max_size=30), short_text)
@@ -248,6 +249,24 @@ class TestStrictDecoding:
         with pytest.raises(MalformedPayloadError) as err:
             decode_message(bytes(data))
         assert err.value.offset == 1
+
+    def test_unknown_sampling_mode_byte_reports_offset(self):
+        data = bytearray(encode_message(EXAMPLES[9]))
+        data[18] = 2  # after tag 1, session 8, prompt 4 + 4, flavor 1
+        with pytest.raises(MalformedPayloadError) as err:
+            decode_message(bytes(data))
+        assert err.value.offset == 18
+
+    def test_refused_config_is_malformed(self):
+        data = bytearray(encode_message(EXAMPLES[9]))
+        data[19:23] = struct.pack("<f", 0.0)  # a stochastic config at T=0
+        with pytest.raises(MalformedPayloadError, match="temperature"):
+            decode_message(bytes(data))
+
+    @pytest.mark.parametrize("draft_len, budget", [(0, 1), (2**32, 1), (1, -1), (1, 2**32)])
+    def test_start_session_fields_must_fit_their_u32(self, draft_len, budget):
+        with pytest.raises(ValueError):
+            StartSession(session_id=1, prompt=(3,), draft_len=draft_len, max_new_tokens=budget)
 
     def test_truncation_offset_points_at_the_end(self):
         data = encode_message(EXAMPLES[0])
