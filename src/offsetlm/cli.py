@@ -23,9 +23,11 @@ Every option, required ones included, can also come from a flat
 ``_``; flags win over the file, the file over built-in defaults, and keys no
 option takes are ignored. Each entry is checked by its option's type: a bad
 one, ``mode`` and ``sampling`` included, fails as ``bad-config`` and names
-its key (a missing ``--mode`` is ``bad-mode``). Corpora are plain text, one
-document per line, whitespace-separated decimal token ids. Reports are
-line-delimited ``field=value`` records.
+its key (a missing ``--mode`` is ``bad-mode``). A sampling setting the wire
+cannot carry (a negative ``--seed``, a ``--temperature`` beyond binary32,
+``--max-new-tokens`` of 2**32 or more) fails as ``bad-sampling``. Corpora are
+plain text, one document per line, whitespace-separated decimal token ids.
+Reports are line-delimited ``field=value`` records.
 """
 
 from __future__ import annotations
@@ -139,6 +141,13 @@ def _vocab_from_flags(size, eos, bos) -> Vocab:
         return Vocab(size=size, eos_id=eos, bos_id=bos)
     except ValueError as exc:
         raise CliError("bad-vocab", str(exc)) from exc
+
+
+def _generation_config(max_new_tokens, sampling, temperature, seed) -> GenerationConfig:
+    try:
+        return GenerationConfig(max_new_tokens, sampling, temperature, seed)
+    except ValueError as exc:
+        raise CliError("bad-sampling", str(exc)) from exc
 
 
 def _wrap_errors(fn):
@@ -356,7 +365,7 @@ def cmd_generate(mode, prompt, prompt_file, connect, blackbox, base_proxy, adapt
     if mode == "prada-sd" and draft_len < 1:
         raise CliError("bad-draft-len", f"--draft-len must be at least 1, got {draft_len}")
     tokens_in = _parse_prompt(prompt, prompt_file)
-    gen_config = GenerationConfig(max_new_tokens, sampling, temperature, seed)
+    gen_config = _generation_config(max_new_tokens, sampling, temperature, seed)
 
     base = adapter_model = None
     if mode in PROXY_MODES:
@@ -422,7 +431,7 @@ def cmd_bench(blackbox, base_proxy, adapter, prompt, prompt_file, modes, draft_l
             raise CliError("bad-mode", f"unknown mode {m!r}")
     sweep = _draft_lens(draft_lens)
     tokens_in = _parse_prompt(prompt, prompt_file)
-    gen_config = GenerationConfig(max_new_tokens, sampling, temperature, seed)
+    gen_config = _generation_config(max_new_tokens, sampling, temperature, seed)
 
     blackbox_model = load_model(blackbox)
     base, adapter_model = _load_proxy_models(base_proxy, adapter)

@@ -37,6 +37,7 @@ from .models import (
     _checked_window,
     fnv1a64,
     mlp_forward,
+    row_blocks,
     training_positions,
 )
 
@@ -252,36 +253,46 @@ def loss_and_grads(
     windows, targets = training_positions(batch, base.vocab, base.context)
     params = tuple(p.astype(np.float64) for p in base.params)
     low_rank = _low_rank(adapter, np.float64)
-    x, hid, logp = mlp_forward(params, windows, low_rank)
+    x, hid, g = mlp_forward(params, windows, low_rank)
+    del x  # gathered again for the w1 gradients, after g is gone
     n = windows.shape[0]
 
-    # Log-softmax in place in the fresh logits buffer. One more (n, V) buffer
-    # holds the exponentials for the row sums, then g = exp(logp).
-    logp -= logp.max(axis=1, keepdims=True)
-    e = np.exp(logp)
-    logp -= np.log(e.sum(axis=1, keepdims=True))
-    loss = float(-logp[np.arange(n), targets].mean())
+    # The logits buffer is the only (n, V) array: one row block at a time it
+    # becomes the log-probabilities (whose target entries are copied out for
+    # the loss) and then the logits gradient g, in place.
+    picked = np.empty(n)
+    for blk in row_blocks(n):
+        z = g[blk]
+        rows = np.arange(len(z))
+        z -= z.max(axis=1, keepdims=True)
+        z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+        picked[blk] = z[rows, targets[blk]]
+        np.exp(z, out=z)
+        z[rows, targets[blk]] -= 1.0
+        z /= n
+    del z  # a view of g, which would keep its buffer alive past `del g`
+    loss = float(-picked.mean())
 
-    g = np.exp(logp, out=e)
-    del logp  # the backward pass holds only g at (n, V)
-    g[np.arange(n), targets] -= 1.0
-    g /= n
-
+    # Every product that reads g runs first; g is dropped before the w1 gradients.
     t1, t2 = low_rank  # (scaling, a, b): b is the up factor, not a bias
     grads: dict[str, dict[str, np.ndarray]] = {}
     if t2 is not None:
         s2, a2, b2 = t2
         grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
-    if t1 is not None:
-        d_hid = g @ params[3]  # the base w2
-        if t2 is not None:
-            t = (g @ b2) @ a2
-            t *= s2
-            d_hid += t
-        d_pre = d_hid
-        d_pre *= 1.0 - hid * hid
-        s1, a1, b1 = t1
-        grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
+    if t1 is None:
+        return loss, grads
+    d_hid = g @ params[3]  # the base w2
+    gb = None if t2 is None else g @ b2
+    del g
+    if gb is not None:
+        t = gb @ a2
+        t *= s2
+        d_hid += t
+    d_pre = d_hid
+    d_pre *= 1.0 - hid * hid
+    x = params[0][windows].reshape(n, -1)  # the same gather as mlp_forward's
+    s1, a1, b1 = t1
+    grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
     return loss, grads
 
 

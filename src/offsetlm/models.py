@@ -238,10 +238,12 @@ def mlp_forward(params, windows, low_rank=(None, None)):
     ``hid`` are returned for the backward pass.
 
     All three outputs are fresh arrays the caller owns; no input is written.
-    Each dense layer allocates its output and at most one temporary of the
-    same shape (the low-rank term), and updates the output in place with the
+    Each dense layer allocates its output and updates it in place with the
     same operands and grouping as ``x @ w.T + scaling * ((x @ a.T) @ b.T) +
-    bias``, so in-place and out-of-place results are bit-identical.
+    bias``, so in-place and out-of-place results are bit-identical. For a
+    batch, the low-rank product ``(x @ a.T) @ b.T`` runs one block of
+    :func:`row_blocks` at a time, so its temporary holds a block, not the
+    whole output.
     """
     emb, w1, b1, w2, b2 = params
     x = emb[windows]
@@ -255,11 +257,39 @@ def _dense(x, w, bias, term):
     out = x @ w.T
     if term is not None:
         scaling, a, b = term
-        t = (x @ a.T) @ b.T
-        t *= scaling
-        out += t
+        if x.ndim == 1:
+            t = (x @ a.T) @ b.T
+            t *= scaling
+            out += t
+        else:
+            u = x @ a.T
+            for blk in row_blocks(len(x)):
+                t = u[blk] @ b.T
+                t *= scaling
+                out[blk] += t
+                del t  # so that the next block's product does not coexist with this one
     out += bias
     return out
+
+
+# Rows per block of a batched (n, V) computation. A product over a block of
+# rows gives the same bits as those rows of the full product only while BLAS
+# takes the same kernel path. With OpenBLAS 0.3.31 on an AVX-512 Xeon, blocks
+# of 1 row (gemv) and, at inner size 64, of 2 rows gave other bits; blocks of
+# 3 to 2048 rows gave the full product's. If the reference tests of
+# tests/test_lora.py fail on another build, raise this floor.
+ROW_BLOCK = 256
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Cut ``n`` rows into consecutive slices of ``ROW_BLOCK`` rows.
+
+    The last slice takes the remainder, so it holds ``ROW_BLOCK`` to
+    ``2 * ROW_BLOCK - 1`` rows; fewer than ``2 * ROW_BLOCK`` rows make one
+    slice, and then the blocked computation makes the unblocked calls.
+    """
+    bounds = [i * ROW_BLOCK for i in range(max(n // ROW_BLOCK, 1))] + [n]
+    return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def _init_neural_params(rng, v, context, d, h, scale):

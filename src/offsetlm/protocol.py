@@ -41,7 +41,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import STOCHASTIC, GenerationConfig, Vocab, argmax_sample, make_rng, sample_token
+from .core import (
+    STOCHASTIC,
+    GenerationConfig,
+    Vocab,
+    VocabMismatchError,
+    argmax_sample,
+    check_token_range,
+    make_rng,
+    sample_token,
+)
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
 from .models import LogitModel, TinyNeuralLM, _check_tokens
 from .messages import (
@@ -322,9 +331,10 @@ class Server:
     def _check_prompt(self, prompt: tuple[int, ...]) -> str | None:
         if len(prompt) == 0:
             return "prompt must be non-empty"
-        for tok in prompt:
-            if not 0 <= tok < self.vocab.size:
-                return f"prompt token {tok} out of vocab"
+        try:
+            check_token_range(prompt, self.vocab)
+        except VocabMismatchError as exc:
+            return f"prompt {exc}"
         if self.vocab.eos_id in prompt[:-1]:
             return "eos inside the prompt body"
         return None

@@ -167,6 +167,10 @@ class TestTrainProxy:
         assert 'error code=bad-base msg="' in result.stderr
 
 
+# settings GenerationConfig refuses: each is outside what the wire carries
+BAD_SAMPLING = [("--seed", "-1"), ("--temperature", "1e39"), ("--max-new-tokens", "4294967296")]
+
+
 class TestGenerate:
     def invoke_mode(self, runner, mode, blackbox_path, base_proxy_path, adapter_path,
                     extra=()):
@@ -306,6 +310,13 @@ class TestGenerate:
         assert result.exit_code != 0
         assert f"error code={code} msg=\"" in result.stderr, result.stderr
 
+    @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
+    def test_bad_sampling_is_a_named_code(self, runner, blackbox_path, flag, value):
+        result = runner.invoke(main, ["generate", "--mode", "api", "--prompt", "3",
+                                      "--blackbox", str(blackbox_path), flag, value])
+        assert result.exit_code != 0
+        assert "error code=bad-sampling msg=\"" in result.stderr, result.stderr
+
 
 class TestServeAndConnect:
     def test_generate_against_a_live_server(
@@ -387,6 +398,16 @@ class TestBench:
         assert int(by_key[("prada-sd", "4")]["rounds"]) < int(by_key[("prada", "1")]["rounds"])
         assert int(by_key[("prada-transfer", "0")]["model_bytes"]) > 0
         assert int(by_key[("api", "0")]["model_bytes"]) == 0
+
+    @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
+    def test_bad_sampling_is_a_named_code(self, runner, blackbox_path, base_proxy_path,
+                                          adapter_path, flag, value):
+        result = runner.invoke(main, [
+            "bench", "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path),
+            "--adapter", str(adapter_path), "--prompt", "3", flag, value,
+        ])
+        assert result.exit_code != 0
+        assert "error code=bad-sampling msg=\"" in result.stderr, result.stderr
 
     def test_unknown_mode_rejected(self, runner, blackbox_path, base_proxy_path, adapter_path):
         result = runner.invoke(main, [

@@ -491,6 +491,20 @@ class TestBudgetsAndStopping:
         assert err.value.code == ERR_INVALID_PROMPT
         client.conn.close()
 
+    def test_out_of_vocab_prompt_token_is_an_invalid_prompt(self, vocab, world):
+        from offsetlm.messages import FLAVOR_BLACKBOX, ProtocolError, ServerGenerate
+        from offsetlm.protocol import _ConnectionState
+
+        blackbox, _, _ = world
+        server, state = Server(blackbox), _ConnectionState()
+        bad = (3, vocab.size + 5)
+        for msg in (StartSession(session_id=1, prompt=bad, draft_len=4, max_new_tokens=4),
+                    ServerGenerate(session_id=2, prompt=bad, flavor=FLAVOR_BLACKBOX,
+                                   config=GREEDY_CFG)):
+            reply = server._dispatch(msg, state)
+            assert isinstance(reply, ProtocolError) and reply.code == ERR_INVALID_PROMPT
+            assert f"token {vocab.size + 5} " in reply.text
+        assert state.sessions == {}
 
     def test_draft_len_must_fit_a_u32(self, vocab, world):
         blackbox, base, adapter = world

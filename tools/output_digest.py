@@ -14,8 +14,8 @@ and leaves ``values`` alone. One more case
 runs adapter training at the benchmark's train-adapter size (V = 512,
 context 8, embed 16, hidden 64, rank 8, 32 documents of 64 tokens, batch 8,
 one epoch) and then ``loss_and_grads`` over the whole corpus (2016
-positions), so the large-batch path, where BLAS runs threaded, is covered
-too.
+positions, 7 row blocks of ``models.row_blocks``), so the large-batch path,
+where BLAS runs threaded and the step works block by block, is covered too.
 
 It also checks the mode equivalences on the way: ``api`` must equal
 ``generate_blackbox``, and ``prada`` (per token), ``prada-sd`` at S = 1 and 8
