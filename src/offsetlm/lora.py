@@ -16,7 +16,9 @@ Training is plain mini-batch SGD on mean next-token cross-entropy with the
 base model frozen: only ``A`` and ``B`` receive gradients (hand-derived,
 verified against central finite differences in the test suite). All training
 arithmetic is binary64; inference and the ``PRDL`` serialization round to
-binary32 once, at snapshot time.
+binary32 once, at snapshot time. A step is written for a device with little
+memory: it reuses one (n, V) and one (n, h) buffer for n positions (see
+:func:`loss_and_grads`).
 
 ``A`` is initialized uniform in (-1/sqrt(n), +1/sqrt(n)) from the seed and
 ``B`` starts at zero, so a freshly initialized adapter is an exact identity:
@@ -211,7 +213,7 @@ class AdaptedModel(LogitModel):
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
         win = _checked_window(seq, self.window, self.vocab)
-        return mlp_forward(self.base.params, self.base.window_ids(win), self._low_rank)[2]
+        return mlp_forward(self.base.params, self.base.window_ids(win), self._low_rank)[1]
 
 
 def _low_rank(adapter: LoraAdapter, dtype) -> tuple:
@@ -242,6 +244,13 @@ def loss_and_grads(
     The mean runs over every prediction position of every sequence in the
     batch. Returned grads are keyed by target name, each a dict with "b" and
     "a" arrays shaped like the corresponding factors.
+
+    For n positions, the step holds one (n, V) and one (n, h) binary64
+    array; every other temporary is a row block of :func:`row_blocks`, a
+    narrow (n, r) or (n, context) array, or has no n dimension. The
+    concatenated embeddings the w1 gradients read are gathered again, into
+    the spent logits buffer when they fit. The results are bit-identical to
+    the out-of-place formula.
     """
     if len(batch) == 0:
         raise DegenerateBatchError("batch must be non-empty")
@@ -253,13 +262,13 @@ def loss_and_grads(
     windows, targets = training_positions(batch, base.vocab, base.context)
     params = tuple(p.astype(np.float64) for p in base.params)
     low_rank = _low_rank(adapter, np.float64)
-    x, hid, g = mlp_forward(params, windows, low_rank)
-    del x  # gathered again for the w1 gradients, after g is gone
+    hid, g = mlp_forward(params, windows, low_rank)
     n = windows.shape[0]
 
-    # The logits buffer is the only (n, V) array: one row block at a time it
-    # becomes the log-probabilities (whose target entries are copied out for
-    # the loss) and then the logits gradient g, in place.
+    # The step holds one (n, V) array and one (n, h) array. One row block at
+    # a time, the logits buffer becomes the log-probabilities (whose target
+    # entries are copied out for the loss) and then the logits gradient g,
+    # in place; the hidden activations become d_pre in place.
     picked = np.empty(n)
     for blk in row_blocks(n):
         z = g[blk]
@@ -273,7 +282,6 @@ def loss_and_grads(
     del z  # a view of g, which would keep its buffer alive past `del g`
     loss = float(-picked.mean())
 
-    # Every product that reads g runs first; g is dropped before the w1 gradients.
     t1, t2 = low_rank  # (scaling, a, b): b is the up factor, not a bias
     grads: dict[str, dict[str, np.ndarray]] = {}
     if t2 is not None:
@@ -281,16 +289,29 @@ def loss_and_grads(
         grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
     if t1 is None:
         return loss, grads
-    d_hid = g @ params[3]  # the base w2
-    gb = None if t2 is None else g @ b2
+    for blk in row_blocks(n):
+        d = g[blk] @ params[3]  # the base w2
+        if t2 is not None:
+            t = (g[blk] @ b2) @ a2
+            t *= s2
+            d += t
+        h = hid[blk]
+        d *= 1.0 - h * h
+        hid[blk] = d
+    d_pre = hid
+
+    # Nothing reads g any more: the w1 inputs x, the same gather as
+    # mlp_forward's, go into the front of its buffer when they fit.
+    emb = params[0]
+    width = base.context * base.embed_dim
+    if width <= g.shape[1]:
+        x = g.reshape(-1)[: n * width].reshape(n, width)
+        # the indices were range-checked by training_positions; mode="raise"
+        # would buffer `out`, allocating a second (n, context * d) array
+        np.take(emb, windows, axis=0, out=x.reshape(n, base.context, -1), mode="clip")
+    else:
+        x = emb[windows].reshape(n, width)
     del g
-    if gb is not None:
-        t = gb @ a2
-        t *= s2
-        d_hid += t
-    d_pre = d_hid
-    d_pre *= 1.0 - hid * hid
-    x = params[0][windows].reshape(n, -1)  # the same gather as mlp_forward's
     s1, a1, b1 = t1
     grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
     return loss, grads

@@ -208,7 +208,7 @@ class TinyNeuralLM(LogitModel):
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
         win = _checked_window(seq, self.context, self.vocab)
-        return mlp_forward(self.params, self.window_ids(win))[2]
+        return mlp_forward(self.params, self.window_ids(win))[1]
 
     @staticmethod
     def random(
@@ -227,30 +227,41 @@ class TinyNeuralLM(LogitModel):
 
 
 def mlp_forward(params, windows, low_rank=(None, None)):
-    """The window MLP: ``(x, hid, logits)`` for one window or a batch.
+    """The window MLP: ``(hid, logits)`` for one window or a batch.
 
     ``params`` is ``(embedding, w1, b1, w2, b2)`` and fixes the dtype:
     binary32 snapshots for inference, binary64 copies for training.
     ``windows`` is one window of ``context`` token ids or an ``(n, context)``
-    batch; rows compute as ``x @ w.T``. ``low_rank`` holds, per dense layer,
-    ``None`` or an adapter term ``(scaling, a, b)`` that adds
-    ``scaling * (x @ a.T) @ b.T`` without forming ``b @ a``. ``x`` and
-    ``hid`` are returned for the backward pass.
+    array of them; rows compute as ``x @ w.T``, where ``x`` holds a window's
+    concatenated embeddings. ``low_rank`` holds, per dense layer, ``None`` or
+    an adapter term ``(scaling, a, b)`` that adds ``scaling * (x @ a.T) @
+    b.T`` without forming ``b @ a``. ``hid`` is returned for the backward
+    pass; ``x`` is not kept, and a trainer that needs it gathers
+    ``embedding[windows]`` again.
 
-    All three outputs are fresh arrays the caller owns; no input is written.
-    Each dense layer allocates its output and updates it in place with the
-    same operands and grouping as ``x @ w.T + scaling * ((x @ a.T) @ b.T) +
-    bias``, so in-place and out-of-place results are bit-identical. For a
-    batch, the low-rank product ``(x @ a.T) @ b.T`` runs one block of
-    :func:`row_blocks` at a time, so its temporary holds a block, not the
-    whole output.
+    Both outputs are fresh arrays the caller owns; no input is written.
+    Each dense layer updates its output in place with the same operands and
+    grouping as ``x @ w.T + scaling * ((x @ a.T) @ b.T) + bias``, so in-place
+    and out-of-place results are bit-identical. For a batch, the first layer
+    runs one block of :func:`row_blocks` at a time: it gathers only that
+    block's embeddings and writes into ``hid``'s rows. The second layer's
+    low-rank product ``(hid @ a.T) @ b.T`` also runs block by block, so no
+    temporary holds more than a block of an (n, context * d) or (n, V)
+    array.
     """
     emb, w1, b1, w2, b2 = params
-    x = emb[windows]
-    x = x.reshape(x.shape[:-2] + (-1,))
-    hid = _dense(x, w1, b1, low_rank[0])
+    if isinstance(windows, np.ndarray) and windows.ndim == 2:
+        hid = np.empty((len(windows), w1.shape[0]), dtype=w1.dtype)
+        for blk in row_blocks(len(windows)):
+            x = emb[windows[blk]]
+            hid[blk] = _dense(x.reshape(len(x), -1), w1, b1, low_rank[0])
+        del x  # one block's embeddings, not needed by layer 2
+    else:
+        x = emb[windows]
+        x = x.reshape(x.shape[:-2] + (-1,))
+        hid = _dense(x, w1, b1, low_rank[0])
     np.tanh(hid, out=hid)
-    return x, hid, _dense(hid, w2, b2, low_rank[1])
+    return hid, _dense(hid, w2, b2, low_rank[1])
 
 
 def _dense(x, w, bias, term):
@@ -272,12 +283,23 @@ def _dense(x, w, bias, term):
     return out
 
 
-# Rows per block of a batched (n, V) computation. A product over a block of
-# rows gives the same bits as those rows of the full product only while BLAS
-# takes the same kernel path. With OpenBLAS 0.3.31 on an AVX-512 Xeon, blocks
-# of 1 row (gemv) and, at inner size 64, of 2 rows gave other bits; blocks of
-# 3 to 2048 rows gave the full product's. If the reference tests of
-# tests/test_lora.py fail on another build, raise this floor.
+# Rows per block of a batched computation. A product over a block of rows
+# gives the same bits as those rows of the full product only while BLAS takes
+# the same kernel path. OpenBLAS 0.3.31 on an AVX-512 Xeon (numpy 2.4.6) runs
+# 1-row blocks as gemv, and products with few multiply-adds (M * N * K up to
+# 1e6, or about 1.5e5 with a transposed right operand) on a small-matrix
+# kernel; both give other bits. At the train-adapter shape (V = 512,
+# context * d = 128, h = 64, r = 8), blocks of M rows (M up to 1024, checked
+# against an 8192-row product) gave other bits for M up to:
+#   18   (M x context*d) @ (context*d x h)   x @ w1.T in mlp_forward
+#   150  (M x context*d) @ (context*d x r)   x @ a.T in mlp_forward
+#   30   (M x V) @ (V x h)                   g @ w2 in lora.loss_and_grads
+#   244  (M x V) @ (V x r)                   g @ b2 in lora.loss_and_grads
+#   1    (M x r) @ (r x V) and (M x r) @ (r x h), the low-rank up products
+# The margin is narrow for g @ b2: at V = 480, r = 8, a 256-row block of it
+# took the small kernel, and the w1 gradient of a 1024-position step differed
+# from the out-of-place formula's. If the reference tests of tests/test_lora.py
+# fail on another build or shape, raise this floor.
 ROW_BLOCK = 256
 
 
@@ -353,7 +375,7 @@ def train_neural_lm(
         for start in range(0, n, batch_size):
             idx = order[start : start + batch_size]
             win, tgt = windows[idx], targets[idx]
-            x, hid, logits = mlp_forward((emb, w1, b1, w2, b2), win)
+            hid, logits = mlp_forward((emb, w1, b1, w2, b2), win)
             z = logits - logits.max(axis=1, keepdims=True)
             p = np.exp(z)
             p /= p.sum(axis=1, keepdims=True)
@@ -364,6 +386,7 @@ def train_neural_lm(
             d_b2 = g.sum(axis=0)
             d_hid = g @ w2
             d_pre = d_hid * (1.0 - hid * hid)
+            x = emb[win].reshape(len(idx), -1)  # the gather mlp_forward made
             d_w1 = d_pre.T @ x
             d_b1 = d_pre.sum(axis=0)
             d_x = (d_pre @ w1).reshape(len(idx), context, embed_dim)

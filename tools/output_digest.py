@@ -26,6 +26,12 @@ A refactor that must not change any output runs this before and after, on
 one machine, and compares the last two lines. The digests depend on the numpy
 and BLAS build, so they are never golden values to commit.
 
+Every ``RuntimeWarning`` raised on the way (numpy's floating-point warnings)
+is printed after its case as a ``record=fp_warning`` line on stdout, naming
+the case, the warning's file:line and its message, and is still shown on
+stderr. Every floating-point array and loss the tool hashes must be finite:
+a NaN or an infinity ends the run nonzero with a ``record=non_finite`` line.
+
     PYTHONPATH=src python3 tools/output_digest.py
 """
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
+import warnings
 from functools import partial
 
 import numpy as np
@@ -71,13 +78,46 @@ def corpus(rng: np.random.Generator, vocab: Vocab, docs: int) -> list[list[int]]
     ]
 
 
+class NonFiniteError(ValueError):
+    """An array or loss the tool was about to hash held a NaN or an infinity."""
+
+
+def check_finite(what: str, arr) -> None:
+    arr = np.asarray(arr)
+    if np.issubdtype(arr.dtype, np.floating) and not np.isfinite(arr).all():
+        raise NonFiniteError(what)
+
+
+def run_case(case: str, digest, *args):
+    """``digest(*args)``, printing each RuntimeWarning it raised as a record line.
+
+    Every warning is shown on stderr afterwards, as it would have been; a
+    non-finite hashed value ends the run with a nonzero exit.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", RuntimeWarning)
+        try:
+            result = digest(*args)
+        except NonFiniteError as exc:
+            result = exc
+    for w in caught:
+        if issubclass(w.category, RuntimeWarning):
+            print(f'record=fp_warning case={case} at={w.filename}:{w.lineno} msg="{w.message}"')
+        warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if isinstance(result, NonFiniteError):
+        raise SystemExit(f"record=non_finite case={case} what={result}")
+    return result
+
+
 def feed(h, *arrays) -> None:
     for arr in arrays:
+        check_finite("array", arr)
         h.update(np.ascontiguousarray(arr).tobytes())
 
 
 def feed_step(h, base: TinyNeuralLM, adapter, docs: list[list[int]]) -> None:
     loss, grads = loss_and_grads(base, adapter, docs)
+    check_finite("loss", loss)
     h.update(struct.pack("<d", loss))
     for name in sorted(grads):
         feed(h, grads[name]["a"], grads[name]["b"])
@@ -100,6 +140,8 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> tuple[str, str]:
 
     trained = train_neural_lm(docs, vocab, context=context, embed_dim=embed,
                               hidden_dim=hidden, epochs=2, batch_size=5, seed=index)
+    for arr in trained.params:
+        check_finite("train_neural_lm", arr)
     h.update(encode_model(trained))
 
     base = with_biases(TinyNeuralLM.random(vocab, context, embed, hidden, seed=index), rng)
@@ -172,13 +214,15 @@ def train_digest(seed: int) -> str:
 def main() -> None:
     values, billing = hashlib.sha256(), hashlib.sha256()
     for index, shape in enumerate(SHAPES):
-        digests = shape_digest(index, shape)
+        case = "shape=" + "x".join(map(str, shape))
+        digests = run_case(case, shape_digest, index, shape)
         values.update(bytes.fromhex(digests[0]))
         billing.update(bytes.fromhex(digests[1]))
-        print("shape=" + "x".join(map(str, shape)) + " values=%s billing=%s" % digests)
-    digest = train_digest(len(SHAPES))
+        print(case + " values=%s billing=%s" % digests)
+    case = "train=" + "x".join(map(str, TRAIN_SHAPE + TRAIN_CORPUS))
+    digest = run_case(case, train_digest, len(SHAPES))
     values.update(bytes.fromhex(digest))
-    print("train=" + "x".join(map(str, TRAIN_SHAPE + TRAIN_CORPUS)) + f" values={digest}")
+    print(case + f" values={digest}")
     print(f"values sha256={values.hexdigest()}")
     print(f"billing sha256={billing.hexdigest()}")
 
