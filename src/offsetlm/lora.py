@@ -247,10 +247,13 @@ def loss_and_grads(
 
     For n positions, the step holds one (n, V) and one (n, h) binary64
     array; every other temporary is a row block of :func:`row_blocks`, a
-    narrow (n, r) or (n, context) array, or has no n dimension. The
-    concatenated embeddings the w1 gradients read are gathered again, into
-    the spent logits buffer when they fit. The results are bit-identical to
-    the out-of-place formula.
+    narrow (n, r) or (n, context) array, or has no n dimension. (At rank 1
+    a block spans every row, so the forward pass holds the (n, context * d)
+    embeddings and the backward pass an (n, h) product.) The concatenated
+    embeddings the w1 gradients read are gathered again, into the spent
+    logits buffer when they fit. The results are bit-identical to the
+    out-of-place formula wherever the blocks keep BLAS on the whole
+    product's kernel (see :data:`~offsetlm.models.ROW_BLOCK`).
     """
     if len(batch) == 0:
         raise DegenerateBatchError("batch must be non-empty")
@@ -289,7 +292,8 @@ def loss_and_grads(
         grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
     if t1 is None:
         return loss, grads
-    for blk in row_blocks(n):
+    narrow = params[3] if t2 is None else b2  # w2 or the up factor b, (V, h) or (V, r)
+    for blk in row_blocks(n, narrow):
         d = g[blk] @ params[3]  # the base w2
         if t2 is not None:
             t = (g[blk] @ b2) @ a2

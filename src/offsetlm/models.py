@@ -243,16 +243,18 @@ def mlp_forward(params, windows, low_rank=(None, None)):
     Each dense layer updates its output in place with the same operands and
     grouping as ``x @ w.T + scaling * ((x @ a.T) @ b.T) + bias``, so in-place
     and out-of-place results are bit-identical. For a batch, the first layer
-    runs one block of :func:`row_blocks` at a time: it gathers only that
-    block's embeddings and writes into ``hid``'s rows. The second layer's
-    low-rank product ``(hid @ a.T) @ b.T`` also runs block by block, so no
+    runs one block of :func:`row_blocks` at a time, sized for its narrowest
+    product (``x @ a.T``, or ``x @ w.T`` without an adapter): it gathers
+    only that block's embeddings and writes into ``hid``'s rows. The second
+    layer's low-rank up product ``u @ b.T`` also runs block by block, so no
     temporary holds more than a block of an (n, context * d) or (n, V)
     array.
     """
     emb, w1, b1, w2, b2 = params
     if isinstance(windows, np.ndarray) and windows.ndim == 2:
         hid = np.empty((len(windows), w1.shape[0]), dtype=w1.dtype)
-        for blk in row_blocks(len(windows)):
+        narrow = w1 if low_rank[0] is None else low_rank[0][1]  # w1 or the down factor a
+        for blk in row_blocks(len(windows), narrow.T):
             x = emb[windows[blk]]
             hid[blk] = _dense(x.reshape(len(x), -1), w1, b1, low_rank[0])
         del x  # one block's embeddings, not needed by layer 2
@@ -274,7 +276,7 @@ def _dense(x, w, bias, term):
             out += t
         else:
             u = x @ a.T
-            for blk in row_blocks(len(x)):
+            for blk in row_blocks(len(x)):  # inner size r: no small-kernel bound
                 t = u[blk] @ b.T
                 t *= scaling
                 out[blk] += t
@@ -283,34 +285,39 @@ def _dense(x, w, bias, term):
     return out
 
 
-# Rows per block of a batched computation. A product over a block of rows
-# gives the same bits as those rows of the full product only while BLAS takes
-# the same kernel path. OpenBLAS 0.3.31 on an AVX-512 Xeon (numpy 2.4.6) runs
-# 1-row blocks as gemv, and products with few multiply-adds (M * N * K up to
-# 1e6, or about 1.5e5 with a transposed right operand) on a small-matrix
-# kernel; both give other bits. At the train-adapter shape (V = 512,
-# context * d = 128, h = 64, r = 8), blocks of M rows (M up to 1024, checked
-# against an 8192-row product) gave other bits for M up to:
-#   18   (M x context*d) @ (context*d x h)   x @ w1.T in mlp_forward
-#   150  (M x context*d) @ (context*d x r)   x @ a.T in mlp_forward
-#   30   (M x V) @ (V x h)                   g @ w2 in lora.loss_and_grads
-#   244  (M x V) @ (V x r)                   g @ b2 in lora.loss_and_grads
-#   1    (M x r) @ (r x V) and (M x r) @ (r x h), the low-rank up products
-# The margin is narrow for g @ b2: at V = 480, r = 8, a 256-row block of it
-# took the small kernel, and the w1 gradient of a 1024-position step differed
-# from the out-of-place formula's. If the reference tests of tests/test_lora.py
-# fail on another build or shape, raise this floor.
+# A product over a block of rows gives the same bits as those rows of the
+# whole product only while BLAS takes the same kernel path for both. OpenBLAS
+# runs a product with one row or one column as gemv, and on AVX-512 machines
+# it runs a product of at most SMALL_GEMM multiply-adds (M * N * K) on a
+# small-matrix kernel. Both give other bits than the large-product kernel,
+# except the small kernel at an inner size K of a few units (a rank), and
+# gemv's bits also depend on where the block starts (measured table: README
+# "Training memory"). So a block has at least ROW_BLOCK rows, and a loop
+# whose blocks multiply by a K x N right operand passes it to row_blocks:
+# its blocks then exceed SMALL_GEMM multiply-adds, or, for N = 1, span every
+# row. If the reference tests of tests/test_lora.py fail on another build
+# or shape, raise these floors.
 ROW_BLOCK = 256
+SMALL_GEMM = 10**6
 
 
-def row_blocks(n: int) -> list[slice]:
-    """Cut ``n`` rows into consecutive slices of ``ROW_BLOCK`` rows.
+def row_blocks(n: int, right: np.ndarray | None = None) -> list[slice]:
+    """Cut ``n`` rows into consecutive slices of one height.
 
-    The last slice takes the remainder, so it holds ``ROW_BLOCK`` to
-    ``2 * ROW_BLOCK - 1`` rows; fewer than ``2 * ROW_BLOCK`` rows make one
-    slice, and then the blocked computation makes the unblocked calls.
+    The height is ``ROW_BLOCK`` rows, or, given the right operand ``right``
+    of a product the blocks run, more than ``SMALL_GEMM / right.size`` rows
+    when that is taller, and all ``n`` when ``right`` has one column. The
+    last slice takes the remainder, so it holds one height up to two heights
+    less a row; fewer than two heights make one slice, and then the blocked
+    computation makes the unblocked calls.
     """
-    bounds = [i * ROW_BLOCK for i in range(max(n // ROW_BLOCK, 1))] + [n]
+    if right is None:
+        rows = ROW_BLOCK
+    elif right.shape[1] == 1:
+        rows = max(n, 1)
+    else:
+        rows = max(ROW_BLOCK, SMALL_GEMM // right.size + 1)
+    bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 

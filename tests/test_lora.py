@@ -34,6 +34,7 @@ from offsetlm.lora import (
 )
 from offsetlm.models import (
     ROW_BLOCK,
+    SMALL_GEMM,
     VocabMismatchError,
     fnv1a64,
     mlp_forward,
@@ -123,17 +124,33 @@ def assert_same_step(got, want) -> None:
             assert np.array_equal(got[1][name][factor], arr), (name, factor)
 
 
-def train_size_base(seed: int = 4) -> TinyNeuralLM:
-    """A proxy at the train-adapter benchmark's shape (V=512, context 8, embed 16, hidden 64)."""
-    return with_biases(TinyNeuralLM.random(Vocab(size=512, eos_id=1, bos_id=2), context=8,
+def train_size_base(seed: int = 4, v: int = 512) -> TinyNeuralLM:
+    """A proxy at the train-adapter benchmark's shape (V=512, context 8, embed 16, hidden 64).
+
+    ``v`` sets another vocabulary size.
+    """
+    return with_biases(TinyNeuralLM.random(Vocab(size=v, eos_id=1, bos_id=2), context=8,
                                            embed_dim=16, hidden_dim=64, seed=seed), seed)
 
 
-def batch_of_positions(n: int, seed: int) -> list[list[int]]:
+def batch_of_positions(n: int, seed: int, v: int = 512) -> list[list[int]]:
     """Documents of at most 65 tokens with exactly ``n`` prediction positions in all."""
     rng = np.random.default_rng(seed)
     lengths = [65] * (n // 64) + ([n % 64 + 1] if n % 64 else [])
-    return [[int(t) for t in rng.integers(3, 512, size=k)] for k in lengths]
+    return [[int(t) for t in rng.integers(3, v, size=k)] for k in lengths]
+
+
+# (V, rank) beside the benchmark's (512, 8): lower ranks, the default 4 among
+# them, and a smaller vocabulary. A narrow product such as (M x V) @ (V x r)
+# has fewer multiply-adds per row at these shapes, so a fixed-height row
+# block can fall under BLAS's small-matrix bound (models.SMALL_GEMM).
+OTHER_SHAPES = [(512, 4), (512, 2), (512, 1), (480, 8), (480, 4), (480, 2), (480, 1)]
+
+
+def at_shapes(ns) -> list:
+    """``(n, (V, rank))`` cases: each n at (512, 8) under the plain id n, then at OTHER_SHAPES."""
+    return [pytest.param(n, (512, 8), id=str(n)) for n in ns] + [
+        pytest.param(n, (v, r), id=f"{n}-v{v}-r{r}") for n in ns for v, r in OTHER_SHAPES]
 
 
 def dense_oracle_logits(base: TinyNeuralLM, adapter: LoraAdapter, seq) -> np.ndarray:
@@ -361,13 +378,15 @@ class TestInPlaceStep:
         assert peak < 1.45 * n * v * 8, peak / (n * v * 8)
 
     @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
-    @pytest.mark.parametrize("n", [511, 512, 513, 767, 1023])
-    def test_matches_reference_across_block_edges(self, n, names):
-        # one block below 2 * ROW_BLOCK rows, then two blocks, the last up to 511 rows
-        base = train_size_base(seed=n)
-        adapter = rich_adapter(base, rank=8, seed=n + 1)
+    @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 767, 1023]))
+    def test_matches_reference_across_block_edges(self, n, shape, names):
+        # at (512, 8): one block below 2 * ROW_BLOCK rows, then two, the last up to
+        # 511 rows; the narrow products of the other shapes take taller blocks
+        v, rank = shape
+        base = train_size_base(seed=n, v=v)
+        adapter = rich_adapter(base, rank=rank, seed=n + 1)
         adapter.targets = [t for t in adapter.targets if t.name in names]
-        batch = batch_of_positions(n, seed=n + 2)
+        batch = batch_of_positions(n, seed=n + 2, v=v)
         assert training_positions(batch, base.vocab, base.context)[0].shape[0] == n
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
@@ -379,6 +398,17 @@ class TestInPlaceStep:
         adapter = rich_adapter(base, rank=8, seed=8)
         adapter.targets = [t for t in adapter.targets if t.name in names]
         batch = batch_of_positions(8250, seed=9)
+        assert_same_step(loss_and_grads(base, adapter, batch),
+                         reference_loss_and_grads(base, adapter, batch))
+
+    @pytest.mark.parametrize("shape", OTHER_SHAPES)
+    def test_matches_reference_on_many_blocks_at_other_shapes(self, shape):
+        # 8250 positions cut into several blocks of the backward's narrow
+        # products at ranks 4 and below too
+        v, rank = shape
+        base = train_size_base(seed=17, v=v)
+        adapter = rich_adapter(base, rank=rank, seed=18)
+        batch = batch_of_positions(8250, seed=19, v=v)
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
 
@@ -399,13 +429,15 @@ class TestInPlaceStep:
         assert peak < 1.3 * n * v * 8, peak / (n * v * 8)
 
     @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
-    @pytest.mark.parametrize("n", [511, 512, 513, 1023, 8250])
-    def test_batched_forward_matches_reference(self, n, names):
+    @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 1023, 8250]))
+    def test_batched_forward_matches_reference(self, n, shape, names):
         # the first layer runs block by block, each block gathering its own embeddings
-        base = train_size_base(seed=n + 3)
-        adapter = rich_adapter(base, rank=8, seed=n + 4)
+        v, rank = shape
+        base = train_size_base(seed=n + 3, v=v)
+        adapter = rich_adapter(base, rank=rank, seed=n + 4)
         adapter.targets = [t for t in adapter.targets if t.name in names]
-        windows, _ = training_positions(batch_of_positions(n, seed=n + 5), base.vocab, base.context)
+        windows, _ = training_positions(batch_of_positions(n, seed=n + 5, v=v), base.vocab,
+                                        base.context)
         params = tuple(p.astype(np.float64) for p in base.params)
         low_rank = _low_rank(adapter, np.float64)
         hid, logits = mlp_forward(params, windows, low_rank)
@@ -477,6 +509,17 @@ class TestRowBlocks:
             assert blocks == [slice(0, n)]
         else:
             assert all(ROW_BLOCK <= blk.stop - blk.start < 2 * ROW_BLOCK for blk in blocks)
+
+    @given(n=st.integers(0, 20000), k=st.integers(1, 2000), cols=st.integers(1, 600))
+    def test_blocks_of_a_product_exceed_the_small_gemm_bound(self, n, k, cols):
+        blocks = row_blocks(n, np.broadcast_to(0.0, (k, cols)))
+        assert [i for blk in blocks for i in range(n)[blk]] == list(range(n))
+        rows = [blk.stop - blk.start for blk in blocks]
+        if cols == 1:
+            assert len(blocks) == 1  # gemv: its bits depend on where a block starts
+        elif len(blocks) > 1:
+            assert all(r >= ROW_BLOCK and r * k * cols > SMALL_GEMM for r in rows)
+            assert max(rows) < 2 * min(rows)
 
 
 class TestTrainLora:
