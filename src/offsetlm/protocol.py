@@ -11,7 +11,9 @@ replacement, a round drafts ``ceil(committed / replacements)`` tokens, the
 mean committed run per replacement, read only from validated commits so
 replays draft alike. Commits that accept only a prefix simply truncate the
 speculated suffix away — the canonical sequence is the only state, so
-rollback is exact by construction.
+rollback is exact by construction. A connection serves nothing before an
+accepted ``Hello`` and holds at most one live session; every refusal reaches
+the peer as one reply.
 
 The **client** owns the proxy pair (base + adapter). It walks each draft
 batch one position at a time with the per-token step: both proxies' logits
@@ -237,15 +239,16 @@ class ServerSession:
 
 
 class _ConnectionState:
-    """Per-connection server state: live sessions and the installed adapter.
+    """Per-connection server state: greeted yet, one live session, the adapter.
 
-    Scoping sessions to the connection lets independent clients number
+    Session ids are scoped to the connection, so independent clients number
     their sessions however they like without colliding on the server.
     """
 
     def __init__(self) -> None:
+        self.greeted = False
         self.adapted_proxy = None
-        self.sessions: dict[int, ServerSession] = {}
+        self.session: ServerSession | None = None
 
 
 class Server:
@@ -253,7 +256,7 @@ class Server:
 
     The models are immutable snapshots, so one server instance can serve
     any number of connections concurrently; all mutable state lives in the
-    per-connection :class:`_ConnectionState`.
+    per-connection :class:`_ConnectionState`, at most one live session each.
     """
 
     def __init__(self, blackbox: LogitModel, base_proxy: TinyNeuralLM | None = None) -> None:
@@ -283,37 +286,34 @@ class Server:
     # -- per-connection state machine ---------------------------------------
 
     def serve_connection(self, conn: FramedConnection) -> None:
-        """Run one connection to completion (blocking)."""
-        try:
-            conn.expect_preamble()
-            first = conn.recv_message()
-        except (ConnectionClosedError, MalformedPayloadError, FrameTooLargeError):
-            conn.close()
-            return
-        if not isinstance(first, Hello):
-            conn.send_message(ProtocolError(ERR_UNSUPPORTED, "expected Hello"))
-            conn.close()
-            return
-        ack = self.check_hello(first)
-        conn.send_message(ack)
-        if not ack.accept:
-            conn.close()
-            return
+        """Run one connection to completion (blocking), one reply per message.
 
+        Until a ``Hello`` is accepted, only a ``Hello`` is served. A bad
+        preamble, an undecodable or oversized frame, or a first message that
+        is not a ``Hello`` gets one ``ProtocolError`` and then a close; a
+        refused ``Hello`` gets its ``HelloAck`` and then a close. A peer that
+        leaves, at any point, ends the loop quietly.
+        """
         state = _ConnectionState()
         try:
-            while True:
-                try:
+            try:
+                conn.expect_preamble()
+                while True:
                     msg = conn.recv_message()
-                except ConnectionClosedError:
-                    break
-                except (MalformedPayloadError, FrameTooLargeError) as exc:
-                    try:
-                        conn.send_message(ProtocolError(ERR_MALFORMED, str(exc)))
-                    except ConnectionClosedError:
-                        pass
-                    break
-                conn.send_message(self._dispatch(msg, state))
+                    if state.greeted:
+                        reply = self._dispatch(msg, state)
+                    elif isinstance(msg, Hello):
+                        reply = self.check_hello(msg)
+                        state.greeted = reply.accept
+                    else:
+                        reply = ProtocolError(ERR_UNSUPPORTED, "expected Hello")
+                    conn.send_message(reply)
+                    if not state.greeted:
+                        break
+            except (MalformedPayloadError, FrameTooLargeError) as exc:
+                conn.send_message(ProtocolError(ERR_MALFORMED, str(exc)))
+        except ConnectionClosedError:
+            pass
         finally:
             conn.close()
 
@@ -343,8 +343,10 @@ class Server:
         why = self._check_prompt(msg.prompt)
         if why is not None:
             return ProtocolError(ERR_INVALID_PROMPT, why)
-        if msg.session_id in state.sessions:
-            return ProtocolError(ERR_INVALID_COMMIT, f"session {msg.session_id} already exists")
+        if state.session is not None:
+            return ProtocolError(
+                ERR_INVALID_COMMIT, f"session {state.session.session_id} is still live"
+            )
         session = ServerSession(
             session_id=msg.session_id,
             vocab=self.vocab,
@@ -354,22 +356,22 @@ class Server:
         )
         if session.done:  # zero budget or prompt already ends in eos
             return GenerationResult(session_id=msg.session_id, tokens=())
-        state.sessions[msg.session_id] = session
+        state.session = session
         return session.draft(self.blackbox)
 
     def _on_commit(self, msg: Commit, state: "_ConnectionState") -> Message:
-        session = state.sessions.get(msg.session_id)
-        if session is None:
+        session = state.session
+        if session is None or session.session_id != msg.session_id:
             return ProtocolError(ERR_SESSION_UNKNOWN, f"session {msg.session_id}")
         try:
             session.apply_commit(msg)
         except InvalidCommitError as exc:
             return ProtocolError(ERR_INVALID_COMMIT, str(exc))
         except OutOfSyncError as exc:
-            del state.sessions[msg.session_id]
+            state.session = None
             return ProtocolError(ERR_OUT_OF_SYNC, str(exc))
         if session.done:
-            del state.sessions[msg.session_id]
+            state.session = None
             return GenerationResult(session_id=msg.session_id, tokens=session.response_tokens())
         return session.draft(self.blackbox)
 
@@ -458,7 +460,11 @@ def generate_adapted(
 
 
 class Client:
-    """Drives sessions against a server over one framed connection."""
+    """Drives sessions, one at a time, against a server over one framed connection.
+
+    A session that fails on the client's side leaves the server's one session
+    slot taken; open a new connection for the next session.
+    """
 
     def __init__(
         self,
@@ -480,7 +486,7 @@ class Client:
         self._session_ids = itertools.count(1)
 
     @property
-    def ledger(self) -> CostLedger | None:
+    def ledger(self) -> CostLedger:
         return self.conn.ledger
 
     def handshake(self) -> None:
@@ -546,8 +552,7 @@ class Client:
                     raise OutOfSyncError(
                         f"server result {got} disagrees with client mirror {want}"
                     )
-                if self.ledger is not None:
-                    self.ledger.check_token_flow()
+                self.ledger.check_token_flow()
                 return got
             if not isinstance(msg, DraftBatch) or msg.session_id != session_id:
                 raise OutOfSyncError(f"unexpected message {msg!r} mid-session")
@@ -558,11 +563,10 @@ class Client:
                     f"{msg.logits.shape} logits does not fit vocab size {v}"
                 )
             commit = self._verify(mirror, msg, config, rng, len(prompt))
-            if self.ledger is not None:
-                self.ledger.note_draft(len(msg.tokens))
-                self.ledger.note_commit(
-                    commit.accept_count, len(msg.tokens), commit.replacement is not None
-                )
+            self.ledger.note_draft(len(msg.tokens))
+            self.ledger.note_commit(
+                commit.accept_count, len(msg.tokens), commit.replacement is not None
+            )
             self.conn.send_message(commit)
 
     def _verify(
@@ -659,7 +663,10 @@ def serve_channel(server: Server, channel) -> threading.Thread:
 def connect_in_process(
     server: Server, ledger: CostLedger | None = None
 ) -> tuple[FramedConnection, threading.Thread]:
-    """In-process channel pair with the server end running on a thread."""
+    """In-process channel pair with the server end running on a thread.
+
+    ``ledger`` bills the client end; the server end keeps its own.
+    """
     client_end, server_end = queue_channel_pair()
     thread = serve_channel(server, server_end)
     return FramedConnection(client_end, side="client", ledger=ledger), thread
@@ -704,5 +711,6 @@ class SocketServer:
 def connect_socket(
     host: str, port: int, ledger: CostLedger | None = None
 ) -> FramedConnection:
+    """A TCP connection to a :class:`SocketServer`, billed to ``ledger`` (a fresh one if None)."""
     sock = socket.create_connection((host, port))
     return FramedConnection(SocketChannel(sock), side="client", ledger=ledger)

@@ -417,8 +417,9 @@ class FramedConnection:
     """Length-prefixed message exchange over a byte channel, with accounting.
 
     ``side`` ("client" or "server") fixes the direction label attributed to
-    sends; receives get the opposite label. The same ledger instance can be
-    shared with the protocol layer for token counting.
+    sends; receives get the opposite label. Every connection bills each frame
+    it sends or receives to its ``ledger``: a fresh :class:`CostLedger` unless
+    the caller passes one to share with the protocol layer's token counts.
     """
 
     def __init__(self, channel: ByteChannel, side: str = "client", ledger: CostLedger | None = None) -> None:
@@ -426,18 +427,12 @@ class FramedConnection:
             raise ValueError("side must be 'client' or 'server'")
         self.channel = channel
         self.side = side
-        self.ledger = ledger
-
-    def _send_direction(self) -> str:
-        return CLIENT_TO_SERVER if self.side == "client" else SERVER_TO_CLIENT
-
-    def _recv_direction(self) -> str:
-        return SERVER_TO_CLIENT if self.side == "client" else CLIENT_TO_SERVER
+        self.ledger = ledger if ledger is not None else CostLedger()
+        self._sent, self._received = DIRECTIONS if side == "client" else DIRECTIONS[::-1]
 
     def send_preamble(self) -> None:
         self.channel.send(PREAMBLE)
-        if self.ledger is not None:
-            self.ledger.record_frame(CAT_HANDSHAKE, self._send_direction(), len(PREAMBLE))
+        self.ledger.record_frame(CAT_HANDSHAKE, self._sent, len(PREAMBLE))
 
     def expect_preamble(self) -> None:
         raw = self.channel.recv_exact(len(PREAMBLE))
@@ -445,8 +440,7 @@ class FramedConnection:
             raise MalformedPayloadError(f"bad connection magic {raw[:4]!r}", 0)
         if raw[4] != PREAMBLE_VERSION:
             raise MalformedPayloadError(f"unsupported protocol version {raw[4]}", 4)
-        if self.ledger is not None:
-            self.ledger.record_frame(CAT_HANDSHAKE, self._recv_direction(), len(PREAMBLE))
+        self.ledger.record_frame(CAT_HANDSHAKE, self._received, len(PREAMBLE))
 
     def send_message(self, msg: Message) -> None:
         payload = encode_message(msg)
@@ -455,10 +449,7 @@ class FramedConnection:
                 f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap"
             )
         self.channel.send(struct.pack("<I", len(payload)) + payload)
-        if self.ledger is not None:
-            self.ledger.record_frame(
-                classify_message(msg), self._send_direction(), FRAME_HEADER_LEN + len(payload)
-            )
+        self.ledger.record_frame(classify_message(msg), self._sent, FRAME_HEADER_LEN + len(payload))
 
     def recv_message(self) -> Message:
         (length,) = struct.unpack("<I", self.channel.recv_exact(4))
@@ -468,10 +459,7 @@ class FramedConnection:
             )
         payload = self.channel.recv_exact(length)
         msg = decode_message(payload)
-        if self.ledger is not None:
-            self.ledger.record_frame(
-                classify_message(msg), self._recv_direction(), FRAME_HEADER_LEN + length
-            )
+        self.ledger.record_frame(classify_message(msg), self._received, FRAME_HEADER_LEN + length)
         return msg
 
     def close(self) -> None:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from offsetlm import (
     BigramTableModel,
@@ -20,14 +23,29 @@ from offsetlm import (
     connect_in_process,
     apply_adapter,
     connect_socket,
+    encode_adapter,
     generate_adapted,
     generate_blackbox,
     init_adapter,
 )
-from offsetlm.messages import Commit, DraftBatch, GenerationResult, HelloAck, StartSession
+from offsetlm.messages import (
+    FLAVOR_ADAPTED,
+    FLAVOR_BLACKBOX,
+    PROTOCOL_VERSION,
+    Commit,
+    DraftBatch,
+    GenerationResult,
+    HelloAck,
+    ProtocolError,
+    ServerGenerate,
+    StartSession,
+    UploadAdapter,
+)
 from offsetlm.protocol import (
     BudgetExhaustedError,
+    ERR_INVALID_COMMIT,
     ERR_INVALID_PROMPT,
+    ERR_MALFORMED,
     ERR_SESSION_UNKNOWN,
     FingerprintMismatchError,
     HandshakeRejectedError,
@@ -39,7 +57,15 @@ from offsetlm.protocol import (
     finished,
 )
 from offsetlm.models import VocabMismatchError
-from offsetlm.transport import FramedConnection, max_draft_rows, queue_channel_pair
+from offsetlm.transport import (
+    PREAMBLE,
+    ByteChannel,
+    ConnectionClosedError,
+    FramedConnection,
+    encode_message,
+    max_draft_rows,
+    queue_channel_pair,
+)
 
 from conftest import TailOnly, argmax_oracle, monolithic_generate_oracle, with_biases
 
@@ -504,7 +530,7 @@ class TestBudgetsAndStopping:
             reply = server._dispatch(msg, state)
             assert isinstance(reply, ProtocolError) and reply.code == ERR_INVALID_PROMPT
             assert f"token {vocab.size + 5} " in reply.text
-        assert state.sessions == {}
+        assert state.session is None
 
     def test_draft_len_must_fit_a_u32(self, vocab, world):
         blackbox, base, adapter = world
@@ -590,7 +616,7 @@ class TestWireErrors:
         commit = Commit(session_id=1, accept_count=4, replacement=None, done=False)
         reply = server._dispatch(commit, state)
         assert isinstance(reply, ProtocolError) and reply.code == ERR_OUT_OF_SYNC
-        assert state.sessions == {}
+        assert state.session is None
         reply = server._dispatch(commit, state)
         assert isinstance(reply, ProtocolError) and reply.code == ERR_SESSION_UNKNOWN
 
@@ -617,6 +643,141 @@ class TestWireErrors:
         from offsetlm.messages import ProtocolError
 
         assert isinstance(conn.recv_message(), ProtocolError)
+        conn.close()
+
+
+def frame(msg) -> bytes:
+    payload = encode_message(msg)
+    return struct.pack("<I", len(payload)) + payload
+
+
+def hello_for(vocab: Vocab, size: int | None = None, version: int = PROTOCOL_VERSION) -> Hello:
+    return Hello(version, vocab.size if size is None else size, vocab.eos_id, vocab.bos_id, 0)
+
+
+class ScriptedChannel(ByteChannel):
+    """Reads replay ``script``; the first ``sends_ok`` sends succeed, then the peer is gone."""
+
+    def __init__(self, script: bytes, sends_ok: int) -> None:
+        self.script = bytearray(script)
+        self.sends_ok = sends_ok
+        self.closed = False
+
+    def send(self, data: bytes) -> None:
+        if self.sends_ok == 0:
+            raise ConnectionClosedError("peer left")
+        self.sends_ok -= 1
+
+    def recv_exact(self, n: int) -> bytes:
+        if len(self.script) < n:
+            raise ConnectionClosedError("script ended")
+        out = bytes(self.script[:n])
+        del self.script[:n]
+        return out
+
+    def close(self) -> None:
+        self.closed = True
+
+
+V8 = Vocab(size=8, eos_id=1, bos_id=2)
+SEQ_BLACKBOX = dense_blackbox(V8)
+SEQ_BASE = TinyNeuralLM.random(V8, context=3, embed_dim=4, hidden_dim=6, seed=2)
+
+_ids = st.integers(0, 3)
+_prompts = st.lists(st.integers(0, V8.size - 1), max_size=3)
+_budgets = st.integers(0, 8)
+_hellos = st.sampled_from([hello_for(V8), hello_for(V8, size=9), hello_for(V8, version=2)])
+_requests = st.one_of(
+    st.builds(StartSession, _ids, _prompts, st.integers(1, 8), _budgets),
+    st.builds(Commit, _ids, st.integers(0, 8), st.none() | st.integers(0, V8.size - 1), st.booleans()),
+    st.builds(
+        UploadAdapter,
+        st.binary(min_size=1, max_size=64) | st.just(encode_adapter(rich_adapter(SEQ_BASE))),
+        st.sampled_from([0, SEQ_BASE.fingerprint()]),
+    ),
+    st.builds(
+        ServerGenerate, _ids, _prompts, st.sampled_from([FLAVOR_BLACKBOX, FLAVOR_ADAPTED]),
+        st.builds(GenerationConfig, _budgets, st.sampled_from(["greedy", "stochastic"]),
+                  st.just(0.8), st.integers(0, 2**64 - 1)),
+    ),
+)
+
+
+class TestConnectionLoop:
+    """One receive loop per connection: every refusal is a reply, a leaving peer ends it quietly."""
+
+    @pytest.mark.parametrize(
+        "opening",
+        [PREAMBLE + struct.pack("<I", 3) + b"\xff\xff\xff", b"XXXX\x01", b"PRDA\x09"],
+        ids=["malformed-first-frame", "bad-magic", "bad-version"],
+    )
+    def test_bad_opening_gets_error_then_close(self, vocab, world, opening):
+        conn, thread = connect_in_process(Server(world[0]))
+        conn.channel.send(opening)
+        reply = conn.recv_message()
+        assert isinstance(reply, ProtocolError) and reply.code == ERR_MALFORMED
+        with pytest.raises(ConnectionClosedError):
+            conn.recv_message()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("sends_ok", [0, 1], ids=["before-hello-ack", "mid-session"])
+    def test_peer_that_leaves_before_a_reply_ends_the_loop(self, vocab, world, sends_ok):
+        start = frame(StartSession(session_id=1, prompt=(3,), draft_len=2, max_new_tokens=6))
+        channel = ScriptedChannel(PREAMBLE + frame(hello_for(vocab)) + start, sends_ok)
+        Server(world[0]).serve_connection(FramedConnection(channel, side="server"))
+        assert channel.closed
+        # the failed send is the HelloAck, or the DraftBatch that answers the StartSession
+        assert len(channel.script) == (len(start) if sends_ok == 0 else 0)
+
+    def test_one_live_session_per_connection(self, vocab, world):
+        conn = connected_client(Server(world[0]), vocab).conn
+        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=8, max_new_tokens=4))
+        draft = conn.recv_message()
+        assert isinstance(draft, DraftBatch) and len(draft.tokens) == 4
+        second = StartSession(session_id=2, prompt=(4,), draft_len=2, max_new_tokens=4)
+        conn.send_message(second)
+        refusal = conn.recv_message()
+        assert isinstance(refusal, ProtocolError) and refusal.code == ERR_INVALID_COMMIT
+        assert "session 1 " in refusal.text
+        conn.send_message(Commit(session_id=1, accept_count=4, done=True))
+        result = conn.recv_message()
+        assert isinstance(result, GenerationResult) and result.tokens == draft.tokens
+        conn.send_message(second)
+        assert isinstance(conn.recv_message(), DraftBatch)
+        conn.close()
+
+    @settings(max_examples=50, deadline=None)
+    @given(greet=st.booleans(), more=st.lists(_hellos | _requests, min_size=1, max_size=5))
+    def test_every_message_gets_exactly_one_reply(self, greet, more):
+        server = Server(SEQ_BLACKBOX, SEQ_BASE)
+        client_end, server_end = queue_channel_pair(timeout=5.0)
+        errors = []
+
+        def serve() -> None:
+            try:
+                server.serve_connection(FramedConnection(server_end, side="server"))
+            except Exception as exc:  # surfaced below
+                errors.append(exc)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        conn = FramedConnection(client_end, side="client")
+        conn.send_preamble()
+        sent = [hello_for(V8), *more] if greet else more
+        # anything but an accepted Hello first is refused, and the server then closes
+        closes = not (isinstance(sent[0], Hello) and server.check_hello(sent[0]).accept)
+        for msg in sent[:1] if closes else sent:
+            conn.send_message(msg)
+            reply = conn.recv_message()
+            assert isinstance(reply, (HelloAck, DraftBatch, GenerationResult, ProtocolError))
+        if not closes:
+            conn.close()
+        with pytest.raises(ConnectionClosedError):
+            conn.recv_message()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert errors == []
         conn.close()
 
 
