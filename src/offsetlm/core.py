@@ -135,11 +135,24 @@ class VocabMismatchError(ValueError):
     """A token id fell outside the model's vocabulary."""
 
 
-def check_token_range(tokens, vocab: Vocab) -> None:
+def check_token_range(tokens, vocab: Vocab, what: str = "token") -> None:
     """Raise :class:`VocabMismatchError` for the first id outside ``vocab``."""
     for tok in tokens:
         if not 0 <= tok < vocab.size:
-            raise VocabMismatchError(f"token {tok} out of range for vocab size {vocab.size}")
+            raise VocabMismatchError(f"{what} {tok} out of range for vocab size {vocab.size}")
+
+
+def check_prompt(tokens, vocab: Vocab) -> None:
+    """The prompt rule of every generation mode: a non-empty sequence as above.
+
+    Raises :class:`VocabMismatchError` for an id outside ``vocab``, else
+    ``ValueError`` for an empty prompt or an eos before its last token.
+    """
+    if len(tokens) == 0:
+        raise ValueError("prompt must be non-empty")
+    check_token_range(tokens, vocab, "prompt token")
+    if vocab.eos_id in tokens[:-1]:
+        raise ValueError("eos inside the prompt body")
 
 
 def parse_token_line(line: str, vocab: Vocab | None = None) -> list[int]:

@@ -102,6 +102,8 @@ class LoraAdapter:
                 raise ShapeMismatchError(
                     f"target {t.name!r}: B {b.shape} / A {a.shape} do not factor at rank {self.rank}"
                 )
+            if not (np.isfinite(t.scaling) and np.isfinite(b).all() and np.isfinite(a).all()):
+                raise ValueError(f"target {t.name!r}: a factor or the scaling is not finite")
 
     def target(self, name: str) -> LoraTarget | None:
         for t in self.targets:
@@ -110,7 +112,11 @@ class LoraAdapter:
         return None
 
     def snapshot(self) -> "LoraAdapter":
-        """Binary32 copy, as used for inference and on the wire."""
+        """Binary32 copy, as used for inference and on the wire.
+
+        Raises ``ValueError`` when a value overflows binary32: every adapter
+        holds finite factors and scalings.
+        """
         return LoraAdapter(
             rank=self.rank,
             targets=[
@@ -352,7 +358,8 @@ def train_lora(
 
 
 def encode_adapter(adapter: LoraAdapter) -> bytes:
-    """Serialize to PRDL bytes (little-endian, binary32 reals)."""
+    """Serialize the binary32 :meth:`~LoraAdapter.snapshot` to PRDL bytes (little-endian)."""
+    adapter = adapter.snapshot()
     out = bytearray()
     out += PRDL_MAGIC
     out += struct.pack("<B", PRDL_VERSION)

@@ -64,12 +64,6 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _check_tokens(seq: list[int], vocab: Vocab) -> None:
-    if len(seq) == 0:
-        raise ValueError("sequence must be non-empty")
-    check_token_range(seq, vocab)
-
-
 def _checked_window(seq: list[int], n: int, vocab: Vocab) -> list[int]:
     """The last ``n`` tokens of ``seq``, each checked against ``vocab``.
 
@@ -78,7 +72,7 @@ def _checked_window(seq: list[int], n: int, vocab: Vocab) -> list[int]:
     if len(seq) == 0:
         raise ValueError("sequence must be non-empty")
     win = list(seq[-n:])
-    _check_tokens(win, vocab)
+    check_token_range(win, vocab)
     return win
 
 
@@ -96,8 +90,8 @@ class LogitModel(ABC):
         Reads and validates only the last ``window`` tokens of ``seq``, so a
         step costs O(window) however long ``seq`` is. A token out of vocab
         before the window goes unseen here: callers check whole sequences
-        once, where they enter (``generate_blackbox``, ``generate_adapted``,
-        the server's prompt and commit checks).
+        once, where they enter (:func:`~offsetlm.core.check_prompt` and the
+        server's commit checks).
         """
 
     def snapshot_bytes(self) -> bytes:
@@ -338,8 +332,7 @@ def fit_bigram(corpus: list[list[int]], vocab: Vocab, alpha: float) -> BigramTab
         raise EmptyCorpusError("corpus contains no tokens")
     counts = np.zeros((vocab.size, vocab.size), dtype=np.int64)
     for doc in corpus:
-        if doc:
-            _check_tokens(doc, vocab)
+        check_token_range(doc, vocab)
         for a, b in zip(doc, doc[1:]):
             counts[a, b] += 1
     return BigramTableModel(vocab, counts, alpha)
@@ -414,7 +407,7 @@ def training_positions(docs, vocab: Vocab, context: int):
     """
     windows, targets = [], []
     for doc in docs:
-        _check_tokens(doc, vocab)
+        check_token_range(doc, vocab)
         padded = np.array([vocab.bos_id] * context + list(doc), dtype=np.int64)
         windows.append(np.lib.stride_tricks.sliding_window_view(padded, context)[1 : len(doc)])
         targets.append(padded[context + 1 :])

@@ -35,6 +35,7 @@ sequence ends in eos.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import socket
@@ -47,14 +48,13 @@ from .core import (
     STOCHASTIC,
     GenerationConfig,
     Vocab,
-    VocabMismatchError,
     argmax_sample,
-    check_token_range,
+    check_prompt,
     make_rng,
     sample_token,
 )
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
-from .models import LogitModel, TinyNeuralLM, _check_tokens
+from .models import LogitModel, TinyNeuralLM
 from .messages import (
     FLAVOR_ADAPTED,
     FLAVOR_BLACKBOX,
@@ -92,6 +92,7 @@ ERR_MALFORMED_ADAPTER = "malformed-adapter"
 ERR_UNSUPPORTED = "unsupported-request"
 ERR_INVALID_PROMPT = "invalid-prompt"
 ERR_MALFORMED = "malformed-payload"
+ERR_SERVER_FAULT = "server-fault"
 
 
 class HandshakeRejectedError(Exception):
@@ -291,8 +292,11 @@ class Server:
         Until a ``Hello`` is accepted, only a ``Hello`` is served. A bad
         preamble, an undecodable or oversized frame, or a first message that
         is not a ``Hello`` gets one ``ProtocolError`` and then a close; a
-        refused ``Hello`` gets its ``HelloAck`` and then a close. A peer that
-        leaves, at any point, ends the loop quietly.
+        refused ``Hello`` gets its ``HelloAck`` and then a close. A request
+        whose handling raises, such as a failing black-box forward, is a fault
+        of this server: it is logged with its session id and answered with
+        ``ProtocolError(server-fault, <exception type>)``, then a close. A
+        peer that leaves, at any point, ends the loop quietly.
         """
         state = _ConnectionState()
         try:
@@ -301,7 +305,13 @@ class Server:
                 while True:
                     msg = conn.recv_message()
                     if state.greeted:
-                        reply = self._dispatch(msg, state)
+                        try:
+                            reply = self._dispatch(msg, state)
+                        except Exception as exc:  # noqa: BLE001 — reported to the peer
+                            log.exception("session %s: server fault on %s",
+                                          getattr(msg, "session_id", None), type(msg).__name__)
+                            reply = ProtocolError(ERR_SERVER_FAULT, type(exc).__name__)
+                            state.greeted = False  # close after this reply
                     elif isinstance(msg, Hello):
                         reply = self.check_hello(msg)
                         state.greeted = reply.accept
@@ -318,6 +328,11 @@ class Server:
             conn.close()
 
     def _dispatch(self, msg: Message, state: "_ConnectionState") -> Message:
+        if isinstance(msg, (StartSession, ServerGenerate)):
+            try:
+                check_prompt(msg.prompt, self.vocab)
+            except ValueError as exc:
+                return ProtocolError(ERR_INVALID_PROMPT, str(exc))
         if isinstance(msg, StartSession):
             return self._on_start(msg, state)
         if isinstance(msg, Commit):
@@ -328,21 +343,7 @@ class Server:
             return self._on_generate(msg, state.adapted_proxy)
         return ProtocolError(ERR_UNSUPPORTED, f"unexpected {type(msg).__name__}")
 
-    def _check_prompt(self, prompt: tuple[int, ...]) -> str | None:
-        if len(prompt) == 0:
-            return "prompt must be non-empty"
-        try:
-            check_token_range(prompt, self.vocab)
-        except VocabMismatchError as exc:
-            return f"prompt {exc}"
-        if self.vocab.eos_id in prompt[:-1]:
-            return "eos inside the prompt body"
-        return None
-
     def _on_start(self, msg: StartSession, state: "_ConnectionState") -> Message:
-        why = self._check_prompt(msg.prompt)
-        if why is not None:
-            return ProtocolError(ERR_INVALID_PROMPT, why)
         if state.session is not None:
             return ProtocolError(
                 ERR_INVALID_COMMIT, f"session {state.session.session_id} is still live"
@@ -392,9 +393,6 @@ class Server:
         return HelloAck(True, "adapter installed")
 
     def _on_generate(self, msg: ServerGenerate, adapted_proxy) -> Message:
-        why = self._check_prompt(msg.prompt)
-        if why is not None:
-            return ProtocolError(ERR_INVALID_PROMPT, why)
         if msg.flavor == FLAVOR_ADAPTED and adapted_proxy is None:
             return ProtocolError(ERR_UNSUPPORTED, "no adapter uploaded for adapted generation")
         if msg.flavor == FLAVOR_BLACKBOX:
@@ -409,15 +407,28 @@ class Server:
 def _generate(step, vocab: Vocab, prompt: list[int], config: GenerationConfig) -> list[int]:
     """The shared in-process loop: ``step(seq, rng)`` picks each next token.
 
-    The prompt is checked against the vocabulary once, here; each step then
-    reads only the models' windows. A prompt ending in eos yields nothing.
+    The prompt is checked once, here, by the rule the server applies
+    (:func:`~offsetlm.core.check_prompt`); each step then reads only the
+    models' windows. A prompt ending in eos yields nothing.
     """
-    _check_tokens(prompt, vocab)
+    check_prompt(prompt, vocab)
     rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
     seq = list(prompt)
     while not finished(seq, len(prompt), config.max_new_tokens, vocab.eos_id):
         seq.append(step(seq, rng))
     return seq[len(prompt):]
+
+
+def adapted_step(z_b, base_proxy: LogitModel, tuned_proxy: LogitModel, seq: list[int],
+                 config: GenerationConfig, rng) -> int:
+    """The next adapted token after ``seq``, given its black-box row ``z_b``.
+
+    Both proxies' ``next_logits`` over ``seq``, then one ``adapted_next_token``
+    draw: the per-token step of ``generate_adapted`` and of client verification.
+    """
+    return adapted_next_token(
+        z_b, base_proxy.next_logits(seq), tuned_proxy.next_logits(seq), config, rng
+    )
 
 
 def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
@@ -441,17 +452,12 @@ def generate_adapted(
     mode — which is what makes server-side (transfer) and client-side
     generation token-identical for the same seed.
     """
-
-    def step(seq: list[int], rng) -> int:
-        return adapted_next_token(
-            blackbox.next_logits(seq),
-            base_proxy.next_logits(seq),
-            tuned_proxy.next_logits(seq),
-            config,
-            rng,
-        )
-
-    return _generate(step, blackbox.vocab, prompt, config)
+    return _generate(
+        lambda seq, rng: adapted_step(
+            blackbox.next_logits(seq), base_proxy, tuned_proxy, seq, config, rng
+        ),
+        blackbox.vocab, prompt, config,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +479,8 @@ class Client:
         base_proxy: TinyNeuralLM | None = None,
         adapter: LoraAdapter | None = None,
     ) -> None:
+        if base_proxy is not None and base_proxy.vocab != vocab:
+            raise ValueError(f"client vocab {vocab} differs from its base proxy's {base_proxy.vocab}")
         self.conn = conn
         self.vocab = vocab
         self.base_proxy = base_proxy
@@ -579,24 +587,18 @@ class Client:
     ) -> Commit:
         """Accept the agreeing prefix of a draft; replace the first divergence.
 
-        Each position runs the per-token step of ``generate_adapted`` with the
-        draft's black-box row: both proxies' ``next_logits`` over ``mirror``,
-        then one ``adapted_next_token`` draw. The sampled token is appended to
-        ``mirror``, and the walk stops at the first one that differs from the
-        draft. On return ``mirror`` holds the committed tokens; when a forward
-        raises, it is rolled back to its length on entry.
+        Each position runs :func:`adapted_step` with the draft's black-box
+        row, as ``generate_adapted`` does with its own. The sampled token is
+        appended to ``mirror``, and the walk stops at the first one that
+        differs from the draft. On return ``mirror`` holds the committed
+        tokens; when a forward raises, it is rolled back to its length on
+        entry.
         """
         start = len(mirror)
         accept, replacement = len(draft.tokens), None
         try:
             for i, (z_b, drafted) in enumerate(zip(draft.logits, draft.tokens)):
-                tok = adapted_next_token(
-                    z_b,
-                    self.base_proxy.next_logits(mirror),
-                    self.tuned_proxy.next_logits(mirror),
-                    config,
-                    rng,
-                )
+                tok = adapted_step(z_b, self.base_proxy, self.tuned_proxy, mirror, config, rng)
                 mirror.append(tok)
                 if tok != drafted:
                     accept, replacement = i, tok
@@ -680,14 +682,13 @@ class SocketServer:
         self._listener = socket.create_server((host, port))
         self.address = self._listener.getsockname()
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._stopping = False
 
     def start(self) -> "SocketServer":
         self._accept_thread.start()
         return self
 
     def _accept_loop(self) -> None:
-        while not self._stopping:
+        while True:  # until close() shuts the listener down
             try:
                 sock, _ = self._listener.accept()
             except OSError:
@@ -695,11 +696,13 @@ class SocketServer:
             serve_channel(self.server, SocketChannel(sock))
 
     def close(self) -> None:
-        self._stopping = True
-        try:
+        """Stop accepting; already accepted connections run on."""
+        # a bare close() leaves a blocked accept() waiting; shutdown wakes it
+        # (where the platform shuts down a listening socket at all)
+        with contextlib.suppress(OSError):
+            self._listener.shutdown(socket.SHUT_RDWR)
+        with contextlib.suppress(OSError):
             self._listener.close()
-        except OSError:
-            pass
 
     def __enter__(self) -> "SocketServer":
         return self.start()

@@ -131,7 +131,6 @@ FIELD_KINDS = {
     "u8": FieldKind(struct.Struct("<B").pack, lambda r, _: r.u8()),
     "u32": FieldKind(struct.Struct("<I").pack, lambda r, _: r.u32()),
     "u64": FieldKind(struct.Struct("<Q").pack, lambda r, _: r.u64()),
-    "f32": FieldKind(struct.Struct("<f").pack, lambda r, _: r.f32()),
     "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", lambda r, _: r.flag()),
     "text": FieldKind(_pack_text, lambda r, _: r.text()),
     "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), lambda r, _: r.tokens()),

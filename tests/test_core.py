@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offsetlm import GenerationConfig, Vocab, argmax_sample, make_rng, seeded_sample
-from offsetlm.core import parse_token_line, read_corpus, softmax64
+from offsetlm.core import check_prompt, parse_token_line, read_corpus, softmax64
 from offsetlm.models import VocabMismatchError
 
 from conftest import argmax_oracle, softmax_oracle
@@ -159,6 +159,25 @@ class TestSoftmax64:
     def test_temperature_one_matches_oracle(self):
         vals = [0.2, -1.0, 3.0]
         np.testing.assert_allclose(softmax64(np.array(vals)), softmax_oracle(vals), rtol=1e-12)
+
+
+class TestCheckPrompt:
+    @pytest.mark.parametrize("prompt", [[3], (3, 4), [1], [3, 4, 1], [0, 7]])
+    def test_accepts_a_sequence_ending_at_most_in_eos(self, vocab, prompt):
+        check_prompt(prompt, vocab)
+
+    @pytest.mark.parametrize(
+        "prompt, error, text",
+        [
+            ([], ValueError, "prompt must be non-empty"),
+            ((3, 8), VocabMismatchError, "prompt token 8 out of range for vocab size 8"),
+            ([1, 3], ValueError, "eos inside the prompt body"),
+            ([3, 1, 1], ValueError, "eos inside the prompt body"),
+        ],
+    )
+    def test_refusals(self, vocab, prompt, error, text):
+        with pytest.raises(error, match=text):
+            check_prompt(prompt, vocab)
 
 
 class TestCorpusIo:

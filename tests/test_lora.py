@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import struct
 import tracemalloc
 
 import numpy as np
@@ -648,6 +649,29 @@ class TestAdapterBytes:
         with pytest.raises(AdapterFormatError) as err:
             decode_adapter(bytes(data))
         assert "200" in str(err.value)
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["scaling", "b", "a"])
+    def test_non_finite_binary32_is_rejected(self, base, where, value):
+        data = bytearray(encode_adapter(init_adapter(base, rank=1, target_names=("w1",))))
+        # header(11) + tag(1) + m, n u32(8): the scaling f32, then B (m x 1), then A
+        at = {"scaling": 20, "b": 24, "a": 24 + 4 * base.hidden_dim}[where]
+        data[at:at + 4] = struct.pack("<f", value)
+        with pytest.raises(AdapterFormatError, match="not finite"):
+            decode_adapter(bytes(data))
+
+    @pytest.mark.parametrize("where", ["scaling", "b", "a"])
+    def test_binary32_overflow_is_refused_on_snapshot_and_encode(self, base, where):
+        adapter = rich_adapter(base)  # binary64 factors
+        t = adapter.targets[1]
+        if where == "scaling":
+            t.scaling = 1e39
+        else:
+            setattr(t, where, getattr(t, where) + 1e39)
+        for convert in (LoraAdapter.snapshot, encode_adapter):
+            with pytest.warns(RuntimeWarning, match="overflow"):
+                with pytest.raises(ValueError, match="'w2'.* not finite"):
+                    convert(adapter)
 
     def test_file_round_trip(self, tmp_path, base):
         adapter = rich_adapter(base).snapshot()

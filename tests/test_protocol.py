@@ -46,6 +46,8 @@ from offsetlm.protocol import (
     ERR_INVALID_COMMIT,
     ERR_INVALID_PROMPT,
     ERR_MALFORMED,
+    ERR_MALFORMED_ADAPTER,
+    ERR_SERVER_FAULT,
     ERR_SESSION_UNKNOWN,
     FingerprintMismatchError,
     HandshakeRejectedError,
@@ -291,6 +293,11 @@ class TestServerSession:
 
 
 class TestHandshake:
+    def test_client_vocab_must_match_its_proxy(self, world):
+        _, base, adapter = world  # built for Vocab(8, eos_id=1, bos_id=2)
+        with pytest.raises(ValueError, match="vocab"):
+            Client(None, Vocab(8, eos_id=2, bos_id=1), base_proxy=base, adapter=adapter)
+
     def test_accepts_matching_vocab(self, vocab, world):
         blackbox, base, _ = world
         client = connected_client(Server(blackbox), vocab, base)
@@ -510,12 +517,17 @@ class TestBudgetsAndStopping:
         client.conn.close()
 
     def test_interior_eos_is_rejected(self, vocab, world):
-        blackbox, _, _ = world
+        blackbox, base, adapter = world
+        prompt = [3, vocab.eos_id, 4]
         client = connected_client(Server(blackbox), vocab)
         with pytest.raises(RemoteProtocolError) as err:
-            client.run_api([3, vocab.eos_id, 4], GREEDY_CFG)
+            client.run_api(prompt, GREEDY_CFG)
         assert err.value.code == ERR_INVALID_PROMPT
         client.conn.close()
+        with pytest.raises(ValueError, match="eos inside the prompt body"):
+            generate_blackbox(blackbox, prompt, GREEDY_CFG)
+        with pytest.raises(ValueError, match="eos inside the prompt body"):
+            generate_adapted(blackbox, base, apply_adapter(base, adapter), prompt, GREEDY_CFG)
 
     def test_out_of_vocab_prompt_token_is_an_invalid_prompt(self, vocab, world):
         from offsetlm.messages import FLAVOR_BLACKBOX, ProtocolError, ServerGenerate
@@ -562,6 +574,17 @@ class TestTransfer:
         client = connected_client(Server(blackbox, base), vocab, base)
         with pytest.raises(RemoteProtocolError):
             client._server_generate([3], GREEDY_CFG, flavor=1)
+        client.conn.close()
+
+    def test_non_finite_adapter_upload_is_malformed(self, vocab, world):
+        blackbox, base, adapter = world
+        blob = bytearray(encode_adapter(adapter))
+        blob[20:24] = struct.pack("<f", np.inf)  # the first target's scaling
+        client = connected_client(Server(blackbox, base), vocab, base)
+        client.conn.send_message(UploadAdapter(bytes(blob), base.fingerprint()))
+        reply = client.conn.recv_message()
+        assert isinstance(reply, ProtocolError) and reply.code == ERR_MALFORMED_ADAPTER
+        assert "not finite" in reply.text
         client.conn.close()
 
     def test_upload_is_billed_as_model_transfer(self, vocab, world):
@@ -634,6 +657,24 @@ class TestWireErrors:
         assert reply.code == "malformed-payload"
         with pytest.raises(ConnectionClosedError):
             client.conn.recv_message()
+
+    @pytest.mark.parametrize("mode", ["api", "prada"])
+    def test_server_fault_is_a_reply_then_a_close(self, vocab, world, caplog, mode):
+        blackbox, base, adapter = world
+        conn, thread = connect_in_process(Server(FailingModel(blackbox, ok=0)))
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()
+        run = client.run_api if mode == "api" else client.run_per_token
+        with pytest.raises(RemoteProtocolError) as err:
+            run([3], GREEDY_CFG)
+        assert (err.value.code, err.value.text) == (ERR_SERVER_FAULT, "RuntimeError")
+        with pytest.raises(ConnectionClosedError):
+            conn.recv_message()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        request = "ServerGenerate" if mode == "api" else "StartSession"
+        assert f"session 1: server fault on {request}" in caplog.text
+        conn.close()
 
     def test_non_hello_first_message_is_refused(self, vocab, world):
         blackbox, _, _ = world
@@ -748,9 +789,15 @@ class TestConnectionLoop:
         conn.close()
 
     @settings(max_examples=50, deadline=None)
-    @given(greet=st.booleans(), more=st.lists(_hellos | _requests, min_size=1, max_size=5))
-    def test_every_message_gets_exactly_one_reply(self, greet, more):
-        server = Server(SEQ_BLACKBOX, SEQ_BASE)
+    @given(
+        greet=st.booleans(),
+        more=st.lists(_hellos | _requests, min_size=1, max_size=5),
+        fault_after=st.none() | st.integers(0, 4),
+    )
+    def test_every_message_gets_exactly_one_reply(self, greet, more, fault_after):
+        # with fault_after = k, the black box raises from its (k + 1)-th forward on
+        blackbox = SEQ_BLACKBOX if fault_after is None else FailingModel(SEQ_BLACKBOX, fault_after)
+        server = Server(blackbox, SEQ_BASE)
         client_end, server_end = queue_channel_pair(timeout=5.0)
         errors = []
 
@@ -771,6 +818,13 @@ class TestConnectionLoop:
             conn.send_message(msg)
             reply = conn.recv_message()
             assert isinstance(reply, (HelloAck, DraftBatch, GenerationResult, ProtocolError))
+            # the server handled msg before it replied, so the count is settled
+            faulted = getattr(blackbox, "raised", 0) > 0
+            assert (isinstance(reply, ProtocolError) and reply.code == ERR_SERVER_FAULT) == faulted
+            if faulted:
+                assert reply.text == "RuntimeError"
+                closes = True
+                break
         if not closes:
             conn.close()
         with pytest.raises(ConnectionClosedError):
@@ -779,6 +833,59 @@ class TestConnectionLoop:
         assert not thread.is_alive()
         assert errors == []
         conn.close()
+
+
+SEQ_ADAPTER = rich_adapter(SEQ_BASE)
+SEQ_TUNED = apply_adapter(SEQ_BASE, SEQ_ADAPTER)
+
+
+def _outcome(run):
+    """``run()``'s tokens, or the ``ValueError`` it raised."""
+    try:
+        return run()
+    except ValueError as exc:
+        return exc
+
+
+class TestOnePromptRule:
+    """Every mode refuses the prompts that in-process generation refuses, and agrees on the rest."""
+
+    MODES = {
+        "api": lambda c, p, cfg: c.run_api(p, cfg),
+        "prada": lambda c, p, cfg: c.run_per_token(p, cfg),
+        "prada-sd-1": lambda c, p, cfg: c.run_speculative(p, cfg, draft_len=1),
+        "prada-sd-3": lambda c, p, cfg: c.run_speculative(p, cfg, draft_len=3),
+        "prada-transfer": lambda c, p, cfg: c.run_transfer(p, cfg),
+    }
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        # ids up to V + 1: out of range ones too; eos (1) may sit anywhere
+        prompt=st.lists(st.integers(0, V8.size + 1), max_size=6),
+        seed=st.integers(0, 2**64 - 1),
+    )
+    def test_every_mode_refuses_the_same_prompts(self, prompt, seed):
+        for config in (GenerationConfig(max_new_tokens=5, mode="greedy"),
+                       GenerationConfig(max_new_tokens=5, mode="stochastic", temperature=0.9,
+                                        seed=seed)):
+            plain = _outcome(lambda: generate_blackbox(SEQ_BLACKBOX, prompt, config))
+            adapted = _outcome(lambda: generate_adapted(SEQ_BLACKBOX, SEQ_BASE, SEQ_TUNED, prompt,
+                                                        config))
+            refused = isinstance(plain, ValueError)
+            assert isinstance(adapted, ValueError) == refused
+            for mode, run in self.MODES.items():
+                client = connected_client(Server(SEQ_BLACKBOX, SEQ_BASE), V8, SEQ_BASE, SEQ_ADAPTER)
+                try:
+                    if refused:
+                        with pytest.raises(RemoteProtocolError) as err:
+                            run(client, prompt, config)
+                        assert err.value.code == ERR_INVALID_PROMPT, mode
+                        assert err.value.text == str(plain), mode
+                    else:
+                        want = plain if mode == "api" else adapted
+                        assert run(client, prompt, config) == want, mode
+                finally:
+                    client.conn.close()
 
 
 def rogue_server(draft: DraftBatch) -> tuple[FramedConnection, threading.Thread]:
@@ -935,6 +1042,12 @@ class TestTransports:
         assert results["adapted"] == expect_adapted
         assert results["api"] == expect_api
 
+    def test_close_ends_the_accept_loop(self, world):
+        srv = SocketServer(Server(world[0])).start()
+        srv.close()
+        srv._accept_thread.join(timeout=5)
+        assert not srv._accept_thread.is_alive()
+
     def test_same_session_ids_on_separate_connections_do_not_collide(self, vocab, world):
         blackbox, base, adapter = world
         server = Server(blackbox)
@@ -977,16 +1090,18 @@ class TestResultIntegrity:
 
 
 class FailingModel(LogitModel):
-    """Delegates to ``inner`` for ``ok`` forwards, then raises."""
+    """Delegates to ``inner`` for ``ok`` forwards, then raises; counts the raises."""
 
     def __init__(self, inner: LogitModel, ok: int) -> None:
         self.inner = inner
         self.vocab = inner.vocab
         self.window = inner.window
         self.ok = ok
+        self.raised = 0
 
     def next_logits(self, seq):
         if self.ok == 0:
+            self.raised += 1
             raise RuntimeError("forward failed")
         self.ok -= 1
         return self.inner.next_logits(seq)
