@@ -132,7 +132,9 @@ def sample_token(logits: np.ndarray, config: GenerationConfig, rng: np.random.Ge
 
 
 class VocabMismatchError(ValueError):
-    """A token id fell outside the model's vocabulary."""
+    """A token id fell outside the model's vocabulary, or two vocabularies differ."""
+
+    code = "bad-vocab"
 
 
 def check_token_range(tokens, vocab: Vocab, what: str = "token") -> None:

@@ -66,6 +66,12 @@ class AdapterFormatError(ValueError):
     """A PRDL payload was malformed or truncated."""
 
 
+class TrainingDivergedError(ValueError):
+    """A training step gave a non-finite loss or a factor that overflows binary32."""
+
+    code = "training-diverged"
+
+
 @dataclass
 class LoraTarget:
     """One adapted weight: name, down/up factors, and their scaling."""
@@ -333,22 +339,34 @@ def train_lora(
     """SGD on the adapter factors with the base model bitwise frozen.
 
     Deterministic given (config.seed, corpus order). Zero epochs returns the
-    seeded init unchanged.
+    seeded init unchanged. Raises :class:`TrainingDivergedError`, naming the
+    epoch and step, at the first step whose binary64 loss is not finite or
+    after which :meth:`LoraAdapter.snapshot` refuses a factor.
     """
     rng = make_rng(config.seed)
     adapter = _init_from_rng(base, config.rank, 1.0, rng)
     docs = [list(doc) for doc in corpus]
     if not docs:
         raise DegenerateBatchError("corpus must be non-empty")
-    for _ in range(config.epochs):
+    steps = range(0, len(docs), config.batch_size)
+    for epoch in range(1, config.epochs + 1):
         order = rng.permutation(len(docs))
-        for start in range(0, len(docs), config.batch_size):
+        for step, start in enumerate(steps, 1):
             batch = [docs[i] for i in order[start : start + config.batch_size]]
-            _, grads = loss_and_grads(base, adapter, batch)
+            loss, grads = loss_and_grads(base, adapter, batch)
             for t in adapter.targets:
                 if t.name in grads:
                     t.b = t.b - config.lr * grads[t.name]["b"]
                     t.a = t.a - config.lr * grads[t.name]["a"]
+            try:
+                if not np.isfinite(loss):
+                    raise ValueError(f"loss {loss} is not finite")
+                adapter.snapshot()
+            except ValueError as exc:
+                raise TrainingDivergedError(
+                    f"training diverged at epoch {epoch} of {config.epochs}, "
+                    f"step {step} of {len(steps)}: {exc}"
+                ) from exc
     return adapter
 
 

@@ -48,6 +48,7 @@ from .core import (
     STOCHASTIC,
     GenerationConfig,
     Vocab,
+    VocabMismatchError,
     argmax_sample,
     check_prompt,
     make_rng,
@@ -262,7 +263,9 @@ class Server:
 
     def __init__(self, blackbox: LogitModel, base_proxy: TinyNeuralLM | None = None) -> None:
         if base_proxy is not None and base_proxy.vocab != blackbox.vocab:
-            raise ValueError("black-box and base proxy must share a vocabulary")
+            raise VocabMismatchError(
+                f"black-box vocab {blackbox.vocab} differs from the base proxy's {base_proxy.vocab}"
+            )
         self.blackbox = blackbox
         self.base_proxy = base_proxy
 
@@ -480,7 +483,7 @@ class Client:
         adapter: LoraAdapter | None = None,
     ) -> None:
         if base_proxy is not None and base_proxy.vocab != vocab:
-            raise ValueError(f"client vocab {vocab} differs from its base proxy's {base_proxy.vocab}")
+            raise VocabMismatchError(f"client vocab {vocab} differs from its base proxy's {base_proxy.vocab}")
         self.conn = conn
         self.vocab = vocab
         self.base_proxy = base_proxy
@@ -665,7 +668,7 @@ def serve_channel(server: Server, channel) -> threading.Thread:
 def connect_in_process(
     server: Server, ledger: CostLedger | None = None
 ) -> tuple[FramedConnection, threading.Thread]:
-    """In-process channel pair with the server end running on a thread.
+    """In-process socket pair with the server end running on a thread.
 
     ``ledger`` bills the client end; the server end keeps its own.
     """

@@ -23,7 +23,6 @@ direction; handshake traffic is tallied separately. Token counters obey
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import time
@@ -237,7 +236,11 @@ def max_draft_rows(vocab_size: int) -> int:
 
 
 class ByteChannel(ABC):
-    """A reliable ordered byte stream with exact-read semantics."""
+    """A reliable ordered byte stream with exact-read semantics.
+
+    :class:`SocketChannel` is the one implementation, over a TCP socket or
+    one end of an in-process socket pair (:func:`queue_channel_pair`).
+    """
 
     @abstractmethod
     def send(self, data: bytes) -> None: ...
@@ -249,53 +252,8 @@ class ByteChannel(ABC):
     def close(self) -> None: ...
 
 
-class QueueChannel(ByteChannel):
-    """In-process duplex endpoint backed by a pair of thread-safe queues."""
-
-    def __init__(self, send_q: queue.SimpleQueue, recv_q: queue.SimpleQueue, timeout: float = 30.0) -> None:
-        self._send_q = send_q
-        self._recv_q = recv_q
-        self._buf = bytearray()
-        self._closed = False
-        self._peer_closed = False
-        self._timeout = timeout
-
-    def send(self, data: bytes) -> None:
-        if self._closed:
-            raise ConnectionClosedError("channel is closed")
-        self._send_q.put(bytes(data))
-
-    def recv_exact(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            if self._peer_closed:
-                raise ConnectionClosedError("peer closed the channel")
-            try:
-                item = self._recv_q.get(timeout=self._timeout)
-            except queue.Empty as exc:
-                raise ConnectionClosedError("channel receive timed out") from exc
-            if item is None:
-                self._peer_closed = True
-            else:
-                self._buf.extend(item)
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._send_q.put(None)
-
-
-def queue_channel_pair(timeout: float = 30.0) -> tuple[QueueChannel, QueueChannel]:
-    """A connected in-process channel pair (client end, server end)."""
-    ab: queue.SimpleQueue = queue.SimpleQueue()
-    ba: queue.SimpleQueue = queue.SimpleQueue()
-    return QueueChannel(ab, ba, timeout), QueueChannel(ba, ab, timeout)
-
-
 class SocketChannel(ByteChannel):
-    """Stream-socket endpoint with the same exact-read semantics."""
+    """Stream-socket endpoint: TCP, or one end of a local socket pair."""
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
@@ -328,6 +286,19 @@ class SocketChannel(ByteChannel):
         except OSError:
             pass
         self._sock.close()
+
+
+def queue_channel_pair(timeout: float = 30.0) -> tuple[SocketChannel, SocketChannel]:
+    """A connected in-process socket pair (client end, server end).
+
+    Both ends are :class:`SocketChannel` over one ``socket.socketpair()``, so
+    in-process and TCP connections run the same channel code. A read that
+    waits longer than ``timeout`` seconds raises :class:`ConnectionClosedError`.
+    """
+    ends = socket.socketpair()
+    for sock in ends:
+        sock.settimeout(timeout)
+    return SocketChannel(ends[0]), SocketChannel(ends[1])
 
 
 # ---------------------------------------------------------------------------

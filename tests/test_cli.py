@@ -76,6 +76,30 @@ def adapter_path(runner, workdir, corpus_path, base_proxy_path):
     return out
 
 
+@pytest.fixture(scope="module")
+def swapped_base_path(runner, workdir, corpus_path):
+    """A neural base over Vocab(8, eos 2, bos 1): the black box's size, its ids swapped."""
+    out = workdir / "swapped_base.prdm"
+    result = runner.invoke(main, [
+        "fit-blackbox", "--corpus", str(corpus_path), "--out", str(out),
+        "--arch", "neural", "--vocab-size", "8", "--eos-id", "2", "--bos-id", "1",
+        "--context", "2", "--embed-dim", "4", "--hidden-dim", "6", "--epochs", "2",
+    ])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+@pytest.fixture(scope="module")
+def swapped_adapter_path(runner, workdir, corpus_path, swapped_base_path):
+    out = workdir / "swapped_adapter.prdl"
+    result = runner.invoke(main, [
+        "train-proxy", "--base", str(swapped_base_path), "--corpus", str(corpus_path),
+        "--out", str(out), "--rank", "2", "--epochs", "1",
+    ])
+    assert result.exit_code == 0, result.output
+    return out
+
+
 def result_tokens(output: str) -> list[int]:
     for line in output.splitlines():
         m = RESULT_RE.match(line)
@@ -165,6 +189,41 @@ class TestTrainProxy:
         ])
         assert result.exit_code != 0
         assert 'error code=bad-base msg="' in result.stderr
+
+
+    def test_divergence_is_a_named_code(self, runner, workdir, corpus_path, base_proxy_path):
+        out = workdir / "diverged.prdl"
+        with pytest.warns(RuntimeWarning, match="overflow"):  # numpy still says what overflowed
+            result = runner.invoke(main, [
+                "train-proxy", "--base", str(base_proxy_path), "--corpus", str(corpus_path),
+                "--out", str(out), "--rank", "2", "--epochs", "8", "--lr", "1000",
+            ])
+        assert result.exit_code != 0
+        assert 'error code=training-diverged msg="training diverged at epoch ' in result.stderr, \
+            result.stderr
+        assert not out.exists()
+
+
+class TestVocabMismatch:
+    """A black box and a base proxy over different vocabularies fail as ``bad-vocab``."""
+
+    @pytest.mark.parametrize("args", [
+        ["generate", "--mode", "prada", "--prompt", "3 4", "--blackbox", "BB",
+         "--base-proxy", "BASE", "--adapter", "ADAPTER"],
+        ["generate", "--mode", "prada-transfer", "--prompt", "3 4", "--blackbox", "BB",
+         "--base-proxy", "BASE", "--adapter", "ADAPTER"],
+        ["bench", "--prompt", "3 4", "--blackbox", "BB", "--base-proxy", "BASE",
+         "--adapter", "ADAPTER"],
+        ["serve", "--blackbox", "BB", "--base-proxy", "BASE"],
+    ], ids=["generate-prada", "generate-prada-transfer", "bench", "serve"])
+    def test_each_command_names_the_mismatch(self, runner, monkeypatch, blackbox_path,
+                                             swapped_base_path, swapped_adapter_path, args):
+        monkeypatch.setattr(signal, "pause", lambda: None)
+        paths = {"BB": blackbox_path, "BASE": swapped_base_path, "ADAPTER": swapped_adapter_path}
+        result = runner.invoke(main, [str(paths.get(a, a)) for a in args])
+        assert result.exit_code != 0
+        assert 'error code=bad-vocab msg="' in result.stderr, result.stderr
+        assert "record=" not in result.output
 
 
 # settings GenerationConfig refuses: each is outside what the wire carries
@@ -374,6 +433,8 @@ class TestServeAndConnect:
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=10)
+            proc.stdout.close()
+            proc.stderr.close()
 
 
 class TestBench:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 import tracemalloc
 
@@ -31,6 +32,7 @@ from offsetlm.lora import (
     DegenerateBatchError,
     RankTooLargeError,
     ShapeMismatchError,
+    TrainingDivergedError,
     _low_rank,
 )
 from offsetlm.models import (
@@ -43,7 +45,7 @@ from offsetlm.models import (
     training_positions,
 )
 
-from conftest import with_biases
+from conftest import random_corpus, with_biases
 
 
 @pytest.fixture
@@ -580,6 +582,31 @@ class TestTrainLora:
         monkeypatch.setattr(lora, "loss_and_grads", counted)
         train_lora(base, [[3, 4, 5]] * 5, TrainConfig(epochs=2, batch_size=2, rank=2))
         assert calls == [2, 2, 1] * 2
+
+    @pytest.mark.parametrize("lr", [20.0, 1000.0])
+    def test_divergence_is_named_with_its_epoch_and_step(self, base, vocab, lr):
+        # the binary64 factors outgrow binary32 long before the loss stops being finite
+        corpus = random_corpus(np.random.default_rng(1), vocab, 64, 12)
+        cfg = TrainConfig(lr=lr, batch_size=8, epochs=8, rank=2, seed=1)
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as info:
+            train_lora(base, corpus, cfg)
+        assert info.value.code == "training-diverged"
+        assert re.fullmatch(r"training diverged at epoch [1-8] of 8, step [1-8] of 8: "
+                            r"target 'w[12]': a factor or the scaling is not finite",
+                            str(info.value))
+
+    def test_a_non_finite_loss_is_named_at_its_step(self, base, monkeypatch):
+        losses = iter([1.0, 2.0, 3.0, float("nan")])
+        step = lora.loss_and_grads
+
+        def failing(*args):
+            _, grads = step(*args)
+            return next(losses), grads
+
+        monkeypatch.setattr(lora, "loss_and_grads", failing)
+        with pytest.raises(TrainingDivergedError,
+                           match=r"^training diverged at epoch 2 of 2, step 1 of 3: loss nan is not finite$"):
+            train_lora(base, [[3, 4, 5]] * 5, TrainConfig(epochs=2, batch_size=2, rank=2))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

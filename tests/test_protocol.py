@@ -311,6 +311,7 @@ class TestHandshake:
         with pytest.raises(HandshakeRejectedError) as err:
             client.handshake()
         assert "mismatch" in str(err.value)
+        conn.close()
 
     def test_rejects_wrong_protocol_version(self, vocab, world):
         blackbox, _, _ = world
@@ -657,6 +658,7 @@ class TestWireErrors:
         assert reply.code == "malformed-payload"
         with pytest.raises(ConnectionClosedError):
             client.conn.recv_message()
+        client.conn.close()
 
     @pytest.mark.parametrize("mode", ["api", "prada"])
     def test_server_fault_is_a_reply_then_a_close(self, vocab, world, caplog, mode):
@@ -761,6 +763,7 @@ class TestConnectionLoop:
             conn.recv_message()
         thread.join(timeout=5)
         assert not thread.is_alive()
+        conn.close()
 
     @pytest.mark.parametrize("sends_ok", [0, 1], ids=["before-hello-ack", "mid-session"])
     def test_peer_that_leaves_before_a_reply_ends_the_loop(self, vocab, world, sends_ok):
@@ -786,6 +789,25 @@ class TestConnectionLoop:
         assert isinstance(result, GenerationResult) and result.tokens == draft.tokens
         conn.send_message(second)
         assert isinstance(conn.recv_message(), DraftBatch)
+        conn.close()
+
+    @pytest.mark.parametrize("accept_count, replacement", [(5, None), (4, 3), (2, None), (2, 8)],
+                             ids=["over-accept", "replacement-on-full-accept",
+                                  "partial-without-replacement", "replacement-out-of-vocab"])
+    def test_invalid_commit_is_refused_and_the_session_goes_on(self, vocab, world,
+                                                               accept_count, replacement):
+        conn = connected_client(Server(world[0]), vocab).conn
+        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=4, max_new_tokens=4))
+        draft = conn.recv_message()
+        assert isinstance(draft, DraftBatch) and len(draft.tokens) == 4
+        conn.send_message(Commit(session_id=1, accept_count=accept_count, replacement=replacement,
+                                 done=True))
+        refusal = conn.recv_message()
+        assert isinstance(refusal, ProtocolError) and refusal.code == ERR_INVALID_COMMIT
+        # the draft is still outstanding on the same connection
+        conn.send_message(Commit(session_id=1, accept_count=4, done=True))
+        result = conn.recv_message()
+        assert isinstance(result, GenerationResult) and result.tokens == draft.tokens
         conn.close()
 
     @settings(max_examples=50, deadline=None)
@@ -888,25 +910,45 @@ class TestOnePromptRule:
                     client.conn.close()
 
 
-def rogue_server(draft: DraftBatch) -> tuple[FramedConnection, threading.Thread]:
-    """A queue-channel peer that accepts the Hello, then answers any StartSession with ``draft``."""
+def rogue_server(replies: dict) -> tuple[FramedConnection, threading.Thread]:
+    """A socket-pair peer that answers each message with ``replies[type(msg)]``.
+
+    A ``Hello`` gets an accepting ``HelloAck`` unless ``replies`` says otherwise.
+    The peer serves until the client leaves, then closes its end.
+    """
     client_end, server_end = queue_channel_pair(timeout=5.0)
+    replies = {Hello: HelloAck(True, ""), **replies}
 
     def serve() -> None:
         conn = FramedConnection(server_end, side="server")
-        conn.expect_preamble()
-        conn.recv_message()
-        conn.send_message(HelloAck(True, ""))
-        conn.recv_message()
-        conn.send_message(draft)
+        try:
+            conn.expect_preamble()
+            while True:
+                conn.send_message(replies[type(conn.recv_message())])
+        except ConnectionClosedError:
+            pass
+        finally:
+            conn.close()
 
     thread = threading.Thread(target=serve, daemon=True)
     thread.start()
     return FramedConnection(client_end, side="client"), thread
 
 
+def one_row_draft(session_id: int) -> DraftBatch:
+    return DraftBatch(session_id=session_id, tokens=(3,), logits=np.zeros((1, V8.size), np.float32))
+
+
+ROGUE_RUNS = {
+    "handshake": lambda c: c.handshake(),
+    "speculative": lambda c: c.run_speculative([3], GREEDY_CFG, draft_len=4),
+    "transfer": lambda c: c.run_transfer([3], GREEDY_CFG),
+    "api": lambda c: c.run_api([3], GREEDY_CFG),
+}
+
+
 class TestRogueServer:
-    """The client checks a draft's shape before it runs a forward on it."""
+    """The client refuses replies that do not fit its request; a draft's shape before any forward."""
 
     @pytest.mark.parametrize("fault", ["wide-rows", "token-out-of-vocab"])
     def test_bad_draft_geometry_is_out_of_sync(self, vocab, world, fault):
@@ -916,7 +958,7 @@ class TestRogueServer:
             draft = DraftBatch(session_id=1, tokens=(3, 4), logits=np.zeros((2, v + 1), np.float32))
         else:
             draft = DraftBatch(session_id=1, tokens=(3, 4000, 4), logits=np.zeros((3, v), np.float32))
-        conn, thread = rogue_server(draft)
+        conn, thread = rogue_server({StartSession: draft})
         client = Client(conn, vocab, base_proxy=base, adapter=adapter)
         client.handshake()
         client.base_proxy = CountingModel(client.base_proxy)
@@ -924,6 +966,31 @@ class TestRogueServer:
         with pytest.raises(OutOfSyncError):
             client.run_speculative([3], GREEDY_CFG, draft_len=4)
         assert client.base_proxy.calls == client.tuned_proxy.calls == 0
+        conn.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+    @pytest.mark.parametrize("run, replies, match", [
+        ("handshake", {Hello: GenerationResult(1, ())}, "expected HelloAck, got GenerationResult"),
+        ("speculative", {StartSession: one_row_draft(2)}, "unexpected message DraftBatch"),
+        ("speculative", {StartSession: HelloAck(True, "")}, "unexpected message HelloAck"),
+        ("speculative", {StartSession: GenerationResult(1, (5,))},
+         r"server result \[5\] disagrees with client mirror \[\]"),
+        ("transfer", {UploadAdapter: HelloAck(False, "no")}, "adapter upload not acknowledged"),
+        ("transfer", {UploadAdapter: GenerationResult(1, ())}, "adapter upload not acknowledged"),
+        ("api", {ServerGenerate: GenerationResult(2, (3,))}, "expected GenerationResult"),
+        ("api", {ServerGenerate: one_row_draft(1)}, "expected GenerationResult"),
+    ], ids=["handshake-not-acked", "draft-of-another-session", "mid-session-not-a-draft",
+            "result-disagrees-with-mirror", "upload-refused", "upload-not-acked",
+            "result-of-another-session", "generate-answered-by-a-draft"])
+    def test_a_reply_that_does_not_fit_is_out_of_sync(self, vocab, world, run, replies, match):
+        _, base, adapter = world
+        conn, thread = rogue_server(replies)
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        if run != "handshake":
+            client.handshake()
+        with pytest.raises(OutOfSyncError, match=match):
+            ROGUE_RUNS[run](client)
         conn.close()
         thread.join(timeout=5)
         assert not thread.is_alive()

@@ -35,7 +35,6 @@ from offsetlm.transport import (
     FrameTooLargeError,
     LatencyReport,
     MalformedPayloadError,
-    QueueChannel,
     SocketChannel,
     ZeroTokenResponseError,
     classify_message,
@@ -307,6 +306,8 @@ class TestChannels:
         a.send(b"lo!")
         assert b.recv_exact(2) == b"he"
         assert b.recv_exact(4) == b"llo!"
+        a.close()
+        b.close()
 
     def test_queue_close_signals_peer(self):
         a, b = queue_channel_pair()
@@ -315,17 +316,21 @@ class TestChannels:
         assert b.recv_exact(1) == b"x"
         with pytest.raises(ConnectionClosedError):
             b.recv_exact(1)
+        b.close()
 
     def test_queue_timeout(self):
         a, b = queue_channel_pair(timeout=0.05)
         with pytest.raises(ConnectionClosedError):
             b.recv_exact(1)
+        a.close()
+        b.close()
 
     def test_send_after_close_rejected(self):
-        a, _ = queue_channel_pair()
+        a, b = queue_channel_pair()
         a.close()
         with pytest.raises(ConnectionClosedError):
             a.send(b"x")
+        b.close()
 
     def test_socket_pair_round_trip(self):
         left, right = socket.socketpair()
@@ -373,24 +378,32 @@ class TestFramedConnection:
         assert lc.bytes_by[(CAT_HANDSHAKE, SERVER_TO_CLIENT)] == 8
         # StartSession: header 4 + tag 1 + session 8 + (count 4 + 3 tokens) + 2 u32
         assert lc.bytes_by[(CAT_DATA, CLIENT_TO_SERVER)] == 4 + 1 + 8 + 4 + 12 + 8
+        client.close()
+        server.close()
 
     def test_bad_preamble_magic(self):
         chan_c, chan_s = queue_channel_pair()
         chan_c.send(b"XXXX\x01")
         with pytest.raises(MalformedPayloadError):
             FramedConnection(chan_s, "server").expect_preamble()
+        chan_c.close()
+        chan_s.close()
 
     def test_bad_preamble_version(self):
         chan_c, chan_s = queue_channel_pair()
         chan_c.send(b"PRDA\x09")
         with pytest.raises(MalformedPayloadError):
             FramedConnection(chan_s, "server").expect_preamble()
+        chan_c.close()
+        chan_s.close()
 
     def test_oversize_send_rejected(self, monkeypatch):
         monkeypatch.setattr("offsetlm.transport.MAX_PAYLOAD_LEN", 16)
-        client, _, _, _ = self.pair()
+        client, server, _, _ = self.pair()
         with pytest.raises(FrameTooLargeError):
             client.send_message(EXAMPLES[0])
+        client.close()
+        server.close()
 
     def test_oversize_incoming_frame_rejected(self, monkeypatch):
         monkeypatch.setattr("offsetlm.transport.MAX_PAYLOAD_LEN", 16)
@@ -398,11 +411,15 @@ class TestFramedConnection:
         client.channel.send(struct.pack("<I", 1 << 20))
         with pytest.raises(FrameTooLargeError):
             server.recv_message()
+        client.close()
+        server.close()
 
     def test_side_must_be_valid(self):
-        chan, _ = queue_channel_pair()
+        chan, peer = queue_channel_pair()
         with pytest.raises(ValueError):
             FramedConnection(chan, "middle")
+        chan.close()
+        peer.close()
 
 
 class TestCostLedger:
