@@ -39,7 +39,7 @@ import signal
 import click
 from click.core import ParameterSource
 
-from .core import GREEDY, STOCHASTIC, GenerationConfig, Vocab, read_corpus
+from .core import GREEDY, STOCHASTIC, GenerationConfig, Vocab, VocabMismatchError, read_corpus
 from .lora import TrainConfig, init_adapter, load_adapter, loss_and_grads, save_adapter, train_lora
 from .models import TinyNeuralLM, fit_bigram, load_model, save_model, train_neural_lm
 from .protocol import (
@@ -435,6 +435,10 @@ def cmd_bench(blackbox, base_proxy, adapter, prompt, prompt_file, modes, draft_l
 
     blackbox_model = load_model(blackbox)
     base, adapter_model = _load_proxy_models(base_proxy, adapter)
+    if base.vocab != blackbox_model.vocab and any(m != "api" for m in mode_list):
+        raise VocabMismatchError(
+            f"black-box vocab {blackbox_model.vocab} differs from the base proxy's {base.vocab}"
+        )
 
     rows = []
     for mode in mode_list:

@@ -53,10 +53,11 @@ class GenerationConfig:
     ``max_new_tokens`` counts committed response tokens only; zero is a legal
     degenerate budget yielding an empty response.
 
-    Every field fits the ``ServerGenerate`` wire layout, so a config that can
-    be built runs in every mode: ``max_new_tokens`` is in [0, 2**32), ``seed``
-    in [0, 2**64), and ``temperature`` is stored as its binary32 rounding,
-    which must not be NaN, and for stochastic sampling must be in (0, inf).
+    Every field fits the wire's config field, which ``StartSession`` and
+    ``ServerGenerate`` carry, so a config that can be built runs in every
+    mode: ``max_new_tokens`` is in [0, 2**32), ``seed`` in [0, 2**64), and
+    ``temperature`` is stored as its binary32 rounding, which must not be
+    NaN, and for stochastic sampling must be in (0, inf).
     """
 
     max_new_tokens: int
@@ -108,18 +109,33 @@ def softmax64(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
     return e / np.sum(e)
 
 
+def sample_at(logits: np.ndarray, temperature: float, u: float) -> int:
+    """The token at uniform ``u`` of ``softmax(logits / temperature)``'s inverse CDF.
+
+    Computes :func:`softmax64` and its running sum in one binary64 buffer,
+    with the same operands in the same order, so the CDF has the same bits.
+    The token is the first whose CDF value exceeds ``u``, the last if none.
+    """
+    if not temperature > 0.0:
+        raise ValueError("temperature must be positive")
+    cdf = np.array(logits, dtype=np.float64)
+    cdf /= float(temperature)
+    cdf -= cdf.max()
+    np.exp(cdf, out=cdf)
+    cdf /= cdf.sum()
+    np.cumsum(cdf, out=cdf)
+    return min(int(cdf.searchsorted(u, side="right")), cdf.shape[0] - 1)
+
+
 def seeded_sample(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
     """Draw one token from ``softmax(logits / temperature)``.
 
-    Consumes exactly one uniform variate from ``rng`` and inverts the CDF of
-    the binary64 softmax, so the draw is a pure function of (logits,
-    temperature, generator state).
+    Consumes exactly one uniform variate from ``rng`` and takes
+    :func:`sample_at` there, so the draw is a pure function of (logits,
+    temperature, generator state). Whoever rebuilds the generator from its
+    seed knows the k-th draw's uniform without seeing the logits.
     """
-    probs = softmax64(logits, temperature)
-    u = rng.random()
-    cdf = np.cumsum(probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
-    return min(idx, probs.shape[0] - 1)
+    return sample_at(logits, temperature, rng.random())
 
 
 def sample_token(logits: np.ndarray, config: GenerationConfig, rng: np.random.Generator | None) -> int:

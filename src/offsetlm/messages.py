@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import GenerationConfig
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 FLAVOR_BLACKBOX = 0  # generate from the black-box model alone (api mode)
 FLAVOR_ADAPTED = 1  # offset-adapted generation using the uploaded adapter
@@ -61,22 +61,31 @@ class HelloAck:
 
 @dataclass(frozen=True)
 class StartSession:
+    """Open a draft/verify session: at most ``draft_len`` rows per draft.
+
+    ``config`` is the client's whole sampling setting. The server takes the
+    budget from it and, in a stochastic session, rebuilds the client's
+    uniforms from its seed to draft with.
+    """
+
     session_id: int
     prompt: tuple[int, ...]
     draft_len: int
-    max_new_tokens: int
+    config: GenerationConfig
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "prompt", _token_tuple(self.prompt, "prompt"))
         if not 1 <= self.draft_len < 1 << 32:
             raise ValueError(f"draft_len must be in [1, 2**32), got {self.draft_len}")
-        if not 0 <= self.max_new_tokens < 1 << 32:
-            raise ValueError(f"max_new_tokens must be in [0, 2**32), got {self.max_new_tokens}")
 
 
 @dataclass(eq=False)
 class DraftBatch:
-    """One server round: greedily drafted tokens and their black-box logits."""
+    """One server round: drafted tokens and their black-box logit rows.
+
+    Greedy sessions draft each row's argmax; stochastic ones draft the token
+    that the client's own uniform for that position picks from the row.
+    """
 
     session_id: int
     tokens: tuple[int, ...]

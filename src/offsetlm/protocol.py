@@ -5,8 +5,13 @@ Roles
 
 The **server** owns the black-box generator. Per session it keeps one
 canonical token sequence (prompt plus committed tokens) and, each round,
-greedily drafts tokens ahead, returning them together with their logit
-rows. The client's ``draft_len`` is a ceiling: once a commit has carried a
+drafts tokens ahead, returning them together with their logit rows. A
+greedy session drafts each row's argmax. A stochastic one drafts the token
+that the client's own uniform for that response position picks from the
+row: ``StartSession`` carries the client's config, and the server's
+generator, seeded alike, draws the same uniforms in the same order. Where
+the offset leaves a row's sample unchanged, the draft is accepted. The
+client's ``draft_len`` is a ceiling: once a commit has carried a
 replacement, a round drafts ``ceil(committed / replacements)`` tokens, the
 mean committed run per replacement, read only from validated commits so
 replays draft alike. Commits that accept only a prefix simply truncate the
@@ -52,6 +57,7 @@ from .core import (
     argmax_sample,
     check_prompt,
     make_rng,
+    sample_at,
     sample_token,
 )
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
@@ -147,19 +153,32 @@ def finished(seq: list[int], prompt_len: int, max_new_tokens: int, eos_id: int) 
 
 @dataclass
 class ServerSession:
-    """Canonical sequence plus draft bookkeeping for one generation."""
+    """Canonical sequence plus draft bookkeeping for one generation.
+
+    A stochastic session also keeps the client's generator, rebuilt from
+    ``config.seed``, and the uniforms it has drawn for drafted positions not
+    yet committed, oldest first: at most ``draft_len`` of them.
+    """
 
     session_id: int
     vocab: Vocab
     prompt: tuple[int, ...]
     draft_len: int
-    max_new_tokens: int
+    config: GenerationConfig
     canonical: list[int] = field(default_factory=list)
     last_draft: list[int] | None = None
     replacements: int = 0  # validated commits that carried a replacement
+    uniforms: list[float] = field(default_factory=list)
+    rng: np.random.Generator | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.canonical = list(self.prompt)
+        if self.config.mode == STOCHASTIC:
+            self.rng = make_rng(self.config.seed)
+
+    @property
+    def max_new_tokens(self) -> int:
+        return self.config.max_new_tokens
 
     @property
     def done(self) -> bool:
@@ -182,13 +201,27 @@ class ServerSession:
         run = -(-committed // self.replacements) if self.replacements else self.draft_len
         return min(self.draft_len, run, self.budget_left(), max_draft_rows(self.vocab.size))
 
-    def draft(self, blackbox: LogitModel) -> DraftBatch:
-        """Greedy autoregressive speculation from the canonical sequence.
+    def draft_token(self, z: np.ndarray, i: int) -> int:
+        """The token drafted from row ``z``, ``i`` positions past the committed ones.
 
-        Drafts :meth:`draft_size` tokens, fewer when eos comes first. The
-        drafted tokens are appended to ``canonical`` in place while drafting
-        and removed again before returning, also when a forward raises, so a
-        round costs O(steps * window) however long the session has run.
+        Greedy: the argmax. Stochastic: :func:`~offsetlm.core.sample_at` at
+        the uniform the client draws for that response position, drawn
+        forward in order from the session's generator.
+        """
+        if self.rng is None:
+            return argmax_sample(z)
+        while len(self.uniforms) <= i:
+            self.uniforms.append(self.rng.random())
+        return sample_at(z, self.config.temperature, self.uniforms[i])
+
+    def draft(self, blackbox: LogitModel) -> DraftBatch:
+        """Autoregressive speculation from the canonical sequence.
+
+        Drafts :meth:`draft_size` tokens by :meth:`draft_token`, fewer when
+        eos comes first. The drafted tokens are appended to ``canonical`` in
+        place while drafting and removed again before returning, also when a
+        forward raises, so a round costs O(steps * window) however long the
+        session has run.
         """
         if self.done or self.budget_left() <= 0:
             raise BudgetExhaustedError(
@@ -200,9 +233,9 @@ class ServerSession:
         start = len(ctx)
         rows: list[np.ndarray] = []
         try:
-            for _ in range(self.draft_size()):
+            for i in range(self.draft_size()):
                 z = blackbox.next_logits(ctx)
-                tok = argmax_sample(z)
+                tok = self.draft_token(z, i)
                 rows.append(z)
                 ctx.append(tok)
                 if tok == self.vocab.eos_id:
@@ -233,6 +266,7 @@ class ServerSession:
         if commit.replacement is not None:
             self.canonical.append(commit.replacement)
             self.replacements += 1
+        del self.uniforms[: commit.accept_count + (commit.replacement is not None)]  # spent
         self.last_draft = None
         if bool(commit.done) != self.done:
             raise OutOfSyncError(
@@ -356,7 +390,7 @@ class Server:
             vocab=self.vocab,
             prompt=msg.prompt,
             draft_len=msg.draft_len,
-            max_new_tokens=msg.max_new_tokens,
+            config=msg.config,
         )
         if session.done:  # zero budget or prompt already ends in eos
             return GenerationResult(session_id=msg.session_id, tokens=())
@@ -547,12 +581,8 @@ class Client:
         session_id = next(self._session_ids)
         mirror = list(prompt)
         self.conn.send_message(
-            StartSession(
-                session_id=session_id,
-                prompt=tuple(prompt),
-                draft_len=draft_len,
-                max_new_tokens=config.max_new_tokens,
-            )
+            StartSession(session_id=session_id, prompt=tuple(prompt), draft_len=draft_len,
+                         config=config)
         )
         while True:
             msg = self._recv()

@@ -165,7 +165,7 @@ MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
     )),
     HelloAck: MessageLayout(2, CAT_HANDSHAKE, (("accept", "flag"), ("reason", "text"))),
     StartSession: MessageLayout(3, CAT_DATA, (
-        ("session_id", "u64"), ("prompt", "tokens"), ("draft_len", "u32"), ("max_new_tokens", "u32"),
+        ("session_id", "u64"), ("prompt", "tokens"), ("draft_len", "u32"), ("config", "config"),
     )),
     DraftBatch: MessageLayout(4, CAT_INFERENCE, (
         ("session_id", "u64"), ("tokens", "draft_tokens"), ("logits", "draft_rows"),

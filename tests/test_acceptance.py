@@ -327,6 +327,56 @@ def test_criterion_1_any_draft_size_schedule_matches_fixed_s(world, monkeypatch)
         check()
 
 
+def test_criterion_1_any_drafter_matches_generate_adapted(world, monkeypatch):
+    """Tokens do not depend on which tokens the server drafts.
+
+    The session's draft-token rule is replaced by the argmax, by the coupled
+    rule itself or by a seeded arbitrary token; greedy and stochastic runs at
+    several S must equal ``generate_adapted`` and the oracle.
+    """
+    neural_bb = with_biases(
+        TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42), 42
+    )
+    coupled = ServerSession.draft_token
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        drafter=st.sampled_from(["argmax", "coupled", "arbitrary"]),
+        draft_len=st.sampled_from([1, 2, 3, 5, 8]),
+        stochastic=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        temperature=st.sampled_from([0.5, 1.0, 1.3]),
+        neural=st.booleans(),
+        adapter_name=st.sampled_from(["zero", "mild", "strong"]),
+        prompt=st.lists(st.sampled_from(world.ordinary), min_size=1, max_size=12),
+    )
+    def check(drafter, draft_len, stochastic, seed, temperature, neural, adapter_name, prompt):
+        blackbox = neural_bb if neural else world.blackbox
+        adapter = getattr(world, adapter_name)
+        config = GenerationConfig(max_new_tokens=16, mode="stochastic" if stochastic else "greedy",
+                                  temperature=temperature, seed=seed)
+        tuned = apply_adapter(world.base, adapter)
+        expected = generate_adapted(blackbox, world.base, tuned, prompt, config)
+        assert monolithic_generate_oracle(blackbox, world.base, tuned, prompt, config) == expected
+
+        junk = np.random.default_rng(seed)
+        rules = {
+            "argmax": lambda session, z, i: int(np.argmax(z)),
+            "coupled": coupled,
+            "arbitrary": lambda session, z, i: int(junk.integers(0, session.vocab.size)),
+        }
+        monkeypatch.setattr(ServerSession, "draft_token", rules[drafter])
+        client, conn, ledger = _connected(world, adapter, blackbox=blackbox)
+        got = client.run_speculative(prompt, config, draft_len=draft_len)
+        conn.close()
+        monkeypatch.setattr(ServerSession, "draft_token", coupled)
+        assert got == expected
+        assert ledger.tokens_committed == len(got)
+
+    with verdict(1, "drafter-invariance", 30.0):
+        check()
+
+
 # ---------------------------------------------------------------------------
 # Criterion 2: a zero adapter reduces every CLI mode to the black-box
 # ---------------------------------------------------------------------------
@@ -520,7 +570,7 @@ def test_criterion_5_ledger_matches_closed_form(world):
         hello = 4 + (1 + 4 + 4 + 4 + 4 + 8)          # tag, version, vocab geometry, print
         preamble = 5                                  # magic + version, sent once
         hello_ack = 4 + (1 + 1 + 2)                   # tag, flag, empty reason
-        start = 4 + (1 + 8 + 4 + 4 * len(prompt) + 4 + 4)
+        start = 4 + (1 + 8 + 4 + 4 * len(prompt) + 4 + 17)  # draft_len, then the config
         draft = 4 + (1 + 8 + 2 + 4 * draft_len + 4 * draft_len * vocab32.size)
         commit = 4 + (1 + 8 + 4 + 1 + 1)              # full accept: no replacement
         result = 4 + (1 + 8 + 4 + 4 * budget)
@@ -594,6 +644,35 @@ def test_criterion_6_round_count_law(world):
             )
 
 
+def test_criterion_6_zero_adapter_accepts_every_coupled_draft(world):
+    """Stochastic drafts obey the ceiling law when the offset is zero.
+
+    With B = 0 the tuned proxy's row equals the base proxy's bit for bit, so
+    the adjusted row is the black-box row, and the client samples it at the
+    uniform the server drafted with: every coupled draft is accepted.
+    """
+    with verdict(6, "zero-adapter-coupled-round-law", 10.0):
+        neural_bb = with_biases(
+            TinyNeuralLM.random(world.vocab, context=3, embed_dim=6, hidden_dim=8, seed=42), 42
+        )
+        tuned = apply_adapter(world.base, world.zero)
+        lengths = []
+        for blackbox, temperature, draft_len, seed in itertools.product(
+            (world.blackbox, neural_bb), (1.0, 0.5), (2, 8), range(3)
+        ):
+            config = GenerationConfig(max_new_tokens=32, mode="stochastic",
+                                      temperature=temperature, seed=seed)
+            client, conn, ledger = _connected(world, world.zero, blackbox=blackbox)
+            tokens = client.run_speculative([3], config, draft_len=draft_len)
+            conn.close()
+            assert tokens == generate_adapted(blackbox, world.base, tuned, [3], config)
+            assert ledger.tokens_drafted == ledger.tokens_committed == len(tokens)
+            assert ledger.replacements == 0
+            assert ledger.round_count == math.ceil(len(tokens) / draft_len)
+            lengths.append(len(tokens))
+        assert max(lengths) == 32  # some runs spend the whole budget
+
+
 # ---------------------------------------------------------------------------
 # Criterion 7: one-shot transfer equals the round-trip client
 # ---------------------------------------------------------------------------
@@ -656,7 +735,7 @@ def _random_message(rng) -> Message:
             session_id=session_id,
             prompt=tokens,
             draft_len=int(rng.integers(1, 17)),
-            max_new_tokens=int(rng.integers(0, 100)),
+            config=GenerationConfig(max_new_tokens=int(rng.integers(0, 100))),
         )
     if kind == 3:
         n, vocab = int(rng.integers(1, 7)), int(rng.integers(1, 11))

@@ -14,6 +14,7 @@ import pytest
 from click.testing import CliRunner
 
 from offsetlm import BigramTableModel, Server, SocketServer, TinyNeuralLM, load_adapter, load_model
+from offsetlm import cli
 from offsetlm.cli import main
 
 RESULT_RE = re.compile(r"^record=result mode=(?P<mode>\S+) tokens=(?P<tokens>[\d,]*)$")
@@ -224,6 +225,23 @@ class TestVocabMismatch:
         assert result.exit_code != 0
         assert 'error code=bad-vocab msg="' in result.stderr, result.stderr
         assert "record=" not in result.output
+
+    def test_bench_checks_the_vocabularies_before_any_mode_runs(
+            self, runner, monkeypatch, blackbox_path, swapped_base_path, swapped_adapter_path):
+        real, opened = cli.connect_in_process, []
+        monkeypatch.setattr(cli, "connect_in_process",
+                            lambda *a, **k: opened.append(a) or real(*a, **k))
+        args = ["bench", "--prompt", "3 4", "--blackbox", str(blackbox_path),
+                "--base-proxy", str(swapped_base_path), "--adapter", str(swapped_adapter_path),
+                "--max-new-tokens", "4"]
+        result = runner.invoke(main, args + ["--modes", "api,prada"])
+        assert result.exit_code != 0
+        assert 'error code=bad-vocab msg="black-box vocab ' in result.stderr, result.stderr
+        assert "record=bench" not in result.output
+        assert opened == []  # the api mode listed first did not run either
+        result = runner.invoke(main, args + ["--modes", "api"])  # no proxy mode, no check
+        assert result.exit_code == 0, result.output
+        assert result.output.count("record=bench mode=api ") == 1 and len(opened) == 1
 
 
 # settings GenerationConfig refuses: each is outside what the wire carries

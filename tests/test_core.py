@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offsetlm import GenerationConfig, Vocab, argmax_sample, make_rng, seeded_sample
-from offsetlm.core import check_prompt, parse_token_line, read_corpus, softmax64
+from offsetlm.core import check_prompt, parse_token_line, read_corpus, sample_at, softmax64
 from offsetlm.models import VocabMismatchError
 
 from conftest import argmax_oracle, softmax_oracle
@@ -149,6 +149,47 @@ class TestSeededSample:
         rng = make_rng(5)
         picks = [seeded_sample(logits, 0.01, rng) for _ in range(200)]
         assert sum(1 for p in picks if p == 0) > 195
+
+
+def cdf_oracle_sample(logits, temperature, u) -> int:
+    """The inverse-CDF step as ``softmax64``, ``np.cumsum`` and ``np.searchsorted``."""
+    cdf = np.cumsum(softmax64(logits, temperature))
+    return min(int(np.searchsorted(cdf, u, side="right")), cdf.shape[0] - 1)
+
+
+class TestSampleAt:
+    @pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3])
+    def test_matches_the_softmax64_cdf(self, temperature):
+        rng = np.random.default_rng(17)
+        for row in range(200):
+            logits = rng.normal(0.0, 3.0, size=int(rng.integers(3, 64))).astype(np.float32)
+            uniforms = make_rng(row)
+            for _ in range(20):
+                u = uniforms.random()
+                assert sample_at(logits, temperature, u) == cdf_oracle_sample(logits, temperature, u)
+
+    def test_a_uniform_on_a_cdf_value_picks_the_next_token(self):
+        logits = np.array([0.5, -1.0, 2.0, 0.25], dtype=np.float32)
+        cdf = np.cumsum(softmax64(logits, 0.9))
+        for k in range(3):
+            assert sample_at(logits, 0.9, cdf[k]) == cdf_oracle_sample(logits, 0.9, cdf[k]) == k + 1
+        assert sample_at(logits, 0.9, 0.0) == 0
+        assert sample_at(logits, 0.9, np.nextafter(1.0, 0.0)) == 3
+
+    def test_leaves_binary64_logits_unchanged(self):
+        logits = np.array([0.5, -1.0, 2.0], dtype=np.float64)
+        sample_at(logits, 0.5, 0.3)
+        np.testing.assert_array_equal(logits, [0.5, -1.0, 2.0])
+
+    def test_seeded_sample_is_sample_at_the_next_draw(self):
+        logits = np.array([0.3, -1.0, 2.0, 0.0], dtype=np.float32)
+        rng, uniforms = make_rng(9), make_rng(9)
+        for _ in range(50):
+            assert seeded_sample(logits, 1.2, rng) == sample_at(logits, 1.2, uniforms.random())
+
+    def test_rejects_nonpositive_temperature(self):
+        with pytest.raises(ValueError):
+            sample_at(np.array([0.0, 1.0]), 0.0, 0.5)
 
 
 class TestSoftmax64:

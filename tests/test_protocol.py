@@ -58,6 +58,7 @@ from offsetlm.protocol import (
     ServerSession,
     finished,
 )
+from offsetlm.core import make_rng, sample_at
 from offsetlm.models import VocabMismatchError
 from offsetlm.transport import (
     PREAMBLE,
@@ -115,10 +116,10 @@ def connected_client(server, vocab, base=None, adapter=None, ledger=None) -> Cli
 
 
 class TestServerSession:
-    def make(self, vocab, prompt=(3, 4), draft_len=4, budget=10) -> ServerSession:
+    def make(self, vocab, prompt=(3, 4), draft_len=4, budget=10, **sampling) -> ServerSession:
         return ServerSession(
             session_id=1, vocab=vocab, prompt=tuple(prompt),
-            draft_len=draft_len, max_new_tokens=budget,
+            draft_len=draft_len, config=GenerationConfig(max_new_tokens=budget, **sampling),
         )
 
     def test_zero_budget_starts_done(self, vocab):
@@ -277,10 +278,43 @@ class TestServerSession:
         session.replacements = 1  # a mean run of 10**5 tokens
         assert session.draft_size() == max_draft_rows(512)
 
+    def test_stochastic_drafts_use_the_clients_uniforms(self, vocab, world):
+        """Each row is drafted at the uniform the client draws for its position.
+
+        Over a 10 000-token session with random commits, the session never
+        holds more than ``draft_len`` uniforms: those of drafted positions
+        not yet committed.
+        """
+        blackbox, _, _ = world
+        draft_len, temperature = 8, 1.3
+        session = self.make(vocab, draft_len=draft_len, budget=10_000,
+                            mode="stochastic", temperature=temperature, seed=5)
+        client_rng, uniforms = make_rng(5), []  # the client's draws, by response position
+        commits, peak = np.random.default_rng(23), 0
+        while not session.done:
+            batch = session.draft(blackbox)
+            n, committed = len(batch.tokens), len(session.response_tokens())
+            while len(uniforms) < committed + n:
+                uniforms.append(client_rng.random())
+            for i, (z, tok) in enumerate(zip(batch.logits, batch.tokens)):
+                assert tok == sample_at(z, temperature, uniforms[committed + i])
+            peak = max(peak, len(session.uniforms))
+            assert session.uniforms == uniforms[committed : committed + len(session.uniforms)]
+            k = int(commits.integers(0, n + 1))
+            if k == n and batch.tokens[-1] == vocab.eos_id:
+                k -= 1  # replace a drafted eos, so the session runs its whole budget
+            committed += k + (k < n)
+            session.apply_commit(Commit(session_id=1, accept_count=k,
+                                        replacement=3 if k < n else None,
+                                        done=committed >= session.max_new_tokens))
+            assert len(session.uniforms) == len(uniforms) - committed
+        assert len(session.response_tokens()) == 10_000
+        assert peak == draft_len
+
     def test_low_acceptance_drafts_at_most_two_rows_per_token(self, vocab32):
         blackbox = dense_blackbox(vocab32)
         base = TinyNeuralLM.random(vocab32, context=3, embed_dim=4, hidden_dim=6, seed=2)
-        adapter = rich_adapter(base)
+        adapter = rich_adapter(base, spread=1.0)  # at 0.4, half the coupled drafts pass
         config = GenerationConfig(max_new_tokens=64, mode="stochastic", temperature=2.0, seed=3)
         ledger = CostLedger()
         client = connected_client(Server(blackbox), vocab32, base, adapter, ledger)
@@ -315,11 +349,12 @@ class TestHandshake:
 
     def test_rejects_wrong_protocol_version(self, vocab, world):
         blackbox, _, _ = world
-        ack = Server(blackbox).check_hello(
-            Hello(protocol_version=2, vocab_size=vocab.size,
-                  eos_id=vocab.eos_id, bos_id=vocab.bos_id, model_fingerprint=0)
-        )
-        assert not ack.accept
+        for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
+            ack = Server(blackbox).check_hello(
+                Hello(protocol_version=version, vocab_size=vocab.size,
+                      eos_id=vocab.eos_id, bos_id=vocab.bos_id, model_fingerprint=0)
+            )
+            assert not ack.accept
 
 
 class TestModeEquivalence:
@@ -537,7 +572,8 @@ class TestBudgetsAndStopping:
         blackbox, _, _ = world
         server, state = Server(blackbox), _ConnectionState()
         bad = (3, vocab.size + 5)
-        for msg in (StartSession(session_id=1, prompt=bad, draft_len=4, max_new_tokens=4),
+        for msg in (StartSession(session_id=1, prompt=bad, draft_len=4,
+                                 config=GenerationConfig(max_new_tokens=4)),
                     ServerGenerate(session_id=2, prompt=bad, flavor=FLAVOR_BLACKBOX,
                                    config=GREEDY_CFG)):
             reply = server._dispatch(msg, state)
@@ -617,7 +653,8 @@ class TestWireErrors:
     def test_duplicate_session_id(self, vocab, world):
         blackbox, _, _ = world
         client = connected_client(Server(blackbox), vocab)
-        start = StartSession(session_id=5, prompt=(3,), draft_len=2, max_new_tokens=10)
+        start = StartSession(session_id=5, prompt=(3,), draft_len=2,
+                             config=GenerationConfig(max_new_tokens=10))
         client.conn.send_message(start)
         assert isinstance(client.conn.recv_message(), DraftBatch)
         client.conn.send_message(start)
@@ -633,7 +670,8 @@ class TestWireErrors:
 
         blackbox, _, _ = world
         server, state = Server(blackbox), _ConnectionState()
-        start = StartSession(session_id=1, prompt=(3,), draft_len=4, max_new_tokens=4)
+        start = StartSession(session_id=1, prompt=(3,), draft_len=4,
+                             config=GenerationConfig(max_new_tokens=4))
         draft = server._dispatch(start, state)
         assert isinstance(draft, DraftBatch) and len(draft.tokens) == 4
         # the full accept spends the budget, so the server is done and the client is not
@@ -729,9 +767,11 @@ SEQ_BASE = TinyNeuralLM.random(V8, context=3, embed_dim=4, hidden_dim=6, seed=2)
 _ids = st.integers(0, 3)
 _prompts = st.lists(st.integers(0, V8.size - 1), max_size=3)
 _budgets = st.integers(0, 8)
-_hellos = st.sampled_from([hello_for(V8), hello_for(V8, size=9), hello_for(V8, version=2)])
+_hellos = st.sampled_from([hello_for(V8), hello_for(V8, size=9), hello_for(V8, version=PROTOCOL_VERSION + 1)])
+_configs = st.builds(GenerationConfig, _budgets, st.sampled_from(["greedy", "stochastic"]),
+                     st.just(0.8), st.integers(0, 2**64 - 1))
 _requests = st.one_of(
-    st.builds(StartSession, _ids, _prompts, st.integers(1, 8), _budgets),
+    st.builds(StartSession, _ids, _prompts, st.integers(1, 8), _configs),
     st.builds(Commit, _ids, st.integers(0, 8), st.none() | st.integers(0, V8.size - 1), st.booleans()),
     st.builds(
         UploadAdapter,
@@ -739,9 +779,7 @@ _requests = st.one_of(
         st.sampled_from([0, SEQ_BASE.fingerprint()]),
     ),
     st.builds(
-        ServerGenerate, _ids, _prompts, st.sampled_from([FLAVOR_BLACKBOX, FLAVOR_ADAPTED]),
-        st.builds(GenerationConfig, _budgets, st.sampled_from(["greedy", "stochastic"]),
-                  st.just(0.8), st.integers(0, 2**64 - 1)),
+        ServerGenerate, _ids, _prompts, st.sampled_from([FLAVOR_BLACKBOX, FLAVOR_ADAPTED]), _configs,
     ),
 )
 
@@ -767,7 +805,8 @@ class TestConnectionLoop:
 
     @pytest.mark.parametrize("sends_ok", [0, 1], ids=["before-hello-ack", "mid-session"])
     def test_peer_that_leaves_before_a_reply_ends_the_loop(self, vocab, world, sends_ok):
-        start = frame(StartSession(session_id=1, prompt=(3,), draft_len=2, max_new_tokens=6))
+        start = frame(StartSession(session_id=1, prompt=(3,), draft_len=2,
+                                   config=GenerationConfig(max_new_tokens=6)))
         channel = ScriptedChannel(PREAMBLE + frame(hello_for(vocab)) + start, sends_ok)
         Server(world[0]).serve_connection(FramedConnection(channel, side="server"))
         assert channel.closed
@@ -776,10 +815,12 @@ class TestConnectionLoop:
 
     def test_one_live_session_per_connection(self, vocab, world):
         conn = connected_client(Server(world[0]), vocab).conn
-        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=8, max_new_tokens=4))
+        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=8,
+                                       config=GenerationConfig(max_new_tokens=4)))
         draft = conn.recv_message()
         assert isinstance(draft, DraftBatch) and len(draft.tokens) == 4
-        second = StartSession(session_id=2, prompt=(4,), draft_len=2, max_new_tokens=4)
+        second = StartSession(session_id=2, prompt=(4,), draft_len=2,
+                              config=GenerationConfig(max_new_tokens=4))
         conn.send_message(second)
         refusal = conn.recv_message()
         assert isinstance(refusal, ProtocolError) and refusal.code == ERR_INVALID_COMMIT
@@ -797,7 +838,8 @@ class TestConnectionLoop:
     def test_invalid_commit_is_refused_and_the_session_goes_on(self, vocab, world,
                                                                accept_count, replacement):
         conn = connected_client(Server(world[0]), vocab).conn
-        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=4, max_new_tokens=4))
+        conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=4,
+                                       config=GenerationConfig(max_new_tokens=4)))
         draft = conn.recv_message()
         assert isinstance(draft, DraftBatch) and len(draft.tokens) == 4
         conn.send_message(Commit(session_id=1, accept_count=accept_count, replacement=replacement,
@@ -1033,7 +1075,7 @@ class TestLedgerIntegration:
         client = connected_client(Server(blackbox), vocab, base, adapter, ledger)
         client.base_proxy = CountingModel(client.base_proxy)
         client.tuned_proxy = CountingModel(client.tuned_proxy)
-        config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=1.2, seed=3)
+        config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=1.2, seed=4)
         got = client.run_speculative([3], config, draft_len=4)
         client.conn.close()
         assert ledger.tokens_committed == len(got)
@@ -1122,8 +1164,10 @@ class TestTransports:
         a = connected_client(server, vocab, base, adapter)
         b = connected_client(server, vocab, base, adapter)
         # both clients use session id 1; interleave their opening rounds
-        a_start = StartSession(session_id=1, prompt=(3,), draft_len=2, max_new_tokens=6)
-        b_start = StartSession(session_id=1, prompt=(4,), draft_len=2, max_new_tokens=6)
+        a_start = StartSession(session_id=1, prompt=(3,), draft_len=2,
+                               config=GenerationConfig(max_new_tokens=6))
+        b_start = StartSession(session_id=1, prompt=(4,), draft_len=2,
+                               config=GenerationConfig(max_new_tokens=6))
         a.conn.send_message(a_start)
         b.conn.send_message(b_start)
         assert isinstance(a.conn.recv_message(), DraftBatch)
@@ -1195,7 +1239,7 @@ class TestLinearDecoding:
 
     def session(self, vocab, prompt=(3, 4, 5), draft_len=4) -> ServerSession:
         return ServerSession(session_id=1, vocab=vocab, prompt=tuple(prompt),
-                             draft_len=draft_len, max_new_tokens=10)
+                             draft_len=draft_len, config=GenerationConfig(max_new_tokens=10))
 
     def test_generate_checks_the_whole_prompt_on_entry(self, vocab, world):
         blackbox, base, adapter = world
@@ -1249,7 +1293,7 @@ class TestLinearDecoding:
         conn, thread = connect_in_process(Server(blackbox))
         Client(conn, vocab).handshake()
         conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=70000,
-                                       max_new_tokens=70000))
+                                       config=GenerationConfig(max_new_tokens=70000)))
         first = conn.recv_message()
         assert isinstance(first, DraftBatch)
         assert len(first.tokens) == max_draft_rows(vocab.size) == 0xFFFF

@@ -64,8 +64,10 @@ EXAMPLES = [
     Hello(protocol_version=1, vocab_size=32, eos_id=1, bos_id=2, model_fingerprint=2**63 + 5),
     HelloAck(accept=True),
     HelloAck(accept=False, reason="vocabulary mismatch: 32 != 16"),
-    StartSession(session_id=9, prompt=(3, 4, 5), draft_len=8, max_new_tokens=40),
-    StartSession(session_id=0, prompt=(), draft_len=1, max_new_tokens=0),
+    StartSession(session_id=9, prompt=(3, 4, 5), draft_len=8,
+                 config=GenerationConfig(max_new_tokens=40, mode="stochastic", temperature=0.75,
+                                         seed=2**40 + 3)),
+    StartSession(session_id=0, prompt=(), draft_len=1, config=GenerationConfig(max_new_tokens=0)),
     draft_batch(),
     Commit(session_id=9, accept_count=3),
     Commit(session_id=9, accept_count=2, replacement=11, done=True),
@@ -83,8 +85,8 @@ GOLDEN_HEX = [
     "01010000002000000001000000020000000500000000000080",
     "02010000",
     "02001d00766f636162756c617279206d69736d617463683a20333220213d203136",
-    "030900000000000000030000000300000004000000050000000800000028000000",
-    "030000000000000000000000000100000000000000",
+    "0309000000000000000300000003000000040000000500000008000000010000403f030000000001000028000000",
+    "0300000000000000000000000001000000000000803f000000000000000000000000",
     "0407000000000000000300040000000300000002000000bdf2233fdfd5d63da12109bf"
     "fd22b93e79e9a63fe673723ffe2734bf55f9a1bfea8e1fbf6e45293d4ecd14c0ec0a60be"
     "037a9fbfe0753bbf8f540bbf",
@@ -109,8 +111,12 @@ hello_msgs = st.builds(
     st.integers(1, 2**32 - 1), u32, u32, u32, u64,
 )
 hello_ack_msgs = st.builds(HelloAck, st.booleans(), short_text)
+configs = st.builds(
+    GenerationConfig, u32, st.sampled_from(["greedy", "stochastic"]),
+    st.floats(min_value=0.0625, max_value=8.0), u64,
+)
 start_msgs = st.builds(
-    StartSession, u64, token_lists.map(tuple), st.integers(1, 2**32 - 1), u32
+    StartSession, u64, token_lists.map(tuple), st.integers(1, 2**32 - 1), configs
 )
 draft_msgs = st.builds(
     draft_batch, u64, st.integers(1, 6), st.integers(1, 9), st.integers(0, 999)
@@ -121,14 +127,7 @@ commit_msgs = st.builds(
 upload_msgs = st.builds(
     UploadAdapter, st.binary(min_size=1, max_size=200), u64
 )
-generate_msgs = st.builds(
-    lambda sid, prompt, flavor, mode, temp, seed, budget: ServerGenerate(
-        session_id=sid, prompt=prompt, flavor=flavor,
-        config=GenerationConfig(max_new_tokens=budget, mode=mode, temperature=temp, seed=seed),
-    ),
-    u64, token_lists.map(tuple), st.integers(0, 1), st.sampled_from(["greedy", "stochastic"]),
-    st.floats(min_value=0.0625, max_value=8.0), u64, u32,
-)
+generate_msgs = st.builds(ServerGenerate, u64, token_lists.map(tuple), st.integers(0, 1), configs)
 result_msgs = st.builds(GenerationResult, u64, token_lists.map(tuple))
 error_msgs = st.builds(ProtocolError, st.text(min_size=1, max_size=30), short_text)
 any_message = st.one_of(
@@ -265,7 +264,8 @@ class TestStrictDecoding:
     @pytest.mark.parametrize("draft_len, budget", [(0, 1), (2**32, 1), (1, -1), (1, 2**32)])
     def test_start_session_fields_must_fit_their_u32(self, draft_len, budget):
         with pytest.raises(ValueError):
-            StartSession(session_id=1, prompt=(3,), draft_len=draft_len, max_new_tokens=budget)
+            StartSession(session_id=1, prompt=(3,), draft_len=draft_len,
+                         config=GenerationConfig(max_new_tokens=budget))
 
     def test_truncation_offset_points_at_the_end(self):
         data = encode_message(EXAMPLES[0])
@@ -376,8 +376,9 @@ class TestFramedConnection:
         assert lc.bytes_by == ls.bytes_by
         assert lc.bytes_by[(CAT_HANDSHAKE, CLIENT_TO_SERVER)] == 5 + 29
         assert lc.bytes_by[(CAT_HANDSHAKE, SERVER_TO_CLIENT)] == 8
-        # StartSession: header 4 + tag 1 + session 8 + (count 4 + 3 tokens) + 2 u32
-        assert lc.bytes_by[(CAT_DATA, CLIENT_TO_SERVER)] == 4 + 1 + 8 + 4 + 12 + 8
+        # StartSession: header 4 + tag 1 + session 8 + (count 4 + 3 tokens) + draft_len u32
+        # + config (mode u8, temperature f32, seed u64, max_new_tokens u32)
+        assert lc.bytes_by[(CAT_DATA, CLIENT_TO_SERVER)] == 4 + 1 + 8 + 4 + 12 + 4 + 17
         client.close()
         server.close()
 

@@ -25,7 +25,15 @@ stochastic. A mismatch exits nonzero and names the run.
 
 A refactor that must not change any output runs this before and after, on
 one machine, and compares the last two lines. The digests depend on the numpy
-and BLAS build, so they are never golden values to commit.
+and BLAS build, so they are never golden values to commit. They also depend
+on the BLAS thread count, so compare runs under one setting. With numpy
+2.4.6 and OpenBLAS 0.3.31 on 2 vCPUs, ``OPENBLAS_NUM_THREADS=1`` moves only
+the ``train=`` line and the ``shape=257x8x32x128x8`` line, and with them the
+``values`` digest; inference rows and every ``billing`` line stay the same.
+A training gradient that reduces over one batch of 504 positions (8
+documents of 63), such as a (512x504)@(504x64) product, takes other bits
+with one thread than with two; reductions over 2016 and 16128 positions do
+not.
 
 Every ``RuntimeWarning`` raised on the way (numpy's floating-point warnings)
 is printed after its case as a ``record=fp_warning`` line on stdout, naming
