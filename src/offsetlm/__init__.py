@@ -34,7 +34,7 @@ from .models import (
     save_model,
     train_neural_lm,
 )
-from .offset import adapted_next_token, adjusted_logits
+from .offset import OffsetProxy, adapted_next_token, adjusted_logits
 from .protocol import (
     Client,
     Server,

@@ -153,6 +153,12 @@ class VocabMismatchError(ValueError):
     code = "bad-vocab"
 
 
+def check_same_vocab(vocab: Vocab, other: Vocab, what: str) -> None:
+    """The vocabulary rule where two models meet: ``vocab`` (``what``'s) must equal ``other``."""
+    if vocab != other:
+        raise VocabMismatchError(f"{what} vocab {vocab} differs from {other}")
+
+
 def check_token_range(tokens, vocab: Vocab, what: str = "token") -> None:
     """Raise :class:`VocabMismatchError` for the first id outside ``vocab``."""
     for tok in tokens:

@@ -20,13 +20,13 @@ rollback is exact by construction. A connection serves nothing before an
 accepted ``Hello`` and holds at most one live session; every refusal reaches
 the peer as one reply.
 
-The **client** owns the proxy pair (base + adapter). It walks each draft
-batch one position at a time with the per-token step: both proxies' logits
-for the position, the tuning offset applied to the black-box row, one
-sample. It stops at the first sample that differs from the draft, which
-becomes the replacement; the rest of the draft is dropped unread. The client
-mirrors the canonical sequence locally and the final result echoed by the
-server must match that mirror exactly.
+The **client** owns the proxy pair (base + adapter) as one
+:class:`~offsetlm.offset.OffsetProxy`. It walks each draft batch one position
+at a time with the per-token step: the pair's offset ``d`` for the position,
+added to the black-box row, one sample. It stops at the first sample that
+differs from the draft, which becomes the replacement; the rest of the draft
+is dropped unread. The client mirrors the canonical sequence locally and the
+final result echoed by the server must match that mirror exactly.
 
 ``run_per_token`` is literally ``run_speculative`` with a draft length of
 one. ``run_transfer`` instead uploads the serialized adapter once and asks
@@ -53,9 +53,9 @@ from .core import (
     STOCHASTIC,
     GenerationConfig,
     Vocab,
-    VocabMismatchError,
     argmax_sample,
     check_prompt,
+    check_same_vocab,
     make_rng,
     sample_at,
     sample_token,
@@ -77,7 +77,7 @@ from .messages import (
     StartSession,
     UploadAdapter,
 )
-from .offset import adapted_next_token
+from .offset import OffsetProxy, adapted_next_token
 from .transport import (
     ConnectionClosedError,
     CostLedger,
@@ -296,10 +296,8 @@ class Server:
     """
 
     def __init__(self, blackbox: LogitModel, base_proxy: TinyNeuralLM | None = None) -> None:
-        if base_proxy is not None and base_proxy.vocab != blackbox.vocab:
-            raise VocabMismatchError(
-                f"black-box vocab {blackbox.vocab} differs from the base proxy's {base_proxy.vocab}"
-            )
+        if base_proxy is not None:
+            check_same_vocab(blackbox.vocab, base_proxy.vocab, "black-box")
         self.blackbox = blackbox
         self.base_proxy = base_proxy
 
@@ -456,18 +454,6 @@ def _generate(step, vocab: Vocab, prompt: list[int], config: GenerationConfig) -
     return seq[len(prompt):]
 
 
-def adapted_step(z_b, base_proxy: LogitModel, tuned_proxy: LogitModel, seq: list[int],
-                 config: GenerationConfig, rng) -> int:
-    """The next adapted token after ``seq``, given its black-box row ``z_b``.
-
-    Both proxies' ``next_logits`` over ``seq``, then one ``adapted_next_token``
-    draw: the per-token step of ``generate_adapted`` and of client verification.
-    """
-    return adapted_next_token(
-        z_b, base_proxy.next_logits(seq), tuned_proxy.next_logits(seq), config, rng
-    )
-
-
 def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
     """Plain autoregressive generation from the black-box model alone."""
     return _generate(
@@ -485,14 +471,16 @@ def generate_adapted(
 ) -> list[int]:
     """Per-token offset-adapted generation, all models evaluated in-process.
 
+    Each step samples ``z_b + d`` by ``adapted_next_token``, as client
+    verification does. The three vocabularies are checked once, on entry.
     One RNG draw per committed token, exactly like the per-token protocol
     mode — which is what makes server-side (transfer) and client-side
     generation token-identical for the same seed.
     """
+    proxy = OffsetProxy(base_proxy, tuned_proxy)
+    check_same_vocab(blackbox.vocab, proxy.vocab, "black-box")
     return _generate(
-        lambda seq, rng: adapted_step(
-            blackbox.next_logits(seq), base_proxy, tuned_proxy, seq, config, rng
-        ),
+        lambda seq, rng: adapted_next_token(blackbox.next_logits(seq), proxy.offset(seq), config, rng),
         blackbox.vocab, prompt, config,
     )
 
@@ -516,15 +504,15 @@ class Client:
         base_proxy: TinyNeuralLM | None = None,
         adapter: LoraAdapter | None = None,
     ) -> None:
-        if base_proxy is not None and base_proxy.vocab != vocab:
-            raise VocabMismatchError(f"client vocab {vocab} differs from its base proxy's {base_proxy.vocab}")
+        if base_proxy is not None:
+            check_same_vocab(vocab, base_proxy.vocab, "client")
         self.conn = conn
         self.vocab = vocab
         self.base_proxy = base_proxy
         # one snapshot feeds both the tuned proxy and the transfer upload
         self.adapter = adapter.snapshot() if adapter is not None else None
-        self.tuned_proxy = (
-            apply_adapter(base_proxy, self.adapter)
+        self.proxy = (
+            OffsetProxy(base_proxy, apply_adapter(base_proxy, self.adapter))
             if base_proxy is not None and adapter is not None
             else None
         )
@@ -575,7 +563,7 @@ class Client:
         outside the vocabulary raises :class:`OutOfSyncError` before any
         forward.
         """
-        if self.base_proxy is None or self.tuned_proxy is None:
+        if self.proxy is None:
             raise ValueError("speculative generation needs a base proxy and an adapter")
         rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
         session_id = next(self._session_ids)
@@ -620,18 +608,18 @@ class Client:
     ) -> Commit:
         """Accept the agreeing prefix of a draft; replace the first divergence.
 
-        Each position runs :func:`adapted_step` with the draft's black-box
-        row, as ``generate_adapted`` does with its own. The sampled token is
-        appended to ``mirror``, and the walk stops at the first one that
-        differs from the draft. On return ``mirror`` holds the committed
-        tokens; when a forward raises, it is rolled back to its length on
-        entry.
+        Each position samples the draft's black-box row plus the proxy's
+        offset by ``adapted_next_token``, as ``generate_adapted`` does with
+        its own row. The sampled token is appended to ``mirror``, and the
+        walk stops at the first one that differs from the draft. On return
+        ``mirror`` holds the committed tokens; when a forward raises, it is
+        rolled back to its length on entry.
         """
         start = len(mirror)
         accept, replacement = len(draft.tokens), None
         try:
             for i, (z_b, drafted) in enumerate(zip(draft.logits, draft.tokens)):
-                tok = adapted_step(z_b, self.base_proxy, self.tuned_proxy, mirror, config, rng)
+                tok = adapted_next_token(z_b, self.proxy.offset(mirror), config, rng)
                 mirror.append(tok)
                 if tok != drafted:
                     accept, replacement = i, tok

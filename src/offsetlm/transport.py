@@ -80,10 +80,6 @@ class FrameTooLargeError(ValueError):
     """A frame length exceeded the 64 MiB payload cap."""
 
 
-class ZeroTokenResponseError(ValueError):
-    """A latency probe saw a run that produced no response tokens."""
-
-
 # ---------------------------------------------------------------------------
 # Message codec
 # ---------------------------------------------------------------------------
@@ -443,35 +439,38 @@ class FramedConnection:
 
 @dataclass(frozen=True)
 class LatencyReport:
-    """Wall-clock cost of one generation, normalized per response token."""
+    """Wall-clock cost of one generation, normalized per response token.
+
+    ``ms_per_token`` is None for an empty response, which has no per-token cost.
+    """
 
     total_wall_time_s: float
     response_tokens: int
-    ms_per_token: float
+    ms_per_token: float | None
 
 
 def latency_probe(run) -> LatencyReport:
     """Time ``run()`` (a complete post-handshake generation) wall-clock.
 
-    ``run`` must return the response token list; an empty response is an
-    error because the per-token normalization would be undefined.
+    ``run`` must return the response token list.
     """
     t0 = time.perf_counter()
     tokens = run()
     elapsed = time.perf_counter() - t0
     n = len(tokens)
-    if n == 0:
-        raise ZeroTokenResponseError("generation produced no response tokens")
     return LatencyReport(
         total_wall_time_s=elapsed,
         response_tokens=n,
-        ms_per_token=1000.0 * elapsed / n,
+        ms_per_token=1000.0 * elapsed / n if n else None,
     )
 
 
 def latency_report(report: LatencyReport) -> str:
-    return (
+    """One ``record=latency`` line; ``ms_per_token`` is left out for an empty response."""
+    line = (
         f"record=latency total_wall_time_s={report.total_wall_time_s:.6f} "
-        f"response_tokens={report.response_tokens} "
-        f"ms_per_token={report.ms_per_token:.6f}"
+        f"response_tokens={report.response_tokens}"
     )
+    if report.ms_per_token is None:
+        return line
+    return f"{line} ms_per_token={report.ms_per_token:.6f}"

@@ -226,6 +226,34 @@ class TestVocabMismatch:
         assert 'error code=bad-vocab msg="' in result.stderr, result.stderr
         assert "record=" not in result.output
 
+    # (vocab size, eos, bos) of a proxy pair that differs from the black box's (8, 1, 2) in one field
+    @pytest.fixture(scope="class", params=[(9, 1, 2), (8, 0, 2), (8, 1, 0)],
+                    ids=["size", "eos", "bos"])
+    def other_pair(self, request, runner, workdir, corpus_path):
+        size, eos, bos = request.param
+        base, adapter = workdir / f"base_{size}_{eos}_{bos}.prdm", workdir / f"ad_{size}_{eos}_{bos}.prdl"
+        for args in (["fit-blackbox", "--corpus", str(corpus_path), "--out", str(base),
+                      "--arch", "neural", "--vocab-size", str(size), "--eos-id", str(eos),
+                      "--bos-id", str(bos), "--context", "2", "--embed-dim", "4",
+                      "--hidden-dim", "6", "--epochs", "1"],
+                     ["train-proxy", "--base", str(base), "--corpus", str(corpus_path),
+                      "--out", str(adapter), "--rank", "2", "--epochs", "1"]):
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+        return base, adapter
+
+    @pytest.mark.parametrize("command", [["generate", "--mode", "prada"], ["bench"]],
+                             ids=["generate-prada", "bench"])
+    def test_a_pair_differing_in_one_field_is_refused(self, runner, blackbox_path, other_pair,
+                                                      command):
+        base, adapter = other_pair
+        result = runner.invoke(main, command + [
+            "--prompt", "3 4", "--blackbox", str(blackbox_path), "--base-proxy", str(base),
+            "--adapter", str(adapter)])
+        assert result.exit_code != 0
+        assert 'error code=bad-vocab msg="' in result.stderr, result.stderr
+        assert "record=" not in result.output
+
     def test_bench_checks_the_vocabularies_before_any_mode_runs(
             self, runner, monkeypatch, blackbox_path, swapped_base_path, swapped_adapter_path):
         real, opened = cli.connect_in_process, []
@@ -295,6 +323,25 @@ class TestGenerate:
         )
         assert result.exit_code == 0
         assert report.read_text() == result.output
+
+    @pytest.mark.parametrize("mode", ["api", "prada", "prada-sd", "prada-transfer"])
+    @pytest.mark.parametrize("prompt, budget", [("3", "0"), ("3 1", "10")],
+                             ids=["zero-budget", "prompt-ends-in-eos"])
+    def test_zero_token_generation_is_a_result(
+        self, runner, blackbox_path, base_proxy_path, adapter_path, mode, prompt, budget
+    ):
+        args = ["generate", "--mode", mode, "--prompt", prompt, "--blackbox", str(blackbox_path),
+                "--max-new-tokens", budget]
+        if mode != "api":
+            args += ["--base-proxy", str(base_proxy_path), "--adapter", str(adapter_path)]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.stderr
+        lines = result.output.splitlines()
+        assert lines[0] == f"record=result mode={mode} tokens="
+        assert any(line.startswith("record=ledger_bytes ") for line in lines)
+        latency = [line for line in lines if line.startswith("record=latency ")]
+        assert len(latency) == 1
+        assert "response_tokens=0" in latency[0] and "ms_per_token" not in latency[0]
 
     def test_api_mode_never_touches_proxy_loading(
         self, runner, blackbox_path, base_proxy_path, adapter_path, monkeypatch
@@ -477,6 +524,18 @@ class TestBench:
         assert int(by_key[("prada-sd", "4")]["rounds"]) < int(by_key[("prada", "1")]["rounds"])
         assert int(by_key[("prada-transfer", "0")]["model_bytes"]) > 0
         assert int(by_key[("api", "0")]["model_bytes"]) == 0
+
+    def test_zero_budget_rows_have_no_per_token_latency(self, runner, blackbox_path,
+                                                        base_proxy_path, adapter_path):
+        result = runner.invoke(main, [
+            "bench", "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path),
+            "--adapter", str(adapter_path), "--prompt", "3 4", "--max-new-tokens", "0",
+        ])
+        assert result.exit_code == 0, result.stderr
+        rows = [l for l in result.output.splitlines() if l.startswith("record=bench ")]
+        assert len(rows) == 4  # api, prada, prada-sd, prada-transfer
+        for row in rows:
+            assert " response_tokens=0 " in row and row.endswith(" ms_per_token="), row
 
     @pytest.mark.parametrize("flag,value", BAD_SAMPLING)
     def test_bad_sampling_is_a_named_code(self, runner, blackbox_path, base_proxy_path,

@@ -16,6 +16,7 @@ from offsetlm import (
     CostLedger,
     GenerationConfig,
     LogitModel,
+    OffsetProxy,
     Server,
     SocketServer,
     TinyNeuralLM,
@@ -355,6 +356,50 @@ class TestHandshake:
                       eos_id=vocab.eos_id, bos_id=vocab.bos_id, model_fingerprint=0)
             )
             assert not ack.accept
+
+
+# each differs from Vocab(8, eos 1, bos 2) in one field
+OTHER_VOCABS = {"size": Vocab(9, eos_id=1, bos_id=2), "eos": Vocab(8, eos_id=0, bos_id=2),
+                "bos": Vocab(8, eos_id=1, bos_id=0)}
+
+
+class TestOneVocabularyRule:
+    """Every place where two models meet refuses the same vocabulary pairings."""
+
+    @staticmethod
+    def joins(world, theirs):
+        """Each entry point, given one model (or the client's vocabulary) over ``theirs``."""
+        blackbox, base, adapter = world
+        their_base = TinyNeuralLM.random(theirs, context=3, embed_dim=4, hidden_dim=6, seed=2)
+        their_tuned = apply_adapter(their_base, init_adapter(their_base, rank=2))
+        tuned = apply_adapter(base, adapter)
+        return {
+            "offset-proxy": lambda: OffsetProxy(base, their_tuned),
+            "generate-adapted-blackbox": lambda: generate_adapted(
+                dense_blackbox(theirs), base, tuned, [3], GREEDY_CFG),
+            "generate-adapted-tuned": lambda: generate_adapted(
+                blackbox, base, their_tuned, [3], GREEDY_CFG),
+            "server": lambda: Server(dense_blackbox(theirs), base),
+            "client": lambda: Client(None, theirs, base, adapter),
+        }
+
+    @pytest.mark.parametrize("differs_in", sorted(OTHER_VOCABS))
+    def test_every_join_refuses_a_different_vocabulary(self, world, differs_in):
+        for name, join in self.joins(world, OTHER_VOCABS[differs_in]).items():
+            with pytest.raises(VocabMismatchError, match="vocab"):
+                join()
+                pytest.fail(f"{name} accepted a vocabulary that differs in {differs_in}")
+
+    def test_equal_vocabularies_run(self, vocab, world):
+        blackbox, base, adapter = world
+        joins = self.joins(world, Vocab(8, eos_id=1, bos_id=2))
+        assert joins["offset-proxy"]().vocab == vocab
+        tokens = joins["generate-adapted-blackbox"]()
+        assert tokens == generate_adapted(blackbox, base, apply_adapter(base, adapter), [3], GREEDY_CFG)
+        assert len(tokens) == GREEDY_CFG.max_new_tokens
+        assert len(joins["generate-adapted-tuned"]()) == GREEDY_CFG.max_new_tokens
+        assert joins["server"]().vocab == vocab
+        assert joins["client"]().proxy.vocab == vocab
 
 
 class TestModeEquivalence:
@@ -1003,11 +1048,11 @@ class TestRogueServer:
         conn, thread = rogue_server({StartSession: draft})
         client = Client(conn, vocab, base_proxy=base, adapter=adapter)
         client.handshake()
-        client.base_proxy = CountingModel(client.base_proxy)
-        client.tuned_proxy = CountingModel(client.tuned_proxy)
+        client.proxy.base = CountingModel(client.proxy.base)
+        client.proxy.tuned = CountingModel(client.proxy.tuned)
         with pytest.raises(OutOfSyncError):
             client.run_speculative([3], GREEDY_CFG, draft_len=4)
-        assert client.base_proxy.calls == client.tuned_proxy.calls == 0
+        assert client.proxy.base.calls == client.proxy.tuned.calls == 0
         conn.close()
         thread.join(timeout=5)
         assert not thread.is_alive()
@@ -1073,14 +1118,14 @@ class TestLedgerIntegration:
         blackbox, base, adapter = world
         ledger = CostLedger()
         client = connected_client(Server(blackbox), vocab, base, adapter, ledger)
-        client.base_proxy = CountingModel(client.base_proxy)
-        client.tuned_proxy = CountingModel(client.tuned_proxy)
+        client.proxy.base = CountingModel(client.proxy.base)
+        client.proxy.tuned = CountingModel(client.proxy.tuned)
         config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=1.2, seed=4)
         got = client.run_speculative([3], config, draft_len=4)
         client.conn.close()
         assert ledger.tokens_committed == len(got)
         assert ledger.tokens_drafted > ledger.tokens_committed  # some drafts were cut short
-        assert client.base_proxy.calls == client.tuned_proxy.calls == ledger.tokens_committed
+        assert client.proxy.base.calls == client.proxy.tuned.calls == ledger.tokens_committed
 
 
 class TestTransports:
@@ -1277,12 +1322,13 @@ class TestLinearDecoding:
         assert session.last_draft is None
         assert session.draft(blackbox) == self.session(vocab).draft(blackbox)
 
-    @pytest.mark.parametrize("failing", ["base_proxy", "tuned_proxy"])
+    @pytest.mark.parametrize("failing", [pytest.param("base", id="base_proxy"),
+                                         pytest.param("tuned", id="tuned_proxy")])
     def test_verify_rolls_back_when_a_forward_raises(self, vocab, world, failing):
         blackbox, base, adapter = world
         draft = self.session(vocab).draft(blackbox)
         client = Client(None, vocab, base_proxy=base, adapter=adapter)
-        setattr(client, failing, FailingModel(getattr(client, failing), ok=2))
+        setattr(client.proxy, failing, FailingModel(getattr(client.proxy, failing), ok=2))
         mirror = [3, 4, 5]
         with pytest.raises(RuntimeError):
             client._verify(mirror, draft, GREEDY_CFG, None, 3)

@@ -36,7 +36,6 @@ from offsetlm.transport import (
     LatencyReport,
     MalformedPayloadError,
     SocketChannel,
-    ZeroTokenResponseError,
     classify_message,
     latency_probe,
     latency_report,
@@ -490,9 +489,14 @@ class TestLatency:
             report.ms_per_token * 20 / 1000.0
         )
 
-    def test_zero_token_response_is_an_error(self):
-        with pytest.raises(ZeroTokenResponseError):
-            latency_probe(lambda: [])
+    def test_zero_token_response_has_no_per_token_cost(self):
+        report = latency_probe(lambda: [])
+        assert report.response_tokens == 0
+        assert report.ms_per_token is None
+        line = latency_report(report)
+        assert line.startswith("record=latency ")
+        assert "response_tokens=0" in line
+        assert "ms_per_token" not in line
 
     def test_report_line(self):
         line = latency_report(LatencyReport(0.5, 100, 5.0))
