@@ -8,9 +8,10 @@ Conventions used throughout the package:
   if present, is the last element;
 * logit vectors are one-dimensional ``numpy.float32`` arrays of length
   ``vocab.size`` with all entries finite;
-* every stochastic draw goes through a named, seeded generator
-  (:func:`make_rng`, numpy PCG64) and consumes exactly one uniform variate
-  per sampled token, so runs are reproducible bit-for-bit from the seed.
+* every generation draws one uniform variate per response token from a
+  seeded generator (:func:`make_rng`, numpy PCG64), greedy too, and
+  :func:`pick` turns the row and that uniform into the token, so runs are
+  reproducible bit-for-bit from the seed.
 """
 
 from __future__ import annotations
@@ -138,13 +139,16 @@ def seeded_sample(logits: np.ndarray, temperature: float, rng: np.random.Generat
     return sample_at(logits, temperature, rng.random())
 
 
-def sample_token(logits: np.ndarray, config: GenerationConfig, rng: np.random.Generator | None) -> int:
-    """Dispatch to greedy or seeded-stochastic selection per ``config``."""
+def pick(logits: np.ndarray, config: GenerationConfig, u: float) -> int:
+    """The token rule of every mode: the token ``config`` takes from ``logits`` at uniform ``u``.
+
+    Greedy: the argmax, whatever ``u``. Stochastic: :func:`sample_at` at the
+    config's temperature. Response token k is picked at the k-th draw of
+    ``make_rng(config.seed)``, greedy too.
+    """
     if config.mode == GREEDY:
         return argmax_sample(logits)
-    if rng is None:
-        raise ValueError("stochastic sampling requires an rng")
-    return seeded_sample(logits, config.temperature, rng)
+    return sample_at(logits, config.temperature, u)
 
 
 class VocabMismatchError(ValueError):

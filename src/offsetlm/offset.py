@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import GenerationConfig, check_same_vocab, sample_token
+from .core import GenerationConfig, check_same_vocab, pick
 from .models import LogitModel
 
 
@@ -42,11 +42,6 @@ def adjusted_logits(z_b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return z_b.astype(np.float32, copy=False) + d
 
 
-def adapted_next_token(
-    z_b: np.ndarray,
-    d: np.ndarray,
-    config: GenerationConfig,
-    rng: np.random.Generator | None = None,
-) -> int:
-    """Sample the next token from the offset-adjusted logits."""
-    return sample_token(adjusted_logits(z_b, d), config, rng)
+def adapted_next_token(z_b: np.ndarray, d: np.ndarray, config: GenerationConfig, u: float) -> int:
+    """The next token: :func:`~offsetlm.core.pick` from the offset-adjusted logits at ``u``."""
+    return pick(adjusted_logits(z_b, d), config, u)

@@ -5,34 +5,35 @@ Roles
 
 The **server** owns the black-box generator. Per session it keeps one
 canonical token sequence (prompt plus committed tokens) and, each round,
-drafts tokens ahead, returning them together with their logit rows. A
-greedy session drafts each row's argmax. A stochastic one drafts the token
-that the client's own uniform for that response position picks from the
-row: ``StartSession`` carries the client's config, and the server's
-generator, seeded alike, draws the same uniforms in the same order. Where
-the offset leaves a row's sample unchanged, the draft is accepted. The
-client's ``draft_len`` is a ceiling: once a commit has carried a
-replacement, a round drafts ``ceil(committed / replacements)`` tokens, the
-mean committed run per replacement, read only from validated commits so
-replays draft alike. Commits that accept only a prefix simply truncate the
-speculated suffix away — the canonical sequence is the only state, so
-rollback is exact by construction. A connection serves nothing before an
-accepted ``Hello`` and holds at most one live session; every refusal reaches
-the peer as one reply.
+drafts tokens ahead, returning them together with their logit rows. Each
+drafted token is :func:`~offsetlm.core.pick` of its row at the client's own
+uniform for that response position (the argmax when greedy):
+``StartSession`` carries the client's config, and the server's generator,
+seeded alike, draws the same uniforms in the same order. Where the offset
+leaves a row's pick unchanged, the draft is accepted. The client's
+``draft_len`` is a ceiling: once a commit has carried a replacement, a round
+drafts ``ceil(committed / replacements)`` tokens, the mean committed run per
+replacement, read only from validated commits so replays draft alike.
+Commits that accept only a prefix simply truncate the speculated suffix away
+— the canonical sequence is the only state, so rollback is exact by
+construction. A connection serves nothing before an accepted ``Hello`` and
+holds at most one live session; every refusal reaches the peer as one reply.
 
 The **client** owns the proxy pair (base + adapter) as one
 :class:`~offsetlm.offset.OffsetProxy`. It walks each draft batch one position
 at a time with the per-token step: the pair's offset ``d`` for the position,
-added to the black-box row, one sample. It stops at the first sample that
-differs from the draft, which becomes the replacement; the rest of the draft
-is dropped unread. The client mirrors the canonical sequence locally and the
-final result echoed by the server must match that mirror exactly.
+added to the black-box row, one pick at the position's uniform. It stops at
+the first token that differs from the draft, which becomes the replacement;
+the rest of the draft is dropped unread. The client mirrors the canonical
+sequence locally and the final result echoed by the server must match that
+mirror exactly.
 
 ``run_per_token`` is literally ``run_speculative`` with a draft length of
 one. ``run_transfer`` instead uploads the serialized adapter once and asks
 the server to run the whole offset-adapted generation locally; with the same
-models, adapter, and config it returns the identical token sequence (both
-paths consume one RNG draw per committed token).
+models, adapter, and config it returns the identical token sequence: every
+loop, client, server or in-process, picks response token k at the k-th draw
+of the config's generator, greedy too.
 
 Every loop stops by one rule, :func:`finished`: the budget is spent or the
 sequence ends in eos.
@@ -49,17 +50,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (
-    STOCHASTIC,
-    GenerationConfig,
-    Vocab,
-    argmax_sample,
-    check_prompt,
-    check_same_vocab,
-    make_rng,
-    sample_at,
-    sample_token,
-)
+from .core import GenerationConfig, Vocab, check_prompt, check_same_vocab, make_rng, pick
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
 from .models import LogitModel, TinyNeuralLM
 from .messages import (
@@ -155,9 +146,10 @@ def finished(seq: list[int], prompt_len: int, max_new_tokens: int, eos_id: int) 
 class ServerSession:
     """Canonical sequence plus draft bookkeeping for one generation.
 
-    A stochastic session also keeps the client's generator, rebuilt from
-    ``config.seed``, and the uniforms it has drawn for drafted positions not
-    yet committed, oldest first: at most ``draft_len`` of them.
+    It also keeps the client's generator, rebuilt from ``config.seed``, and
+    the uniforms it has drawn for drafted positions not yet committed, oldest
+    first: at most ``draft_len`` of them. Greedy sessions draw them too, and
+    :func:`~offsetlm.core.pick` ignores them.
     """
 
     session_id: int
@@ -169,12 +161,11 @@ class ServerSession:
     last_draft: list[int] | None = None
     replacements: int = 0  # validated commits that carried a replacement
     uniforms: list[float] = field(default_factory=list)
-    rng: np.random.Generator | None = field(default=None, init=False, repr=False)
+    rng: np.random.Generator = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.canonical = list(self.prompt)
-        if self.config.mode == STOCHASTIC:
-            self.rng = make_rng(self.config.seed)
+        self.rng = make_rng(self.config.seed)
 
     @property
     def max_new_tokens(self) -> int:
@@ -204,15 +195,12 @@ class ServerSession:
     def draft_token(self, z: np.ndarray, i: int) -> int:
         """The token drafted from row ``z``, ``i`` positions past the committed ones.
 
-        Greedy: the argmax. Stochastic: :func:`~offsetlm.core.sample_at` at
-        the uniform the client draws for that response position, drawn
-        forward in order from the session's generator.
+        :func:`~offsetlm.core.pick` at the uniform the client draws for that
+        response position, drawn forward in order from the session's generator.
         """
-        if self.rng is None:
-            return argmax_sample(z)
         while len(self.uniforms) <= i:
             self.uniforms.append(self.rng.random())
-        return sample_at(z, self.config.temperature, self.uniforms[i])
+        return pick(z, self.config, self.uniforms[i])
 
     def draft(self, blackbox: LogitModel) -> DraftBatch:
         """Autoregressive speculation from the canonical sequence.
@@ -223,7 +211,7 @@ class ServerSession:
         forward raises, so a round costs O(steps * window) however long the
         session has run.
         """
-        if self.done or self.budget_left() <= 0:
+        if self.done:
             raise BudgetExhaustedError(
                 f"session {self.session_id} has no token budget left"
             )
@@ -328,10 +316,11 @@ class Server:
         preamble, an undecodable or oversized frame, or a first message that
         is not a ``Hello`` gets one ``ProtocolError`` and then a close; a
         refused ``Hello`` gets its ``HelloAck`` and then a close. A request
-        whose handling raises, such as a failing black-box forward, is a fault
-        of this server: it is logged with its session id and answered with
-        ``ProtocolError(server-fault, <exception type>)``, then a close. A
-        peer that leaves, at any point, ends the loop quietly.
+        whose handling raises, such as a failing black-box forward or a reply
+        too big for a frame, is a fault of this server: it is logged with its
+        session id and answered with ``ProtocolError(server-fault, <exception
+        type>)``, then a close. A peer that leaves, at any point, ends the loop
+        quietly.
         """
         state = _ConnectionState()
         try:
@@ -341,7 +330,10 @@ class Server:
                     msg = conn.recv_message()
                     if state.greeted:
                         try:
-                            reply = self._dispatch(msg, state)
+                            conn.send_message(self._dispatch(msg, state))
+                            continue
+                        except ConnectionClosedError:
+                            raise
                         except Exception as exc:  # noqa: BLE001 — reported to the peer
                             log.exception("session %s: server fault on %s",
                                           getattr(msg, "session_id", None), type(msg).__name__)
@@ -440,24 +432,24 @@ class Server:
 
 
 def _generate(step, vocab: Vocab, prompt: list[int], config: GenerationConfig) -> list[int]:
-    """The shared in-process loop: ``step(seq, rng)`` picks each next token.
+    """The shared in-process loop: ``step(seq, u)`` picks each next token at its uniform.
 
     The prompt is checked once, here, by the rule the server applies
     (:func:`~offsetlm.core.check_prompt`); each step then reads only the
     models' windows. A prompt ending in eos yields nothing.
     """
     check_prompt(prompt, vocab)
-    rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
+    rng = make_rng(config.seed)
     seq = list(prompt)
     while not finished(seq, len(prompt), config.max_new_tokens, vocab.eos_id):
-        seq.append(step(seq, rng))
+        seq.append(step(seq, rng.random()))
     return seq[len(prompt):]
 
 
 def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
     """Plain autoregressive generation from the black-box model alone."""
     return _generate(
-        lambda seq, rng: sample_token(blackbox.next_logits(seq), config, rng),
+        lambda seq, u: pick(blackbox.next_logits(seq), config, u),
         blackbox.vocab, prompt, config,
     )
 
@@ -471,16 +463,16 @@ def generate_adapted(
 ) -> list[int]:
     """Per-token offset-adapted generation, all models evaluated in-process.
 
-    Each step samples ``z_b + d`` by ``adapted_next_token``, as client
+    Each step picks from ``z_b + d`` by ``adapted_next_token``, as client
     verification does. The three vocabularies are checked once, on entry.
-    One RNG draw per committed token, exactly like the per-token protocol
-    mode — which is what makes server-side (transfer) and client-side
-    generation token-identical for the same seed.
+    One draw per response token, exactly like the protocol modes — which is
+    what makes server-side (transfer) and client-side generation
+    token-identical for the same seed.
     """
     proxy = OffsetProxy(base_proxy, tuned_proxy)
     check_same_vocab(blackbox.vocab, proxy.vocab, "black-box")
     return _generate(
-        lambda seq, rng: adapted_next_token(blackbox.next_logits(seq), proxy.offset(seq), config, rng),
+        lambda seq, u: adapted_next_token(blackbox.next_logits(seq), proxy.offset(seq), config, u),
         blackbox.vocab, prompt, config,
     )
 
@@ -509,7 +501,7 @@ class Client:
         self.conn = conn
         self.vocab = vocab
         self.base_proxy = base_proxy
-        # one snapshot feeds both the tuned proxy and the transfer upload
+        # a copy: it freezes the adapter the client was given, so later edits reach no mode
         self.adapter = adapter.snapshot() if adapter is not None else None
         self.proxy = (
             OffsetProxy(base_proxy, apply_adapter(base_proxy, self.adapter))
@@ -547,6 +539,15 @@ class Client:
             _raise_remote(msg)
         return msg
 
+    def _reply(self, session_id: int, *kinds: type) -> Message:
+        """The next reply, which must be one of ``kinds`` and belong to ``session_id``."""
+        msg = self._recv()
+        if not isinstance(msg, kinds) or msg.session_id != session_id:
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise OutOfSyncError(f"unexpected message {msg!r} in session {session_id}: "
+                                 f"expected {expected}")
+        return msg
+
     # -- speculative loop ----------------------------------------------------
 
     def run_speculative(
@@ -565,7 +566,7 @@ class Client:
         """
         if self.proxy is None:
             raise ValueError("speculative generation needs a base proxy and an adapter")
-        rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
+        rng = make_rng(config.seed)
         session_id = next(self._session_ids)
         mirror = list(prompt)
         self.conn.send_message(
@@ -573,7 +574,7 @@ class Client:
                          config=config)
         )
         while True:
-            msg = self._recv()
+            msg = self._reply(session_id, DraftBatch, GenerationResult)
             if isinstance(msg, GenerationResult):
                 got = list(msg.tokens)
                 want = mirror[len(prompt):]
@@ -583,8 +584,6 @@ class Client:
                     )
                 self.ledger.check_token_flow()
                 return got
-            if not isinstance(msg, DraftBatch) or msg.session_id != session_id:
-                raise OutOfSyncError(f"unexpected message {msg!r} mid-session")
             v = self.vocab.size
             if msg.logits.shape != (len(msg.tokens), v) or max(msg.tokens) >= v:
                 raise OutOfSyncError(
@@ -603,7 +602,7 @@ class Client:
         mirror: list[int],
         draft: DraftBatch,
         config: GenerationConfig,
-        rng,
+        rng: np.random.Generator,
         prompt_len: int,
     ) -> Commit:
         """Accept the agreeing prefix of a draft; replace the first divergence.
@@ -619,7 +618,7 @@ class Client:
         accept, replacement = len(draft.tokens), None
         try:
             for i, (z_b, drafted) in enumerate(zip(draft.logits, draft.tokens)):
-                tok = adapted_next_token(z_b, self.proxy.offset(mirror), config, rng)
+                tok = adapted_next_token(z_b, self.proxy.offset(mirror), config, rng.random())
                 mirror.append(tok)
                 if tok != drafted:
                     accept, replacement = i, tok
@@ -664,10 +663,7 @@ class Client:
     ) -> list[int]:
         session_id = next(self._session_ids)
         self.conn.send_message(ServerGenerate(session_id, tuple(prompt), flavor, config))
-        msg = self._recv()
-        if not isinstance(msg, GenerationResult) or msg.session_id != session_id:
-            raise OutOfSyncError(f"expected GenerationResult, got {msg!r}")
-        return list(msg.tokens)
+        return list(self._reply(session_id, GenerationResult).tokens)
 
 
 # ---------------------------------------------------------------------------

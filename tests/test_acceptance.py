@@ -526,7 +526,7 @@ def test_criterion_4_adaptation_shrinks_kl(world):
             hist_adapted = np.zeros(world.vocab.size)
             for _ in range(n_draws):
                 hist_black[seeded_sample(z_b, 1.0, rng_black)] += 1
-                hist_adapted[adapted_next_token(z_b, z_p_tuned - z_p, config, rng_adapted)] += 1
+                hist_adapted[adapted_next_token(z_b, z_p_tuned - z_p, config, rng_adapted.random())] += 1
             kl_black.append(_kl_to_reference(hist_black, reference))
             kl_adapted.append(_kl_to_reference(hist_adapted, reference))
 

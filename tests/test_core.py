@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offsetlm import GenerationConfig, Vocab, argmax_sample, make_rng, seeded_sample
-from offsetlm.core import check_prompt, parse_token_line, read_corpus, sample_at, softmax64
+from offsetlm.core import check_prompt, parse_token_line, pick, read_corpus, sample_at, softmax64
 from offsetlm.models import VocabMismatchError
 
 from conftest import argmax_oracle, softmax_oracle
@@ -190,6 +190,25 @@ class TestSampleAt:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):
             sample_at(np.array([0.0, 1.0]), 0.0, 0.5)
+
+
+unit_uniform = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+class TestPick:
+    """The token rule of every mode: the argmax when greedy, ``sample_at`` when stochastic."""
+
+    @given(st.lists(finite_f32, min_size=1, max_size=40), unit_uniform)
+    def test_greedy_is_the_argmax_at_every_uniform(self, values, u):
+        logits = np.array(values, dtype=np.float32)
+        assert pick(logits, GenerationConfig(max_new_tokens=1), u) == int(np.argmax(logits))
+
+    @given(st.lists(finite_f32, min_size=1, max_size=40), unit_uniform,
+           st.sampled_from([0.5, 1.0, 1.3]))
+    def test_stochastic_is_sample_at(self, values, u, temperature):
+        logits = np.array(values, dtype=np.float32)
+        config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=temperature)
+        assert pick(logits, config, u) == sample_at(logits, config.temperature, u)
 
 
 class TestSoftmax64:

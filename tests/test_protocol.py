@@ -59,7 +59,7 @@ from offsetlm.protocol import (
     ServerSession,
     finished,
 )
-from offsetlm.core import make_rng, sample_at
+from offsetlm.core import make_rng, pick
 from offsetlm.models import VocabMismatchError
 from offsetlm.transport import (
     PREAMBLE,
@@ -279,17 +279,18 @@ class TestServerSession:
         session.replacements = 1  # a mean run of 10**5 tokens
         assert session.draft_size() == max_draft_rows(512)
 
-    def test_stochastic_drafts_use_the_clients_uniforms(self, vocab, world):
-        """Each row is drafted at the uniform the client draws for its position.
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    def test_drafts_use_the_clients_uniforms(self, vocab, world, mode):
+        """Each row is drafted by ``pick`` at the uniform the client draws for its position.
 
         Over a 10 000-token session with random commits, the session never
         holds more than ``draft_len`` uniforms: those of drafted positions
-        not yet committed.
+        not yet committed. Greedy sessions draw them too.
         """
         blackbox, _, _ = world
-        draft_len, temperature = 8, 1.3
+        draft_len = 8
         session = self.make(vocab, draft_len=draft_len, budget=10_000,
-                            mode="stochastic", temperature=temperature, seed=5)
+                            mode=mode, temperature=1.3, seed=5)
         client_rng, uniforms = make_rng(5), []  # the client's draws, by response position
         commits, peak = np.random.default_rng(23), 0
         while not session.done:
@@ -298,7 +299,7 @@ class TestServerSession:
             while len(uniforms) < committed + n:
                 uniforms.append(client_rng.random())
             for i, (z, tok) in enumerate(zip(batch.logits, batch.tokens)):
-                assert tok == sample_at(z, temperature, uniforms[committed + i])
+                assert tok == pick(z, session.config, uniforms[committed + i])
             peak = max(peak, len(session.uniforms))
             assert session.uniforms == uniforms[committed : committed + len(session.uniforms)]
             k = int(commits.integers(0, n + 1))
@@ -761,6 +762,22 @@ class TestWireErrors:
         assert f"session 1: server fault on {request}" in caplog.text
         conn.close()
 
+    def test_a_reply_too_big_for_a_frame_is_a_server_fault(self, vocab, world, caplog, monkeypatch):
+        blackbox, _, _ = world  # greedy chains never reach eos
+        monkeypatch.setattr("offsetlm.transport.MAX_PAYLOAD_LEN", 100)  # 40 tokens take 173 B
+        conn, thread = connect_in_process(Server(blackbox))
+        client = Client(conn, vocab)
+        client.handshake()
+        with pytest.raises(RemoteProtocolError) as err:
+            client.run_api([3], GenerationConfig(max_new_tokens=40))
+        assert (err.value.code, err.value.text) == (ERR_SERVER_FAULT, "FrameTooLargeError")
+        with pytest.raises(ConnectionClosedError):
+            conn.recv_message()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert "session 1: server fault on ServerGenerate" in caplog.text
+        conn.close()
+
     def test_non_hello_first_message_is_refused(self, vocab, world):
         blackbox, _, _ = world
         conn, _ = connect_in_process(Server(blackbox))
@@ -1063,13 +1080,15 @@ class TestRogueServer:
         ("speculative", {StartSession: HelloAck(True, "")}, "unexpected message HelloAck"),
         ("speculative", {StartSession: GenerationResult(1, (5,))},
          r"server result \[5\] disagrees with client mirror \[\]"),
+        ("speculative", {StartSession: GenerationResult(999, ())},
+         "unexpected message GenerationResult"),
         ("transfer", {UploadAdapter: HelloAck(False, "no")}, "adapter upload not acknowledged"),
         ("transfer", {UploadAdapter: GenerationResult(1, ())}, "adapter upload not acknowledged"),
         ("api", {ServerGenerate: GenerationResult(2, (3,))}, "expected GenerationResult"),
         ("api", {ServerGenerate: one_row_draft(1)}, "expected GenerationResult"),
     ], ids=["handshake-not-acked", "draft-of-another-session", "mid-session-not-a-draft",
-            "result-disagrees-with-mirror", "upload-refused", "upload-not-acked",
-            "result-of-another-session", "generate-answered-by-a-draft"])
+            "result-disagrees-with-mirror", "session-result-of-another-session", "upload-refused",
+            "upload-not-acked", "result-of-another-session", "generate-answered-by-a-draft"])
     def test_a_reply_that_does_not_fit_is_out_of_sync(self, vocab, world, run, replies, match):
         _, base, adapter = world
         conn, thread = rogue_server(replies)
@@ -1307,9 +1326,9 @@ class TestLinearDecoding:
         draft = self.session(vocab, prompt=self.HISTORY).draft(blackbox)
         client = Client(None, vocab, base_proxy=base, adapter=adapter)
         plain = list(self.HISTORY)
-        want = client._verify(plain, draft, GREEDY_CFG, None, len(self.HISTORY))
+        want = client._verify(plain, draft, GREEDY_CFG, make_rng(0), len(self.HISTORY))
         mirror = TailOnly(self.HISTORY, limit=base.window)
-        assert client._verify(mirror, draft, GREEDY_CFG, None, len(self.HISTORY)) == want
+        assert client._verify(mirror, draft, GREEDY_CFG, make_rng(0), len(self.HISTORY)) == want
         assert len(plain) > len(self.HISTORY)
         assert mirror == plain
 
@@ -1331,7 +1350,7 @@ class TestLinearDecoding:
         setattr(client.proxy, failing, FailingModel(getattr(client.proxy, failing), ok=2))
         mirror = [3, 4, 5]
         with pytest.raises(RuntimeError):
-            client._verify(mirror, draft, GREEDY_CFG, None, 3)
+            client._verify(mirror, draft, GREEDY_CFG, make_rng(0), 3)
         assert mirror == [3, 4, 5]
 
     def test_oversized_draft_is_capped_to_one_frame(self, vocab, world):
