@@ -97,7 +97,7 @@ def argmax_sample(logits: np.ndarray) -> int:
     """Greedy selection: the smallest index attaining the maximum logit."""
     if logits.ndim != 1 or logits.shape[0] == 0:
         raise ValueError("argmax_sample expects a non-empty 1-D logit vector")
-    return int(np.argmax(logits))
+    return int(logits.argmax())
 
 
 def softmax64(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:

@@ -7,8 +7,8 @@ product — it computes ``W @ x + scaling * (B @ (A @ x))``, which is what
 makes rank-r adaptation cheap. Targets are the two dense layers of
 :class:`~offsetlm.models.TinyNeuralLM`, named ``"w1"`` and ``"w2"``.
 
-There is no adapted copy of the forward pass: inference (binary32, one
-window) and training (binary64, a batch of windows) both call the base
+There is no adapted copy of the forward pass: inference (binary32, a stack
+of windows) and training (binary64, a batch of windows) both call the base
 model's :func:`~offsetlm.models.mlp_forward` with the adapter's
 ``(scaling, A, B)`` as the low-rank term of each dense layer.
 
@@ -36,7 +36,6 @@ from .core import ByteReader, make_rng
 from .models import (
     LogitModel,
     TinyNeuralLM,
-    _checked_window,
     fnv1a64,
     mlp_forward,
     row_blocks,
@@ -224,8 +223,11 @@ class AdaptedModel(LogitModel):
         self._low_rank = _low_rank(adapter.snapshot(), np.float32)
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        win = _checked_window(seq, self.window, self.vocab)
-        return mlp_forward(self.base.params, self.base.window_ids(win), self._low_rank)[1]
+        return mlp_forward(self.base.params, self.base.stacked_windows(seq, 1), self._low_rank)[1]
+
+    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
+        windows = self.base.stacked_windows(seq, count)
+        return mlp_forward(self.base.params, windows, self._low_rank)[1].reshape(count, -1)
 
 
 def _low_rank(adapter: LoraAdapter, dtype) -> tuple:

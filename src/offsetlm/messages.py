@@ -103,7 +103,7 @@ class DraftBatch:
             )
         if self.logits.shape[1] < 1:
             raise ValueError("draft logits must have at least one column")
-        if not np.all(np.isfinite(self.logits)):
+        if not np.isfinite(self.logits).all():
             raise ValueError("draft logits contain non-finite entries")
 
     def __eq__(self, other: object) -> bool:

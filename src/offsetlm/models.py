@@ -22,10 +22,10 @@ whole sequence once, where it enters; each step checks only its window.
 Inference parameters are binary32: training happens elsewhere in binary64
 and rounds exactly once, when the snapshot is taken.
 
-The window MLP is written once, in :func:`mlp_forward`: single-step
-inference (binary32, one window), the adapted model of :mod:`offsetlm.lora`
-(the same call plus a low-rank term per dense layer), and both trainers
-(binary64, a batch of windows from :func:`training_positions`) all run it.
+The window MLP is written once, in :func:`mlp_forward`: inference (binary32,
+one window or a stack for :meth:`LogitModel.batch_next_logits`), the adapted
+model of :mod:`offsetlm.lora` (plus a low-rank term per dense layer), and both
+trainers (binary64, a batch from :func:`training_positions`) all run it.
 """
 
 from __future__ import annotations
@@ -64,14 +64,14 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _checked_window(seq: list[int], n: int, vocab: Vocab) -> list[int]:
-    """The last ``n`` tokens of ``seq``, each checked against ``vocab``.
+def _checked_window(seq: list[int], n: int, vocab: Vocab, count: int = 1) -> list[int]:
+    """The last ``count - 1 + n`` tokens of ``seq``, each checked against ``vocab``.
 
-    Reads nothing of ``seq`` before the window.
+    They are all that the ``n``-token windows of the last ``count`` prefixes read.
     """
-    if len(seq) == 0:
-        raise ValueError("sequence must be non-empty")
-    win = list(seq[-n:])
+    if not 1 <= count <= len(seq):
+        raise ValueError(f"cannot take the last {count} prefixes of a {len(seq)}-token sequence")
+    win = list(seq[-(count - 1 + n):])
     check_token_range(win, vocab)
     return win
 
@@ -93,6 +93,11 @@ class LogitModel(ABC):
         once, where they enter (:func:`~offsetlm.core.check_prompt` and the
         server's commit checks).
         """
+
+    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
+        """``(count, V)``: row i is ``next_logits(seq[:len(seq) - count + 1 + i])``, bit for bit."""
+        tail = _checked_window(seq, self.window, self.vocab, count)
+        return np.stack([self.next_logits(tail[: len(tail) - count + 1 + i]) for i in range(count)])
 
     def snapshot_bytes(self) -> bytes:
         return encode_model(self)
@@ -200,9 +205,18 @@ class TinyNeuralLM(LogitModel):
         win = list(seq[-self.context:])
         return [self.vocab.bos_id] * (self.context - len(win)) + win
 
+    def stacked_windows(self, seq: list[int], count: int) -> list:
+        """:meth:`window_ids` of the last ``count`` prefixes of ``seq``, stacked ``(count, 1, context)``;
+        for one prefix, its window alone (the same products, less overhead)."""
+        tail = _checked_window(seq, self.context, self.vocab, count)
+        padded = [self.vocab.bos_id] * (count - 1 + self.context - len(tail)) + tail
+        return padded if count == 1 else [[padded[i : i + self.context]] for i in range(count)]
+
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        win = _checked_window(seq, self.context, self.vocab)
-        return mlp_forward(self.params, self.window_ids(win))[1]
+        return mlp_forward(self.params, self.stacked_windows(seq, 1))[1]
+
+    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
+        return mlp_forward(self.params, self.stacked_windows(seq, count))[1].reshape(count, -1)
 
     @staticmethod
     def random(
@@ -221,17 +235,17 @@ class TinyNeuralLM(LogitModel):
 
 
 def mlp_forward(params, windows, low_rank=(None, None)):
-    """The window MLP: ``(hid, logits)`` for one window or a batch.
+    """The window MLP: ``(hid, logits)`` for one window, a stack or a batch.
 
     ``params`` is ``(embedding, w1, b1, w2, b2)`` and fixes the dtype:
     binary32 snapshots for inference, binary64 copies for training.
-    ``windows`` is one window of ``context`` token ids or an ``(n, context)``
-    array of them; rows compute as ``x @ w.T``, where ``x`` holds a window's
-    concatenated embeddings. ``low_rank`` holds, per dense layer, ``None`` or
-    an adapter term ``(scaling, a, b)`` that adds ``scaling * (x @ a.T) @
-    b.T`` without forming ``b @ a``. ``hid`` is returned for the backward
-    pass; ``x`` is not kept, and a trainer that needs it gathers
-    ``embedding[windows]`` again.
+    ``windows`` is one window of ``context`` token ids, a ``(count, 1,
+    context)`` stack (numpy runs each stacked one-row product as that
+    window's own vector product: the same bits) or an ``(n, context)``
+    batch. Rows compute as ``x @ w.T``, ``x`` being a window's concatenated
+    embeddings; ``low_rank`` holds, per dense layer, ``None`` or an adapter
+    term ``(scaling, a, b)`` that adds ``scaling * (x @ a.T) @ b.T``.
+    ``hid`` is returned for the backward pass.
 
     Both outputs are fresh arrays the caller owns; no input is written.
     Each dense layer updates its output in place with the same operands and
@@ -253,7 +267,7 @@ def mlp_forward(params, windows, low_rank=(None, None)):
             hid[blk] = _dense(x.reshape(len(x), -1), w1, b1, low_rank[0])
         del x  # one block's embeddings, not needed by layer 2
     else:
-        x = emb[windows]
+        x = emb.take(windows, axis=0)  # the gather emb[windows], with less overhead
         x = x.reshape(x.shape[:-2] + (-1,))
         hid = _dense(x, w1, b1, low_rank[0])
     np.tanh(hid, out=hid)
@@ -264,7 +278,7 @@ def _dense(x, w, bias, term):
     out = x @ w.T
     if term is not None:
         scaling, a, b = term
-        if x.ndim == 1:
+        if x.ndim != 2:  # one window or a stack of one-row products
             t = (x @ a.T) @ b.T
             t *= scaling
             out += t

@@ -36,6 +36,11 @@ class OffsetProxy:
         z_p = self.base.next_logits(seq).astype(np.float32, copy=False)
         return self.tuned.next_logits(seq).astype(np.float32, copy=False) - z_p
 
+    def offsets(self, seq: list[int], count: int) -> np.ndarray:
+        """:meth:`offset` of each of the last ``count`` prefixes of ``seq``, bit for bit; one stacked forward each."""
+        z_p = self.base.batch_next_logits(seq, count).astype(np.float32, copy=False)
+        return self.tuned.batch_next_logits(seq, count).astype(np.float32, copy=False) - z_p
+
 
 def adjusted_logits(z_b: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Canonical composition ``z_b + d``, binary32."""

@@ -20,13 +20,13 @@ construction. A connection serves nothing before an accepted ``Hello`` and
 holds at most one live session; every refusal reaches the peer as one reply.
 
 The **client** owns the proxy pair (base + adapter) as one
-:class:`~offsetlm.offset.OffsetProxy`. It walks each draft batch one position
-at a time with the per-token step: the pair's offset ``d`` for the position,
-added to the black-box row, one pick at the position's uniform. It stops at
-the first token that differs from the draft, which becomes the replacement;
-the rest of the draft is dropped unread. The client mirrors the canonical
-sequence locally and the final result echoed by the server must match that
-mirror exactly.
+:class:`~offsetlm.offset.OffsetProxy`. One stacked forward per proxy gives
+the offset ``d`` at every drafted position, with the bits of each position's
+forward alone. The client walks the positions with the per-token step (``d``
+plus the black-box row, one pick at the position's uniform) and stops at the
+first token that differs from the draft, the replacement; later rows are
+dropped. The client mirrors the canonical sequence locally and the final
+result echoed by the server must match that mirror exactly.
 
 ``run_per_token`` is literally ``run_speculative`` with a draft length of
 one. ``run_transfer`` instead uploads the serialized adapter once and asks
@@ -73,6 +73,7 @@ from .transport import (
     ConnectionClosedError,
     CostLedger,
     FramedConnection,
+    MAX_RESULT_TOKENS,
     FrameTooLargeError,
     MalformedPayloadError,
     SocketChannel,
@@ -91,6 +92,7 @@ ERR_UNSUPPORTED = "unsupported-request"
 ERR_INVALID_PROMPT = "invalid-prompt"
 ERR_MALFORMED = "malformed-payload"
 ERR_SERVER_FAULT = "server-fault"
+ERR_LIMIT_EXCEEDED = "limit-exceeded"
 
 
 class HandshakeRejectedError(Exception):
@@ -162,18 +164,18 @@ class ServerSession:
     replacements: int = 0  # validated commits that carried a replacement
     uniforms: list[float] = field(default_factory=list)
     rng: np.random.Generator = field(init=False, repr=False)
+    done: bool = field(init=False)  # the stop rule, set when apply_commit extends canonical
+    max_rows: int = field(init=False, repr=False)  # most rows one DraftBatch frame carries
 
     def __post_init__(self) -> None:
         self.canonical = list(self.prompt)
         self.rng = make_rng(self.config.seed)
+        self.done = finished(self.canonical, len(self.prompt), self.max_new_tokens, self.vocab.eos_id)
+        self.max_rows = max_draft_rows(self.vocab.size)
 
     @property
     def max_new_tokens(self) -> int:
         return self.config.max_new_tokens
-
-    @property
-    def done(self) -> bool:
-        return finished(self.canonical, len(self.prompt), self.max_new_tokens, self.vocab.eos_id)
 
     def budget_left(self) -> int:
         return self.max_new_tokens - (len(self.canonical) - len(self.prompt))
@@ -190,7 +192,7 @@ class ServerSession:
         """
         committed = len(self.canonical) - len(self.prompt)
         run = -(-committed // self.replacements) if self.replacements else self.draft_len
-        return min(self.draft_len, run, self.budget_left(), max_draft_rows(self.vocab.size))
+        return min(self.draft_len, run, self.budget_left(), self.max_rows)
 
     def draft_token(self, z: np.ndarray, i: int) -> int:
         """The token drafted from row ``z``, ``i`` positions past the committed ones.
@@ -212,19 +214,16 @@ class ServerSession:
         session has run.
         """
         if self.done:
-            raise BudgetExhaustedError(
-                f"session {self.session_id} has no token budget left"
-            )
+            raise BudgetExhaustedError(f"session {self.session_id} has no token budget left")
         if self.last_draft is not None:
             raise InvalidCommitError("previous draft has not been committed yet")
         ctx = self.canonical
         start = len(ctx)
-        rows: list[np.ndarray] = []
+        rows = np.empty((self.draft_size(), self.vocab.size), dtype=np.float32)
         try:
-            for i in range(self.draft_size()):
-                z = blackbox.next_logits(ctx)
+            for i in range(len(rows)):
+                rows[i] = z = blackbox.next_logits(ctx)
                 tok = self.draft_token(z, i)
-                rows.append(z)
                 ctx.append(tok)
                 if tok == self.vocab.eos_id:
                     break
@@ -232,7 +231,7 @@ class ServerSession:
         finally:
             del ctx[start:]
         self.last_draft = tokens
-        return DraftBatch(session_id=self.session_id, tokens=tuple(tokens), logits=np.stack(rows))
+        return DraftBatch(session_id=self.session_id, tokens=tuple(tokens), logits=rows[: len(tokens)])
 
     def apply_commit(self, commit: Commit) -> None:
         """Advance the canonical sequence; speculated suffix is dropped."""
@@ -256,6 +255,7 @@ class ServerSession:
             self.replacements += 1
         del self.uniforms[: commit.accept_count + (commit.replacement is not None)]  # spent
         self.last_draft = None
+        self.done = finished(self.canonical, len(self.prompt), self.max_new_tokens, self.vocab.eos_id)
         if bool(commit.done) != self.done:
             raise OutOfSyncError(
                 f"client done={commit.done} disagrees with server done={self.done}"
@@ -360,6 +360,8 @@ class Server:
                 check_prompt(msg.prompt, self.vocab)
             except ValueError as exc:
                 return ProtocolError(ERR_INVALID_PROMPT, str(exc))
+            if msg.config.max_new_tokens > MAX_RESULT_TOKENS:  # its result could not be sent
+                return ProtocolError(ERR_LIMIT_EXCEEDED, f"budget above {MAX_RESULT_TOKENS} tokens")
         if isinstance(msg, StartSession):
             return self._on_start(msg, state)
         if isinstance(msg, Commit):
@@ -556,9 +558,9 @@ class Client:
         """Draft/verify generation; returns the committed response tokens.
 
         The tokens equal ``run_per_token`` and ``generate_adapted`` for every
-        draft length, greedy and stochastic: verification runs the per-token
-        step at each inspected position and commits every position it
-        inspects, so the k-th RNG draw always picks response token k.
+        draft length, greedy and stochastic: verification scores the drafted
+        positions with the per-token step's bits and commits every position
+        it inspects, so the k-th RNG draw always picks response token k.
 
         A draft whose rows are not ``vocab.size`` wide or whose tokens fall
         outside the vocabulary raises :class:`OutOfSyncError` before any
@@ -607,9 +609,10 @@ class Client:
     ) -> Commit:
         """Accept the agreeing prefix of a draft; replace the first divergence.
 
-        Each position samples the draft's black-box row plus the proxy's
-        offset by ``adapted_next_token``, as ``generate_adapted`` does with
-        its own row. The sampled token is appended to ``mirror``, and the
+        One :meth:`~offsetlm.offset.OffsetProxy.offsets` call gives every
+        drafted position's offset, bit for bit ``generate_adapted``'s. Each
+        position then samples the draft's black-box row plus its offset by
+        ``adapted_next_token``; the token is appended to ``mirror``, and the
         walk stops at the first one that differs from the draft. On return
         ``mirror`` holds the committed tokens; when a forward raises, it is
         rolled back to its length on entry.
@@ -617,8 +620,11 @@ class Client:
         start = len(mirror)
         accept, replacement = len(draft.tokens), None
         try:
-            for i, (z_b, drafted) in enumerate(zip(draft.logits, draft.tokens)):
-                tok = adapted_next_token(z_b, self.proxy.offset(mirror), config, rng.random())
+            # every window the walk can reach: the mirror's tail, then the draft
+            reach = mirror[-max(self.proxy.base.window, self.proxy.tuned.window):] + list(draft.tokens[:-1])
+            offsets = self.proxy.offsets(reach, len(draft.tokens))
+            for i, (z_b, d, drafted) in enumerate(zip(draft.logits, offsets, draft.tokens)):
+                tok = adapted_next_token(z_b, d, config, rng.random())
                 mirror.append(tok)
                 if tok != drafted:
                     accept, replacement = i, tok

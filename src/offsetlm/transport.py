@@ -98,7 +98,7 @@ def _read_draft_rows(r: ByteReader, fields: dict[str, Any]) -> np.ndarray:
         raise r.fail("draft batch token count must be at least 1")
     if rest == 0 or rest % (4 * n) != 0:
         raise r.fail(f"draft logits block of {rest} bytes does not divide into {n} float32 rows")
-    return r.array("<f4", n, rest // (4 * n))
+    return np.frombuffer(r.take(rest), dtype="<f4").reshape(n, -1)
 
 
 _SAMPLING_MODES = (GREEDY, STOCHASTIC)  # a config's mode byte indexes this
@@ -122,10 +122,11 @@ class FieldKind(NamedTuple):
     read: Callable[[ByteReader, dict[str, Any]], Any]  # also given the fields read so far
 
 
+_U8, _U32, _U64 = (struct.Struct(fmt) for fmt in ("<B", "<I", "<Q"))
 FIELD_KINDS = {
-    "u8": FieldKind(struct.Struct("<B").pack, lambda r, _: r.u8()),
-    "u32": FieldKind(struct.Struct("<I").pack, lambda r, _: r.u32()),
-    "u64": FieldKind(struct.Struct("<Q").pack, lambda r, _: r.u64()),
+    "u8": FieldKind(_U8.pack, lambda r, _: _U8.unpack(r.take(1))[0]),
+    "u32": FieldKind(_U32.pack, lambda r, _: _U32.unpack(r.take(4))[0]),
+    "u64": FieldKind(_U64.pack, lambda r, _: _U64.unpack(r.take(8))[0]),
     "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", lambda r, _: r.flag()),
     "text": FieldKind(_pack_text, lambda r, _: r.text()),
     "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), lambda r, _: r.tokens()),
@@ -176,16 +177,21 @@ MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
     GenerationResult: MessageLayout(8, CAT_INFERENCE, (("session_id", "u64"), ("tokens", "tokens"))),
     ProtocolError: MessageLayout(9, CAT_INFERENCE, (("code", "text"), ("text", "text"))),
 }
-_BY_TAG = {layout.tag: (cls, layout.fields) for cls, layout in MESSAGE_LAYOUTS.items()}
+
+# MESSAGE_LAYOUTS with each field's writer and reader looked up once, by class and by tag
+_WRITERS = {cls: (bytes((layout.tag,)), [(name, FIELD_KINDS[kind].write) for name, kind in layout.fields])
+            for cls, layout in MESSAGE_LAYOUTS.items()}
+_BY_TAG = {layout.tag: (cls, [(name, FIELD_KINDS[kind].read) for name, kind in layout.fields])
+           for cls, layout in MESSAGE_LAYOUTS.items()}
 
 
 def encode_message(msg: Message) -> bytes:
     """Serialize one message to its tagged payload bytes."""
-    layout = MESSAGE_LAYOUTS.get(type(msg))
-    if layout is None:
+    writer = _WRITERS.get(type(msg))
+    if writer is None:
         raise TypeError(f"cannot encode object of type {type(msg).__name__}")
-    parts = [FIELD_KINDS[kind].write(getattr(msg, name)) for name, kind in layout.fields]
-    return bytes((layout.tag,)) + b"".join(parts)
+    tag, fields = writer
+    return b"".join([tag] + [write(getattr(msg, name)) for name, write in fields])
 
 
 def decode_message(data: bytes) -> Message:
@@ -199,8 +205,8 @@ def decode_message(data: bytes) -> Message:
     cls, fields = _BY_TAG[tag]
     try:
         values: dict[str, Any] = {}
-        for name, kind in fields:
-            values[name] = FIELD_KINDS[kind].read(r, values)
+        for name, read in fields:
+            values[name] = read(r, values)
         msg = cls(**values)
     except struct.error as exc:  # defensive; take() should catch first
         raise r.fail(f"bad field encoding: {exc}") from exc
@@ -214,6 +220,11 @@ def decode_message(data: bytes) -> Message:
 
 # a one-row, one-logit batch minus its row: the tag, session id and u16 count
 _DRAFT_BATCH_HEAD_LEN = len(encode_message(DraftBatch(0, (0,), np.zeros((1, 1))))) - 8
+
+
+# Most response tokens one GenerationResult frame carries (its head, then 4 bytes a
+# token); the server refuses a larger budget before any forward.
+MAX_RESULT_TOKENS = (MAX_PAYLOAD_LEN - len(encode_message(GenerationResult(0, ())))) // 4
 
 
 def max_draft_rows(vocab_size: int) -> int:
@@ -253,6 +264,7 @@ class SocketChannel(ByteChannel):
 
     def __init__(self, sock: socket.socket) -> None:
         self._sock = sock
+        self._buf = bytearray()  # read ahead: a frame that has fully arrived costs one recv
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError:
@@ -265,16 +277,18 @@ class SocketChannel(ByteChannel):
             raise ConnectionClosedError(f"socket send failed: {exc}") from exc
 
     def recv_exact(self, n: int) -> bytes:
-        buf = bytearray()
+        buf = self._buf
         while len(buf) < n:
             try:
-                chunk = self._sock.recv(n - len(buf))
+                chunk = self._sock.recv(max(n - len(buf), 1 << 16))
             except OSError as exc:
                 raise ConnectionClosedError(f"socket recv failed: {exc}") from exc
             if chunk == b"":
                 raise ConnectionClosedError("peer closed the socket")
-            buf.extend(chunk)
-        return bytes(buf)
+            buf += chunk
+        data = bytes(buf[:n])
+        del buf[:n]
+        return data
 
     def close(self) -> None:
         try:

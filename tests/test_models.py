@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from offsetlm import (
     BigramTableModel,
+    LogitModel,
     TinyNeuralLM,
     Vocab,
     apply_adapter,
@@ -377,6 +378,92 @@ class TestWindowContract:
             model.next_logits([3] * 50 + [-1] + [3] * (model.window - 1))
         with pytest.raises(ValueError):
             model.next_logits([])
+
+
+class LastTwo(LogitModel):
+    """A plain ``LogitModel`` with only ``next_logits``: a row set by the last two tokens."""
+
+    window = 2
+
+    def __init__(self, vocab: Vocab) -> None:
+        self.vocab = vocab
+        self.table = np.random.default_rng(3).normal(size=(vocab.size, vocab.size, vocab.size))
+
+    def next_logits(self, seq):
+        before = seq[-2] if len(seq) > 1 else self.vocab.bos_id
+        return self.table[before, seq[-1]].astype(np.float32)
+
+
+def _stack_models() -> dict:
+    """Odd shapes (V = 37, context 3, embed 5, hidden 11, nonzero biases), the bench
+    proxy's shape (V = 512, context 8, embed 16, hidden 64), adapters of rank 1, 2,
+    4 and 8 on w1 only, on w2 only and on both, a bigram and a plain subclass."""
+    rng = np.random.default_rng(21)
+    odd, wide = Vocab(size=37, eos_id=1, bos_id=2), Vocab(size=512, eos_id=1, bos_id=2)
+    bases = {"odd": with_biases(TinyNeuralLM.random(odd, 3, 5, 11, seed=13), 13),
+             "wide": with_biases(TinyNeuralLM.random(wide, 8, 16, 64, seed=14), 14)}
+    models = {f"neural-{name}": base for name, base in bases.items()}
+    for name, base in bases.items():
+        for rank in (1, 2, 4, 8):
+            for targets in (("w1",), ("w2",), ("w1", "w2")):
+                adapter = init_adapter(base, rank, seed=rank, scaling=0.7, target_names=targets)
+                for t in adapter.targets:
+                    t.b = rng.normal(0.0, 0.5, size=t.b.shape)
+                models[f"adapted-{name}-r{rank}-{'+'.join(targets)}"] = apply_adapter(base, adapter)
+    models["bigram"] = fit_bigram(random_corpus(rng, odd, 6, 40), odd, alpha=1.0)
+    models["plain"] = LastTwo(odd)
+    return models
+
+
+STACK_MODELS = _stack_models()
+
+
+def _bits(rows: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(rows, dtype=np.float32).view(np.uint32)
+
+
+class TestBatchNextLogits:
+    """Row i of ``batch_next_logits(seq, count)`` is ``next_logits`` of the i-th of the
+    last ``count`` prefixes, bit for bit, and only the tail of ``seq`` is read."""
+
+    @pytest.mark.parametrize("kind", sorted(STACK_MODELS))
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_per_prefix_next_logits(self, kind, data):
+        model = STACK_MODELS[kind]
+        count = data.draw(st.integers(1, 16), label="count")
+        extra = data.draw(st.integers(0, 24), label="extra")
+        ids = st.integers(0, model.vocab.size - 1)
+        seq = data.draw(st.lists(ids, min_size=count + extra, max_size=count + extra), label="seq")
+        rows = model.batch_next_logits(seq, count)
+        assert rows.shape == (count, model.vocab.size) and rows.dtype == np.float32
+        want = [model.next_logits(seq[: len(seq) - count + 1 + i]) for i in range(count)]
+        np.testing.assert_array_equal(_bits(rows), _bits(np.stack(want)))
+        tail = TailOnly(seq, count - 1 + model.window)
+        np.testing.assert_array_equal(_bits(model.batch_next_logits(tail, count)), _bits(rows))
+
+    @pytest.mark.parametrize("kind", sorted(STACK_MODELS))
+    def test_prefixes_shorter_than_the_window_pad_with_bos(self, kind):
+        model = STACK_MODELS[kind]
+        seq = [int(t) for t in np.random.default_rng(5).integers(3, model.vocab.size, size=16)]
+        base = getattr(model, "base", model)  # the window rule is the base model's
+        for count in range(1, 17):
+            rows = model.batch_next_logits(seq[:count], count)  # the first prefix is one token
+            want = [model.next_logits(seq[: i + 1]) for i in range(count)]
+            np.testing.assert_array_equal(_bits(rows), _bits(np.stack(want)))
+            if isinstance(base, TinyNeuralLM):  # one padded window at a time, built apart
+                low_rank = getattr(model, "_low_rank", (None, None))
+                alone = [models.mlp_forward(base.params, base.window_ids(seq[: i + 1]), low_rank)[1]
+                         for i in range(count)]
+                np.testing.assert_array_equal(_bits(rows), _bits(np.stack(alone)))
+
+    def test_count_must_fit_the_sequence(self):
+        for model in (STACK_MODELS["neural-odd"], STACK_MODELS["bigram"], STACK_MODELS["plain"]):
+            for seq, count in (([3, 4], 0), ([3, 4], 3), ([], 1)):
+                with pytest.raises(ValueError):
+                    model.batch_next_logits(seq, count)
+            with pytest.raises(VocabMismatchError):
+                model.batch_next_logits([3, 4, 40, 5], 2)  # 40 is in the rows' windows
 
 
 class TestFingerprintMemo:

@@ -46,6 +46,7 @@ from offsetlm.protocol import (
     BudgetExhaustedError,
     ERR_INVALID_COMMIT,
     ERR_INVALID_PROMPT,
+    ERR_LIMIT_EXCEEDED,
     ERR_MALFORMED,
     ERR_MALFORMED_ADAPTER,
     ERR_SERVER_FAULT,
@@ -62,6 +63,8 @@ from offsetlm.protocol import (
 from offsetlm.core import make_rng, pick
 from offsetlm.models import VocabMismatchError
 from offsetlm.transport import (
+    MAX_PAYLOAD_LEN,
+    MAX_RESULT_TOKENS,
     PREAMBLE,
     ByteChannel,
     ConnectionClosedError,
@@ -762,6 +765,32 @@ class TestWireErrors:
         assert f"session 1: server fault on {request}" in caplog.text
         conn.close()
 
+    @pytest.mark.parametrize("mode", ["api", "prada", "prada-sd"])
+    def test_a_budget_whose_result_cannot_fit_a_frame_is_refused_before_any_forward(
+            self, vocab, world, mode):
+        blackbox, base, adapter = world
+        failing = FailingModel(blackbox, ok=0)  # raises on its first forward
+        conn, thread = connect_in_process(Server(failing))
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()
+        run = {"api": client.run_api, "prada": client.run_per_token,
+               "prada-sd": lambda prompt, config: client.run_speculative(prompt, config, 8)}[mode]
+        with pytest.raises(RemoteProtocolError) as err:
+            run([3], GenerationConfig(max_new_tokens=MAX_RESULT_TOKENS + 1))
+        assert err.value.code == ERR_LIMIT_EXCEEDED
+        assert failing.raised == 0
+        assert run([3], GenerationConfig(max_new_tokens=0)) == []  # the connection stays open
+        with pytest.raises(RemoteProtocolError) as err:  # the largest budget is served
+            run([3], GenerationConfig(max_new_tokens=MAX_RESULT_TOKENS))
+        assert (err.value.code, failing.raised) == (ERR_SERVER_FAULT, 1)
+        conn.close()
+        thread.join(timeout=5)
+
+    def test_max_result_tokens_is_the_most_one_result_frame_carries(self):
+        head = len(encode_message(GenerationResult(session_id=0, tokens=())))
+        assert head + 4 * MAX_RESULT_TOKENS <= MAX_PAYLOAD_LEN < head + 4 * (MAX_RESULT_TOKENS + 1)
+        assert len(encode_message(GenerationResult(session_id=0, tokens=(0,) * 3))) == head + 12
+
     def test_a_reply_too_big_for_a_frame_is_a_server_fault(self, vocab, world, caplog, monkeypatch):
         blackbox, _, _ = world  # greedy chains never reach eos
         monkeypatch.setattr("offsetlm.transport.MAX_PAYLOAD_LEN", 100)  # 40 tokens take 173 B
@@ -1133,7 +1162,8 @@ class TestLedgerIntegration:
         ledger.check_token_flow()
 
     @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
-    def test_each_proxy_runs_once_per_committed_token(self, vocab, world, mode):
+    def test_each_proxy_computes_one_row_per_drafted_token(self, vocab, world, mode):
+        """One stacked forward per proxy per round scores every drafted row, cut or not."""
         blackbox, base, adapter = world
         ledger = CostLedger()
         client = connected_client(Server(blackbox), vocab, base, adapter, ledger)
@@ -1144,7 +1174,8 @@ class TestLedgerIntegration:
         client.conn.close()
         assert ledger.tokens_committed == len(got)
         assert ledger.tokens_drafted > ledger.tokens_committed  # some drafts were cut short
-        assert client.proxy.base.calls == client.proxy.tuned.calls == ledger.tokens_committed
+        assert client.proxy.base.calls == client.proxy.tuned.calls == ledger.tokens_drafted
+        assert client.proxy.base.batches == client.proxy.tuned.batches == ledger.round_count
 
 
 class TestTransports:
@@ -1283,13 +1314,18 @@ class FailingModel(LogitModel):
 
 
 class CountingModel(LogitModel):
-    """Delegates to ``inner`` and counts its ``next_logits`` calls."""
+    """Delegates to ``inner``; counts ``next_logits`` calls (rows) and ``batch_next_logits`` calls."""
 
     def __init__(self, inner: LogitModel) -> None:
         self.inner = inner
         self.vocab = inner.vocab
         self.window = inner.window
         self.calls = 0
+        self.batches = 0
+
+    def batch_next_logits(self, seq, count):
+        self.batches += 1
+        return super().batch_next_logits(seq, count)  # one next_logits call per row
 
     def next_logits(self, seq):
         self.calls += 1
