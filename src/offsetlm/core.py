@@ -24,6 +24,7 @@ import numpy as np
 
 GREEDY = "greedy"
 STOCHASTIC = "stochastic"
+_U16, _U32, _U64, _F32 = (struct.Struct(fmt) for fmt in ("<H", "<I", "<Q", "<f"))  # ByteReader's
 
 
 @dataclass(frozen=True)
@@ -240,16 +241,16 @@ class ByteReader:
         return self.take(1)[0]
 
     def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
+        return _U16.unpack(self.take(2))[0]
 
     def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+        return _U32.unpack(self.take(4))[0]
 
     def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+        return _U64.unpack(self.take(8))[0]
 
     def f32(self) -> float:
-        return struct.unpack("<f", self.take(4))[0]
+        return _F32.unpack(self.take(4))[0]
 
     def array(self, dtype: str, *shape: int) -> np.ndarray:
         """A read-only view of ``shape`` items of ``dtype``."""

@@ -223,11 +223,10 @@ class AdaptedModel(LogitModel):
         self._low_rank = _low_rank(adapter.snapshot(), np.float32)
 
     def next_logits(self, seq: list[int]) -> np.ndarray:
-        return mlp_forward(self.base.params, self.base.stacked_windows(seq, 1), self._low_rank)[1]
+        return self.batch_next_logits(seq, 1)[0]
 
     def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
-        windows = self.base.stacked_windows(seq, count)
-        return mlp_forward(self.base.params, windows, self._low_rank)[1].reshape(count, -1)
+        return self.base.batch_next_logits(seq, count, self._low_rank)
 
 
 def _low_rank(adapter: LoraAdapter, dtype) -> tuple:

@@ -65,10 +65,8 @@ def fnv1a64(data: bytes) -> int:
 
 
 def _checked_window(seq: list[int], n: int, vocab: Vocab, count: int = 1) -> list[int]:
-    """The last ``count - 1 + n`` tokens of ``seq``, each checked against ``vocab``.
-
-    They are all that the ``n``-token windows of the last ``count`` prefixes read.
-    """
+    """The last ``count - 1 + n`` tokens of ``seq``, all that the ``n``-token windows of its last
+    ``count`` prefixes read, each checked against ``vocab``."""
     if not 1 <= count <= len(seq):
         raise ValueError(f"cannot take the last {count} prefixes of a {len(seq)}-token sequence")
     win = list(seq[-(count - 1 + n):])
@@ -205,18 +203,16 @@ class TinyNeuralLM(LogitModel):
         win = list(seq[-self.context:])
         return [self.vocab.bos_id] * (self.context - len(win)) + win
 
-    def stacked_windows(self, seq: list[int], count: int) -> list:
-        """:meth:`window_ids` of the last ``count`` prefixes of ``seq``, stacked ``(count, 1, context)``;
-        for one prefix, its window alone (the same products, less overhead)."""
+    def next_logits(self, seq: list[int]) -> np.ndarray:
+        return self.batch_next_logits(seq, 1)[0]
+
+    def batch_next_logits(self, seq: list[int], count: int, low_rank=(None, None)) -> np.ndarray:
+        """One :func:`mlp_forward` (``low_rank`` as there) over the :meth:`window_ids` of the last
+        ``count`` prefixes, stacked ``(count, 1, context)``; one prefix goes as its window alone."""
         tail = _checked_window(seq, self.context, self.vocab, count)
         padded = [self.vocab.bos_id] * (count - 1 + self.context - len(tail)) + tail
-        return padded if count == 1 else [[padded[i : i + self.context]] for i in range(count)]
-
-    def next_logits(self, seq: list[int]) -> np.ndarray:
-        return mlp_forward(self.params, self.stacked_windows(seq, 1))[1]
-
-    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
-        return mlp_forward(self.params, self.stacked_windows(seq, count))[1].reshape(count, -1)
+        windows = padded if count == 1 else [[padded[i : i + self.context]] for i in range(count)]
+        return mlp_forward(self.params, windows, low_rank)[1].reshape(count, -1)
 
     @staticmethod
     def random(

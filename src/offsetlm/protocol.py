@@ -571,19 +571,14 @@ class Client:
         rng = make_rng(config.seed)
         session_id = next(self._session_ids)
         mirror = list(prompt)
-        self.conn.send_message(
-            StartSession(session_id=session_id, prompt=tuple(prompt), draft_len=draft_len,
-                         config=config)
-        )
+        self.conn.send_message(StartSession(session_id, tuple(prompt), draft_len, config))
         while True:
             msg = self._reply(session_id, DraftBatch, GenerationResult)
             if isinstance(msg, GenerationResult):
                 got = list(msg.tokens)
                 want = mirror[len(prompt):]
                 if got != want:
-                    raise OutOfSyncError(
-                        f"server result {got} disagrees with client mirror {want}"
-                    )
+                    raise OutOfSyncError(f"server result {got} disagrees with client mirror {want}")
                 self.ledger.check_token_flow()
                 return got
             v = self.vocab.size
@@ -594,9 +589,7 @@ class Client:
                 )
             commit = self._verify(mirror, msg, config, rng, len(prompt))
             self.ledger.note_draft(len(msg.tokens))
-            self.ledger.note_commit(
-                commit.accept_count, len(msg.tokens), commit.replacement is not None
-            )
+            self.ledger.note_commit(commit.accept_count, len(msg.tokens), commit.replacement is not None)
             self.conn.send_message(commit)
 
     def _verify(

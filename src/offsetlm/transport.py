@@ -98,7 +98,7 @@ def _read_draft_rows(r: ByteReader, fields: dict[str, Any]) -> np.ndarray:
         raise r.fail("draft batch token count must be at least 1")
     if rest == 0 or rest % (4 * n) != 0:
         raise r.fail(f"draft logits block of {rest} bytes does not divide into {n} float32 rows")
-    return np.frombuffer(r.take(rest), dtype="<f4").reshape(n, -1)
+    return r.array("<f4", n, rest // (4 * n))
 
 
 _SAMPLING_MODES = (GREEDY, STOCHASTIC)  # a config's mode byte indexes this
@@ -122,11 +122,10 @@ class FieldKind(NamedTuple):
     read: Callable[[ByteReader, dict[str, Any]], Any]  # also given the fields read so far
 
 
-_U8, _U32, _U64 = (struct.Struct(fmt) for fmt in ("<B", "<I", "<Q"))
 FIELD_KINDS = {
-    "u8": FieldKind(_U8.pack, lambda r, _: _U8.unpack(r.take(1))[0]),
-    "u32": FieldKind(_U32.pack, lambda r, _: _U32.unpack(r.take(4))[0]),
-    "u64": FieldKind(_U64.pack, lambda r, _: _U64.unpack(r.take(8))[0]),
+    "u8": FieldKind(struct.Struct("<B").pack, lambda r, _: r.u8()),
+    "u32": FieldKind(struct.Struct("<I").pack, lambda r, _: r.u32()),
+    "u64": FieldKind(struct.Struct("<Q").pack, lambda r, _: r.u64()),
     "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", lambda r, _: r.flag()),
     "text": FieldKind(_pack_text, lambda r, _: r.text()),
     "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), lambda r, _: r.tokens()),
@@ -222,8 +221,7 @@ def decode_message(data: bytes) -> Message:
 _DRAFT_BATCH_HEAD_LEN = len(encode_message(DraftBatch(0, (0,), np.zeros((1, 1))))) - 8
 
 
-# Most response tokens one GenerationResult frame carries (its head, then 4 bytes a
-# token); the server refuses a larger budget before any forward.
+# most response tokens one GenerationResult frame carries: its head, then 4 bytes a token
 MAX_RESULT_TOKENS = (MAX_PAYLOAD_LEN - len(encode_message(GenerationResult(0, ())))) // 4
 
 
@@ -286,7 +284,7 @@ class SocketChannel(ByteChannel):
             if chunk == b"":
                 raise ConnectionClosedError("peer closed the socket")
             buf += chunk
-        data = bytes(buf[:n])
+        data = bytes(memoryview(buf)[:n])  # one copy; the view is gone before the buffer shrinks
         del buf[:n]
         return data
 
