@@ -24,7 +24,7 @@ import numpy as np
 
 GREEDY = "greedy"
 STOCHASTIC = "stochastic"
-_U16, _U32, _U64, _F32 = (struct.Struct(fmt) for fmt in ("<H", "<I", "<Q", "<f"))  # ByteReader's
+_U16, _U32, _U64, _F32 = (struct.Struct(fmt) for fmt in ("<H", "<I", "<Q", "<f"))  # for ByteReader
 
 
 @dataclass(frozen=True)
