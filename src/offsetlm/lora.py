@@ -36,6 +36,7 @@ from .core import ByteReader, make_rng
 from .models import (
     LogitModel,
     TinyNeuralLM,
+    TrainingDivergedError,
     fnv1a64,
     mlp_forward,
     row_blocks,
@@ -63,12 +64,6 @@ class DegenerateBatchError(ValueError):
 
 class AdapterFormatError(ValueError):
     """A PRDL payload was malformed or truncated."""
-
-
-class TrainingDivergedError(ValueError):
-    """A training step gave a non-finite loss or a factor that overflows binary32."""
-
-    code = "training-diverged"
 
 
 @dataclass
@@ -221,9 +216,6 @@ class AdaptedModel(LogitModel):
         self.base = base
         self.vocab = base.vocab
         self._low_rank = _low_rank(adapter.snapshot(), np.float32)
-
-    def next_logits(self, seq: list[int]) -> np.ndarray:
-        return self.batch_next_logits(seq, 1)[0]
 
     def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
         return self.base.batch_next_logits(seq, count, self._low_rank)

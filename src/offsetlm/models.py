@@ -1,10 +1,13 @@
 """Deterministic desk-scale language models behind a single logits interface.
 
-Two concrete backends:
+A model implements one forward, :meth:`LogitModel.batch_next_logits`: the
+next-token logits after each of the last ``count`` prefixes of a sequence.
+``next_logits`` is its one-row case. Two concrete backends:
 
 * :class:`BigramTableModel` — additive-smoothed adjacent-pair counts; its
   logits are exactly ``ln(counts[last] + alpha)``, so tests can check it
-  against a brute-force count oracle.
+  against a brute-force count oracle. ``alpha`` must stay positive and
+  finite when rounded to binary32.
 * :class:`TinyNeuralLM` — a fixed-context-window MLP: the last ``context``
   token embeddings are concatenated, pushed through one tanh hidden layer,
   and projected to vocab logits. Sequences shorter than the window are
@@ -20,7 +23,8 @@ decoding step costs the same however long the history is. Callers check a
 whole sequence once, where it enters; each step checks only its window.
 
 Inference parameters are binary32: training happens elsewhere in binary64
-and rounds exactly once, when the snapshot is taken.
+and rounds exactly once, when the snapshot is taken. A trainer raises
+:class:`TrainingDivergedError` rather than return a non-finite snapshot.
 
 The window MLP is written once, in :func:`mlp_forward`: inference (binary32,
 one window or a stack for :meth:`LogitModel.batch_next_logits`), the adapted
@@ -55,6 +59,12 @@ class SnapshotFormatError(ValueError):
     """A PRDM payload was malformed or truncated."""
 
 
+class TrainingDivergedError(ValueError):
+    """Training gave a non-finite loss or a parameter that overflows binary32."""
+
+    code = "training-diverged"
+
+
 def fnv1a64(data: bytes) -> int:
     """64-bit FNV-1a over ``data``."""
     h = _FNV_OFFSET
@@ -64,7 +74,7 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def _checked_window(seq: list[int], n: int, vocab: Vocab, count: int = 1) -> list[int]:
+def _checked_window(seq: list[int], n: int, vocab: Vocab, count: int) -> list[int]:
     """The last ``count - 1 + n`` tokens of ``seq``, all that the ``n``-token windows of its last
     ``count`` prefixes read, each checked against ``vocab``."""
     if not 1 <= count <= len(seq):
@@ -78,24 +88,23 @@ class LogitModel(ABC):
     """Anything that maps a token sequence to next-token logits."""
 
     vocab: Vocab
-    window: int  # how many trailing tokens next_logits reads
+    window: int  # how many trailing tokens a row reads
     _fingerprint: int | None = None
 
     @abstractmethod
-    def next_logits(self, seq: list[int]) -> np.ndarray:
-        """Float32 logits for the token following ``seq``.
+    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
+        """Float32 ``(count, V)``: row i is :meth:`next_logits` of the i-th of the last ``count`` prefixes.
 
-        Reads and validates only the last ``window`` tokens of ``seq``, so a
-        step costs O(window) however long ``seq`` is. A token out of vocab
-        before the window goes unseen here: callers check whole sequences
+        Reads and validates only the last ``count - 1 + window`` tokens of
+        ``seq``, so a row costs O(window) however long ``seq`` is. A token out
+        of vocab before them goes unseen here: callers check whole sequences
         once, where they enter (:func:`~offsetlm.core.check_prompt` and the
         server's commit checks).
         """
 
-    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
-        """``(count, V)``: row i is ``next_logits(seq[:len(seq) - count + 1 + i])``, bit for bit."""
-        tail = _checked_window(seq, self.window, self.vocab, count)
-        return np.stack([self.next_logits(tail[: len(tail) - count + 1 + i]) for i in range(count)])
+    def next_logits(self, seq: list[int]) -> np.ndarray:
+        """Float32 logits for the token following ``seq``: the one-row forward."""
+        return self.batch_next_logits(seq, 1)[0]
 
     def snapshot_bytes(self) -> bytes:
         return encode_model(self)
@@ -123,22 +132,23 @@ class BigramTableModel(LogitModel):
             )
         if np.any(counts < 0):
             raise ValueError("counts must be non-negative")
-        if not alpha > 0:
-            raise ValueError("alpha must be positive")
+        # Rounded to binary32 up front so in-memory logits match a reloaded
+        # snapshot bit-for-bit (PRDM stores reals as binary32).
+        with np.errstate(over="ignore"):
+            rounded = float(np.float32(alpha))
+        if not 0 < rounded < np.inf:
+            raise ValueError(f"alpha must be positive and finite in binary32, got {alpha}")
         self.vocab = vocab
         self.counts = counts
         self.counts.setflags(write=False)
-        # Rounded to binary32 up front so in-memory logits match a reloaded
-        # snapshot bit-for-bit (PRDM stores reals as binary32).
-        self.alpha = float(np.float32(alpha))
+        self.alpha = rounded
         self._logit_table = np.log(
             self.counts.astype(np.float64) + self.alpha
         ).astype(np.float32)
         self._logit_table.setflags(write=False)
 
-    def next_logits(self, seq: list[int]) -> np.ndarray:
-        (last,) = _checked_window(seq, 1, self.vocab)
-        return self._logit_table[last].copy()
+    def batch_next_logits(self, seq: list[int], count: int) -> np.ndarray:
+        return self._logit_table.take(_checked_window(seq, 1, self.vocab, count), axis=0)
 
 
 class TinyNeuralLM(LogitModel):
@@ -202,9 +212,6 @@ class TinyNeuralLM(LogitModel):
         """The last ``context`` tokens of ``seq``, left-padded with bos."""
         win = list(seq[-self.context:])
         return [self.vocab.bos_id] * (self.context - len(win)) + win
-
-    def next_logits(self, seq: list[int]) -> np.ndarray:
-        return self.batch_next_logits(seq, 1)[0]
 
     def batch_next_logits(self, seq: list[int], count: int, low_rank=(None, None)) -> np.ndarray:
         """One :func:`mlp_forward` (``low_rank`` as there) over the :meth:`window_ids` of the last
@@ -336,8 +343,6 @@ def _init_neural_params(rng, v, context, d, h, scale):
 
 def fit_bigram(corpus: list[list[int]], vocab: Vocab, alpha: float) -> BigramTableModel:
     """Count adjacent token pairs over the corpus and smooth with ``alpha``."""
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
     if not any(len(doc) > 0 for doc in corpus):
         raise EmptyCorpusError("corpus contains no tokens")
     counts = np.zeros((vocab.size, vocab.size), dtype=np.int64)
@@ -369,6 +374,7 @@ def train_neural_lm(
 
     All arithmetic runs in binary64; the returned model is the binary32
     snapshot taken once at the end. Deterministic given (seed, corpus order).
+    Raises :class:`TrainingDivergedError` when a snapshot parameter is not finite.
     """
     usable = [doc for doc in corpus if len(doc) >= 2]
     if not usable:
@@ -406,7 +412,11 @@ def train_neural_lm(
             b2 -= lr * d_b2
             for c in range(context):
                 np.add.at(emb, win[:, c], -lr * d_x[:, c, :])
-    return TinyNeuralLM(vocab, context, *[p.astype(np.float32) for p in (emb, w1, b1, w2, b2)])
+    params = [p.astype(np.float32) for p in (emb, w1, b1, w2, b2)]
+    for name, p in zip(("embedding", "w1", "b1", "w2", "b2"), params):
+        if not np.isfinite(p).all():
+            raise TrainingDivergedError(f"training diverged: {name} is not finite in binary32")
+    return TinyNeuralLM(vocab, context, *params)
 
 
 def training_positions(docs, vocab: Vocab, context: int):

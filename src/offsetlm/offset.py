@@ -1,13 +1,13 @@
 """Logit-offset correction: steer a black-box model with a local proxy pair.
 
 An :class:`OffsetProxy` holds the base proxy and the tuned proxy (base +
-adapter). Its one value, ``d = offset(seq)``, is the tuning delta
-``z_t - z_p`` of the pair's next-token logits. It is added to the black-box
-logits ``z_b``, and the next token is sampled from ``z_b + d``. With an
-untouched adapter ``d`` is zero and the black-box behaviour passes through
-unchanged; under greedy selection the adjustment is also insensitive to any
-constant shift applied to a whole vector, since argmax ignores per-vector
-offsets.
+adapter). Its one value, a row ``d`` of ``offsets(seq, count)``, is the
+tuning delta ``z_t - z_p`` of the pair's next-token logits. It is added to
+the black-box logits ``z_b``, and the next token is sampled from ``z_b + d``.
+With an untouched adapter ``d`` is zero and the black-box behaviour passes
+through unchanged; under greedy selection the adjustment is also insensitive
+to any constant shift applied to a whole vector, since argmax ignores
+per-vector offsets.
 
 Every vector is binary32 and the composition is performed in binary32, in the
 fixed order ``z_b + (z_t - z_p)``, so independent implementations agree
@@ -28,16 +28,13 @@ class OffsetProxy:
     def __init__(self, base: LogitModel, tuned: LogitModel) -> None:
         check_same_vocab(tuned.vocab, base.vocab, "tuned proxy")
         self.vocab = base.vocab
+        self.window = max(base.window, tuned.window)
         self.base = base
         self.tuned = tuned
 
-    def offset(self, seq: list[int]) -> np.ndarray:
-        """``d = z_t - z_p`` for the token after ``seq``, binary32; each model's own forward."""
-        z_p = self.base.next_logits(seq).astype(np.float32, copy=False)
-        return self.tuned.next_logits(seq).astype(np.float32, copy=False) - z_p
-
     def offsets(self, seq: list[int], count: int) -> np.ndarray:
-        """:meth:`offset` of each of the last ``count`` prefixes of ``seq``, bit for bit; one stacked forward each."""
+        """Binary32 ``d = z_t - z_p`` after each of the last ``count`` prefixes of ``seq``, one row
+        each; one :meth:`~offsetlm.models.LogitModel.batch_next_logits` per proxy."""
         z_p = self.base.batch_next_logits(seq, count).astype(np.float32, copy=False)
         return self.tuned.batch_next_logits(seq, count).astype(np.float32, copy=False) - z_p
 

@@ -466,7 +466,9 @@ def generate_adapted(
     """Per-token offset-adapted generation, all models evaluated in-process.
 
     Each step picks from ``z_b + d`` by ``adapted_next_token``, as client
-    verification does. The three vocabularies are checked once, on entry.
+    verification does, with ``d`` the one-row ``proxy.offsets(seq, 1)[0]``:
+    the per-token reference for the rows of a stacked verify. The three
+    vocabularies are checked once, on entry.
     One draw per response token, exactly like the protocol modes — which is
     what makes server-side (transfer) and client-side generation
     token-identical for the same seed.
@@ -474,7 +476,7 @@ def generate_adapted(
     proxy = OffsetProxy(base_proxy, tuned_proxy)
     check_same_vocab(blackbox.vocab, proxy.vocab, "black-box")
     return _generate(
-        lambda seq, u: adapted_next_token(blackbox.next_logits(seq), proxy.offset(seq), config, u),
+        lambda seq, u: adapted_next_token(blackbox.next_logits(seq), proxy.offsets(seq, 1)[0], config, u),
         blackbox.vocab, prompt, config,
     )
 
@@ -614,7 +616,7 @@ class Client:
         accept, replacement = len(draft.tokens), None
         try:
             # every window the walk can reach: the mirror's tail, then the draft
-            reach = mirror[-max(self.proxy.base.window, self.proxy.tuned.window):] + list(draft.tokens[:-1])
+            reach = mirror[-self.proxy.window:] + list(draft.tokens[:-1])
             offsets = self.proxy.offsets(reach, len(draft.tokens))
             for i, (z_b, d, drafted) in enumerate(zip(draft.logits, offsets, draft.tokens)):
                 tok = adapted_next_token(z_b, d, config, rng.random())

@@ -3,7 +3,7 @@
 ``bench/tracing.py`` times each layer by wrapping the proxies it hands to
 ``Client`` and by replacing module globals such as
 ``protocol.adapted_next_token`` for the traced phase. A package change that
-looks such a name up once, or bypasses a proxy's own ``next_logits``, would
+looks such a name up once, or bypasses a proxy's own ``batch_next_logits``, would
 leave its metric at zero while the benchmark's own self-test, which checks
 only that each metric is printed, still passes. These runs pin the counts.
 

@@ -155,6 +155,16 @@ class TestFitBlackbox:
         assert result.exit_code == 0, result.output
         assert load_model(out).alpha == 3.0
 
+    def test_alpha_that_overflows_binary32_is_refused(self, runner, workdir, corpus_path):
+        out = workdir / "bb-inf.prdm"
+        result = runner.invoke(main, [
+            "fit-blackbox", "--corpus", str(corpus_path), "--out", str(out),
+            "--vocab-size", "8", "--eos-id", "1", "--bos-id", "2", "--alpha", "1e39",
+        ])
+        assert result.exit_code != 0
+        assert 'msg="alpha must be positive and finite in binary32' in result.stderr, result.stderr
+        assert not out.exists()
+
     def test_bad_corpus_token_is_reported(self, runner, workdir):
         bad = workdir / "bad.txt"
         bad.write_text("3 4 99\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from offsetlm import (
     BigramTableModel,
-    LogitModel,
     TinyNeuralLM,
     Vocab,
     apply_adapter,
@@ -19,10 +20,11 @@ from offsetlm import (
     save_model,
     train_neural_lm,
 )
-from offsetlm import models
+from offsetlm import lora, models
 from offsetlm.models import (
     EmptyCorpusError,
     SnapshotFormatError,
+    TrainingDivergedError,
     VocabMismatchError,
     decode_model,
     encode_model,
@@ -86,6 +88,11 @@ class TestFitBigram:
         with pytest.raises(ValueError):
             fit_bigram([[3, 4]], vocab, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [1e39, float("inf"), float("nan"), 1e-50])
+    def test_alpha_must_be_positive_and_finite_in_binary32(self, vocab, alpha):
+        with pytest.raises(ValueError, match="alpha must be positive and finite in binary32"):
+            fit_bigram([[3, 4]], vocab, alpha=alpha)
+
 
 class TestBigramTableModel:
     def test_logits_are_log_smoothed_counts(self, vocab):
@@ -121,8 +128,9 @@ class TestBigramTableModel:
             BigramTableModel(vocab3, np.zeros((2, 3)), alpha=1.0)
         with pytest.raises(ValueError):
             BigramTableModel(vocab3, good - 1, alpha=1.0)
-        with pytest.raises(ValueError):
-            BigramTableModel(vocab3, good, alpha=-1.0)
+        for alpha in (-1.0, 1e39, float("inf"), float("nan")):
+            with pytest.raises(ValueError):
+                BigramTableModel(vocab3, good, alpha=alpha)
 
     def test_rejects_out_of_range_query(self, vocab3):
         model = fit_bigram([[1, 2]], vocab3, alpha=1.0)
@@ -229,6 +237,15 @@ class TestTrainNeuralLm:
         with pytest.raises(EmptyCorpusError):
             train_neural_lm([[3], []], vocab)
 
+    def test_divergence_is_refused(self, vocab):
+        corpus = random_corpus(np.random.default_rng(2), vocab, n_docs=8, length=12)
+        with pytest.warns(RuntimeWarning), pytest.raises(TrainingDivergedError) as info:
+            train_neural_lm(corpus, vocab, context=2, embed_dim=3, hidden_dim=4, lr=1e40)
+        assert info.value.code == "training-diverged"
+        assert re.fullmatch(r"training diverged: (embedding|w1|b1|w2|b2) is not finite in binary32",
+                            str(info.value))
+        assert lora.TrainingDivergedError is TrainingDivergedError
+
 
 class TestTrainingPositions:
     @settings(max_examples=60, deadline=None)
@@ -302,9 +319,10 @@ class TestSnapshotFormat:
     def test_semantically_invalid_fields_are_rejected(self, vocab3):
         # alpha is the trailing f32 after header (6), vocab (12) and counts (36)
         data = bytearray(encode_model(fit_bigram([[1, 2]], vocab3, alpha=1.0)))
-        data[54:58] = np.float32(-1.0).tobytes()
-        with pytest.raises(SnapshotFormatError):
-            decode_model(bytes(data))
+        for alpha in (-1.0, np.inf, np.nan):
+            data[54:58] = np.float32(alpha).tobytes()
+            with pytest.raises(SnapshotFormatError):
+                decode_model(bytes(data))
 
 
 class TestFingerprint:
@@ -380,24 +398,10 @@ class TestWindowContract:
             model.next_logits([])
 
 
-class LastTwo(LogitModel):
-    """A plain ``LogitModel`` with only ``next_logits``: a row set by the last two tokens."""
-
-    window = 2
-
-    def __init__(self, vocab: Vocab) -> None:
-        self.vocab = vocab
-        self.table = np.random.default_rng(3).normal(size=(vocab.size, vocab.size, vocab.size))
-
-    def next_logits(self, seq):
-        before = seq[-2] if len(seq) > 1 else self.vocab.bos_id
-        return self.table[before, seq[-1]].astype(np.float32)
-
-
 def _stack_models() -> dict:
     """Odd shapes (V = 37, context 3, embed 5, hidden 11, nonzero biases), the bench
     proxy's shape (V = 512, context 8, embed 16, hidden 64), adapters of rank 1, 2,
-    4 and 8 on w1 only, on w2 only and on both, a bigram and a plain subclass."""
+    4 and 8 on w1 only, on w2 only and on both, and a bigram."""
     rng = np.random.default_rng(21)
     odd, wide = Vocab(size=37, eos_id=1, bos_id=2), Vocab(size=512, eos_id=1, bos_id=2)
     bases = {"odd": with_biases(TinyNeuralLM.random(odd, 3, 5, 11, seed=13), 13),
@@ -411,7 +415,6 @@ def _stack_models() -> dict:
                     t.b = rng.normal(0.0, 0.5, size=t.b.shape)
                 models[f"adapted-{name}-r{rank}-{'+'.join(targets)}"] = apply_adapter(base, adapter)
     models["bigram"] = fit_bigram(random_corpus(rng, odd, 6, 40), odd, alpha=1.0)
-    models["plain"] = LastTwo(odd)
     return models
 
 
@@ -458,7 +461,7 @@ class TestBatchNextLogits:
                 np.testing.assert_array_equal(_bits(rows), _bits(np.stack(alone)))
 
     def test_count_must_fit_the_sequence(self):
-        for model in (STACK_MODELS["neural-odd"], STACK_MODELS["bigram"], STACK_MODELS["plain"]):
+        for model in (STACK_MODELS["neural-odd"], STACK_MODELS["bigram"]):
             for seq, count in (([3, 4], 0), ([3, 4], 3), ([], 1)):
                 with pytest.raises(ValueError):
                     model.batch_next_logits(seq, count)

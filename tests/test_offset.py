@@ -30,17 +30,18 @@ class FixedLogits:
     """A proxy whose next-token logits are ``z`` after any sequence."""
 
     vocab = Vocab(size=8, eos_id=1, bos_id=2)
+    window = 1
 
     def __init__(self, z: np.ndarray) -> None:
         self.z = z
 
-    def next_logits(self, seq) -> np.ndarray:
-        return self.z
+    def batch_next_logits(self, seq, count) -> np.ndarray:
+        return np.tile(self.z, (count, 1))
 
 
 def offset(z_p: np.ndarray, z_p_tuned: np.ndarray) -> np.ndarray:
-    """The tuning offset ``d`` of a proxy pair with these logits, from ``OffsetProxy.offset``."""
-    return OffsetProxy(FixedLogits(z_p), FixedLogits(z_p_tuned)).offset([3])
+    """The tuning offset ``d`` of a proxy pair with these logits, from ``OffsetProxy.offsets``."""
+    return OffsetProxy(FixedLogits(z_p), FixedLogits(z_p_tuned)).offsets([3], 1)[0]
 
 
 def triple_strategy(size: int):

@@ -519,10 +519,10 @@ class TestModeEquivalence:
             def __init__(self, vocab):
                 self.vocab = vocab
 
-            def next_logits(self, seq):
-                row = np.zeros(self.vocab.size, dtype=np.float32)
-                row[0] = 2.2573001
-                return row
+            def batch_next_logits(self, seq, count):
+                rows = np.zeros((count, self.vocab.size), dtype=np.float32)
+                rows[:, 0] = 2.2573001
+                return rows
 
         blackbox = FixedRow(vocab)
         base = TinyNeuralLM.random(vocab, 3, 4, 6, seed=0)
@@ -1098,7 +1098,7 @@ class TestRogueServer:
         client.proxy.tuned = CountingModel(client.proxy.tuned)
         with pytest.raises(OutOfSyncError):
             client.run_speculative([3], GREEDY_CFG, draft_len=4)
-        assert client.proxy.base.calls == client.proxy.tuned.calls == 0
+        assert client.proxy.base.rows == client.proxy.tuned.rows == 0
         conn.close()
         thread.join(timeout=5)
         assert not thread.is_alive()
@@ -1174,7 +1174,7 @@ class TestLedgerIntegration:
         client.conn.close()
         assert ledger.tokens_committed == len(got)
         assert ledger.tokens_drafted > ledger.tokens_committed  # some drafts were cut short
-        assert client.proxy.base.calls == client.proxy.tuned.calls == ledger.tokens_drafted
+        assert client.proxy.base.rows == client.proxy.tuned.rows == ledger.tokens_drafted
         assert client.proxy.base.batches == client.proxy.tuned.batches == ledger.round_count
 
 
@@ -1296,7 +1296,8 @@ class TestResultIntegrity:
 
 
 class FailingModel(LogitModel):
-    """Delegates to ``inner`` for ``ok`` forwards, then raises; counts the raises."""
+    """Delegates to ``inner`` for ``ok`` rows, then raises, also part-way through a stack of rows;
+    counts the raises."""
 
     def __init__(self, inner: LogitModel, ok: int) -> None:
         self.inner = inner
@@ -1305,31 +1306,28 @@ class FailingModel(LogitModel):
         self.ok = ok
         self.raised = 0
 
-    def next_logits(self, seq):
-        if self.ok == 0:
+    def batch_next_logits(self, seq, count):
+        if self.ok < count:
             self.raised += 1
             raise RuntimeError("forward failed")
-        self.ok -= 1
-        return self.inner.next_logits(seq)
+        self.ok -= count
+        return self.inner.batch_next_logits(seq, count)
 
 
 class CountingModel(LogitModel):
-    """Delegates to ``inner``; counts ``next_logits`` calls (rows) and ``batch_next_logits`` calls."""
+    """Delegates to ``inner``; counts the rows it computes and its ``batch_next_logits`` calls."""
 
     def __init__(self, inner: LogitModel) -> None:
         self.inner = inner
         self.vocab = inner.vocab
         self.window = inner.window
-        self.calls = 0
+        self.rows = 0
         self.batches = 0
 
     def batch_next_logits(self, seq, count):
+        self.rows += count
         self.batches += 1
-        return super().batch_next_logits(seq, count)  # one next_logits call per row
-
-    def next_logits(self, seq):
-        self.calls += 1
-        return self.inner.next_logits(seq)
+        return self.inner.batch_next_logits(seq, count)
 
 
 class TestLinearDecoding:
