@@ -341,7 +341,8 @@ def _draft_lens(text: str) -> list[int]:
 @click.option("--prompt", type=str, default=None, help="space-separated token ids")
 @click.option("--prompt-file", type=click.Path(exists=True), default=None)
 @_config_option
-@click.option("--connect", type=str, default=None, help="host:port of a running server")
+@click.option("--connect", type=str, default=None,
+              help="host:port, or [ipv6]:port, of a running server")
 @click.option("--blackbox", type=click.Path(exists=True), default=None,
               help="serve this snapshot in-process instead of connecting")
 @click.option("--base-proxy", type=click.Path(exists=True), default=None)
@@ -374,6 +375,8 @@ def cmd_generate(mode, prompt, prompt_file, connect, blackbox, base_proxy, adapt
     ledger = CostLedger()
     if connect is not None:
         host, _, port = connect.rpartition(":")
+        if host.startswith("[") and host.endswith("]"):  # an IPv6 literal
+            host = host[1:-1]
         if not host or not port.isdigit():
             raise CliError("bad-endpoint", f"--connect must be host:port, got {connect!r}")
         vocab = base.vocab if base is not None else _vocab_from_flags(vocab_size, eos_id, bos_id)

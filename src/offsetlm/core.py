@@ -95,10 +95,17 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def argmax_sample(logits: np.ndarray) -> int:
-    """Greedy selection: the smallest index attaining the maximum logit."""
+    """Greedy selection: the smallest index attaining the maximum logit.
+
+    Raises ``ValueError`` when that logit is not finite: numpy's argmax
+    stops at the first NaN or +inf, and an all -inf row picks -inf.
+    """
     if logits.ndim != 1 or logits.shape[0] == 0:
         raise ValueError("argmax_sample expects a non-empty 1-D logit vector")
-    return int(logits.argmax())
+    tok = int(logits.argmax())
+    if not math.isfinite(logits[tok]):
+        raise ValueError(f"logit row is not finite: its maximum is {logits[tok]}")
+    return tok
 
 
 def softmax64(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
@@ -117,6 +124,8 @@ def sample_at(logits: np.ndarray, temperature: float, u: float) -> int:
     Computes :func:`softmax64` and its running sum in one binary64 buffer,
     with the same operands in the same order, so the CDF has the same bits.
     The token is the first whose CDF value exceeds ``u``, the last if none.
+    Raises ``ValueError`` when the normaliser is not finite, which a row
+    holding a NaN or +inf, or all -inf, makes NaN.
     """
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
@@ -124,7 +133,10 @@ def sample_at(logits: np.ndarray, temperature: float, u: float) -> int:
     cdf /= float(temperature)
     cdf -= cdf.max()
     np.exp(cdf, out=cdf)
-    cdf /= cdf.sum()
+    total = cdf.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"logit row is not finite: its softmax normaliser is {total}")
+    cdf /= total
     np.cumsum(cdf, out=cdf)
     return min(int(cdf.searchsorted(u, side="right")), cdf.shape[0] - 1)
 
@@ -145,7 +157,9 @@ def pick(logits: np.ndarray, config: GenerationConfig, u: float) -> int:
 
     Greedy: the argmax, whatever ``u``. Stochastic: :func:`sample_at` at the
     config's temperature. Response token k is picked at the k-th draw of
-    ``make_rng(config.seed)``, greedy too.
+    ``make_rng(config.seed)``, greedy too. A row holding a NaN or +inf, or
+    all -inf, raises ``ValueError`` in both modes rather than yield a
+    token; a finite binary32 row is never refused.
     """
     if config.mode == GREEDY:
         return argmax_sample(logits)

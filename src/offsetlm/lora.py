@@ -4,8 +4,9 @@ An adapter stores, per target weight matrix ``W`` (shape m×n), a pair
 ``B`` (m×r) and ``A`` (r×n) plus a scaling; the adapted weight is
 ``W + scaling * B @ A`` but the forward pass never materializes that
 product — it computes ``W @ x + scaling * (B @ (A @ x))``, which is what
-makes rank-r adaptation cheap. Targets are the two dense layers of
-:class:`~offsetlm.models.TinyNeuralLM`, named ``"w1"`` and ``"w2"``.
+makes rank-r adaptation cheap. Every adapter adapts both dense layers of
+:class:`~offsetlm.models.TinyNeuralLM`, ``"w1"`` then ``"w2"``; a
+single-layer adaptation is the one whose other layer has ``B`` zero.
 
 There is no adapted copy of the forward pass: inference (binary32, a stack
 of windows) and training (binary64, a batch of windows) both call the base
@@ -28,7 +29,7 @@ the adapted model reproduces the base model bit-for-bit.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,18 +85,15 @@ class LoraTarget:
 @dataclass
 class LoraAdapter:
     rank: int
-    targets: list[LoraTarget] = field(default_factory=list)
+    targets: list[LoraTarget]  # w1 then w2
 
     def __post_init__(self) -> None:
         if self.rank < 1:
             raise ValueError("rank must be positive")
-        seen = set()
+        names = [t.name for t in self.targets]
+        if names != list(TARGET_TAGS):
+            raise ValueError(f"adapter targets must be {list(TARGET_TAGS)}, got {names}")
         for t in self.targets:
-            if t.name not in TARGET_TAGS:
-                raise ValueError(f"unknown adapter target {t.name!r}")
-            if t.name in seen:
-                raise ValueError(f"duplicate adapter target {t.name!r}")
-            seen.add(t.name)
             b = np.asarray(t.b)
             a = np.asarray(t.a)
             if b.ndim != 2 or a.ndim != 2 or b.shape[1] != self.rank or a.shape[0] != self.rank:
@@ -104,12 +102,6 @@ class LoraAdapter:
                 )
             if not (np.isfinite(t.scaling) and np.isfinite(b).all() and np.isfinite(a).all()):
                 raise ValueError(f"target {t.name!r}: a factor or the scaling is not finite")
-
-    def target(self, name: str) -> LoraTarget | None:
-        for t in self.targets:
-            if t.name == name:
-                return t
-        return None
 
     def snapshot(self) -> "LoraAdapter":
         """Binary32 copy, as used for inference and on the wire.
@@ -171,21 +163,15 @@ def _check_fit(base: TinyNeuralLM, adapter: LoraAdapter) -> None:
             )
 
 
-def init_adapter(
-    base: TinyNeuralLM,
-    rank: int,
-    seed: int = 0,
-    scaling: float = 1.0,
-    target_names: tuple[str, ...] = ("w1", "w2"),
-) -> LoraAdapter:
-    """Seeded adapter init: A uniform in ±1/sqrt(n), B zero (exact identity)."""
-    return _init_from_rng(base, rank, scaling, make_rng(seed), target_names)
+def init_adapter(base: TinyNeuralLM, rank: int, seed: int = 0) -> LoraAdapter:
+    """Seeded adapter on w1 and w2 at scaling 1: A uniform in ±1/sqrt(n), B zero (exact identity)."""
+    return _init_from_rng(base, rank, make_rng(seed))
 
 
-def _init_from_rng(base, rank, scaling, rng, target_names=("w1", "w2")) -> LoraAdapter:
+def _init_from_rng(base, rank, rng) -> LoraAdapter:
     targets = []
-    for name in target_names:
-        m, n = _TARGET_DIMS[name](base)
+    for name, dims in _TARGET_DIMS.items():
+        m, n = dims(base)
         if rank > min(m, n):
             raise RankTooLargeError(
                 f"rank {rank} exceeds min(m, n) = {min(m, n)} for target {name!r}"
@@ -193,7 +179,7 @@ def _init_from_rng(base, rank, scaling, rng, target_names=("w1", "w2")) -> LoraA
         bound = 1.0 / np.sqrt(n)
         a = rng.uniform(-bound, bound, size=(rank, n))
         b = np.zeros((m, rank))
-        targets.append(LoraTarget(name=name, b=b, a=a, scaling=scaling))
+        targets.append(LoraTarget(name=name, b=b, a=a))
     return LoraAdapter(rank=rank, targets=targets)
 
 
@@ -222,13 +208,9 @@ class AdaptedModel(LogitModel):
 
 
 def _low_rank(adapter: LoraAdapter, dtype) -> tuple:
-    """Per dense layer, the adapter's ``(scaling, a, b)`` at ``dtype``, or None."""
-    terms = []
-    for name in ("w1", "w2"):
-        t = adapter.target(name)
-        terms.append(None if t is None else (
-            dtype(t.scaling), np.asarray(t.a, dtype=dtype), np.asarray(t.b, dtype=dtype)))
-    return tuple(terms)
+    """Per dense layer, w1 then w2, the adapter's ``(scaling, a, b)`` at ``dtype``."""
+    return tuple((dtype(t.scaling), np.asarray(t.a, dtype=dtype), np.asarray(t.b, dtype=dtype))
+                 for t in adapter.targets)
 
 
 def apply_adapter(base: TinyNeuralLM, adapter: LoraAdapter) -> AdaptedModel:
@@ -290,20 +272,13 @@ def loss_and_grads(
     del z  # a view of g, which would keep its buffer alive past `del g`
     loss = float(-picked.mean())
 
-    t1, t2 = low_rank  # (scaling, a, b): b is the up factor, not a bias
-    grads: dict[str, dict[str, np.ndarray]] = {}
-    if t2 is not None:
-        s2, a2, b2 = t2
-        grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
-    if t1 is None:
-        return loss, grads
-    narrow = params[3] if t2 is None else b2  # w2 or the up factor b, (V, h) or (V, r)
-    for blk in row_blocks(n, narrow):
+    (s1, a1, b1), (s2, a2, b2) = low_rank  # b is the up factor, not a bias
+    grads = {"w2": {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}}
+    for blk in row_blocks(n, b2):  # sized for the narrow (V, r) up factor
         d = g[blk] @ params[3]  # the base w2
-        if t2 is not None:
-            t = (g[blk] @ b2) @ a2
-            t *= s2
-            d += t
+        t = (g[blk] @ b2) @ a2
+        t *= s2
+        d += t
         h = hid[blk]
         d *= 1.0 - h * h
         hid[blk] = d
@@ -321,7 +296,6 @@ def loss_and_grads(
     else:
         x = emb[windows].reshape(n, width)
     del g
-    s1, a1, b1 = t1
     grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
     return loss, grads
 
@@ -337,7 +311,7 @@ def train_lora(
     after which :meth:`LoraAdapter.snapshot` refuses a factor.
     """
     rng = make_rng(config.seed)
-    adapter = _init_from_rng(base, config.rank, 1.0, rng)
+    adapter = _init_from_rng(base, config.rank, rng)
     docs = [list(doc) for doc in corpus]
     if not docs:
         raise DegenerateBatchError("corpus must be non-empty")
@@ -348,9 +322,8 @@ def train_lora(
             batch = [docs[i] for i in order[start : start + config.batch_size]]
             loss, grads = loss_and_grads(base, adapter, batch)
             for t in adapter.targets:
-                if t.name in grads:
-                    t.b = t.b - config.lr * grads[t.name]["b"]
-                    t.a = t.a - config.lr * grads[t.name]["a"]
+                t.b = t.b - config.lr * grads[t.name]["b"]
+                t.a = t.a - config.lr * grads[t.name]["a"]
             try:
                 if not np.isfinite(loss):
                     raise ValueError(f"loss {loss} is not finite")

@@ -693,12 +693,17 @@ def connect_in_process(
 
 
 class SocketServer:
-    """Loopback/TCP front end: one service thread per accepted connection."""
+    """Loopback/TCP front end: one service thread per accepted connection.
+
+    ``host`` is an IPv4 or IPv6 address or a name; a literal holding ``:``
+    listens on IPv6. ``address`` is the bound ``(host, port)``.
+    """
 
     def __init__(self, server: Server, host: str = "127.0.0.1", port: int = 0) -> None:
         self.server = server
-        self._listener = socket.create_server((host, port))
-        self.address = self._listener.getsockname()
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
+        self.address = self._listener.getsockname()[:2]  # IPv6 adds flow info and scope id
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
 
     def start(self) -> "SocketServer":

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import socket
+import struct
+
 import numpy as np
 import pytest
 
-from offsetlm import GenerationConfig, TinyNeuralLM, Vocab, make_rng
+from offsetlm import GenerationConfig, LoraAdapter, TinyNeuralLM, Vocab, encode_adapter, make_rng
 from offsetlm.core import GREEDY, STOCHASTIC
 
 
@@ -26,6 +29,34 @@ def with_biases(base: TinyNeuralLM, seed: int) -> TinyNeuralLM:
     return TinyNeuralLM(base.vocab, base.context, base.embedding, base.w1,
                         rng.normal(0.0, 0.5, size=base.b1.shape), base.w2,
                         rng.normal(0.0, 0.5, size=base.b2.shape))
+
+
+def _binds_ipv6_loopback() -> bool:
+    if not socket.has_ipv6:
+        return False
+    try:
+        with socket.socket(socket.AF_INET6) as sock:
+            sock.bind(("::1", 0))
+    except OSError:
+        return False
+    return True
+
+
+needs_ipv6_loopback = pytest.mark.skipif(not _binds_ipv6_loopback(),
+                                         reason="this host cannot bind ::1")
+
+
+def prdl_layout(adapter: LoraAdapter, order) -> bytes:
+    """``adapter``'s PRDL bytes with its target records in ``order``, a tuple of
+    indices into ``adapter.targets`` (repeats allowed): the way to spell a layout
+    that :class:`LoraAdapter` refuses to build."""
+    data = encode_adapter(adapter)
+    records, at = [], 11  # magic 4 + version 1 + rank u32 + target count u16
+    for t in adapter.targets:
+        size = 13 + 4 * adapter.rank * (t.b.shape[0] + t.a.shape[1])  # tag, m, n, scaling, B, A
+        records.append(data[at:at + size])
+        at += size
+    return data[:9] + struct.pack("<H", len(order)) + b"".join(records[i] for i in order)
 
 
 def random_corpus(rng: np.random.Generator, vocab: Vocab, n_docs: int, length: int) -> list[list[int]]:

@@ -453,13 +453,10 @@ def test_criterion_3_gradients_match_finite_differences(world):
                 hidden_dim=int(rng.integers(4, 9)),
                 seed=100 + case,
             )
-            adapter = init_adapter(
-                base,
-                rank=int(rng.integers(1, 4)),
-                seed=200 + case,
-                scaling=float(rng.choice([0.5, 1.0, 2.0])),
-            )
+            adapter = init_adapter(base, rank=int(rng.integers(1, 4)), seed=200 + case)
+            scaling = float(rng.choice([0.5, 1.0, 2.0]))
             for t in adapter.targets:
+                t.scaling = scaling
                 t.b = rng.normal(0.0, 0.3, size=t.b.shape)
                 t.a = rng.normal(0.0, 0.3, size=t.a.shape)
             batch = [

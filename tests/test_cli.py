@@ -17,6 +17,8 @@ from offsetlm import BigramTableModel, Server, SocketServer, TinyNeuralLM, load_
 from offsetlm import cli
 from offsetlm.cli import main
 
+from conftest import needs_ipv6_loopback
+
 RESULT_RE = re.compile(r"^record=result mode=(?P<mode>\S+) tokens=(?P<tokens>[\d,]*)$")
 
 
@@ -482,9 +484,24 @@ class TestServeAndConnect:
     def test_serve_command_prints_endpoint_and_serves(
         self, blackbox_path, base_proxy_path, adapter_path, runner
     ):
+        self._serve_then_transfer([], "{}:{}", blackbox_path, base_proxy_path, adapter_path,
+                                  runner)
+
+    @needs_ipv6_loopback
+    def test_serve_and_connect_on_ipv6_loopback(
+        self, blackbox_path, base_proxy_path, adapter_path, runner
+    ):
+        self._serve_then_transfer(["--host", "::1"], "[{}]:{}", blackbox_path, base_proxy_path,
+                                  adapter_path, runner)
+
+    @staticmethod
+    def _serve_then_transfer(serve_args, endpoint, blackbox_path, base_proxy_path, adapter_path,
+                             runner):
+        """Start ``serve`` with ``serve_args``, then run prada-transfer against the endpoint
+        it prints, formatted as ``endpoint.format(host, port)``."""
         proc = subprocess.Popen(
             [sys.executable, "-m", "offsetlm.cli", "serve",
-             "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path)],
+             "--blackbox", str(blackbox_path), "--base-proxy", str(base_proxy_path), *serve_args],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -495,7 +512,7 @@ class TestServeAndConnect:
             assert m is not None, line
             result = runner.invoke(main, [
                 "generate", "--mode", "prada-transfer", "--prompt", "3 4",
-                "--connect", f"{m.group(1)}:{m.group(2)}",
+                "--connect", endpoint.format(m.group(1), m.group(2)),
                 "--base-proxy", str(base_proxy_path), "--adapter", str(adapter_path),
                 "--max-new-tokens", "6",
             ])

@@ -211,6 +211,37 @@ class TestPick:
         assert pick(logits, config, u) == sample_at(logits, config.temperature, u)
 
 
+class TestNonFiniteRows:
+    """A row with a NaN or a +inf, or all -inf, has no token; no finite row is refused."""
+
+    INF, NAN = float("inf"), float("nan")
+
+    @pytest.mark.parametrize("row", [[1.0, NAN, 2.0], [3.0, 1.0, NAN], [NAN] * 3,
+                                     [1.0, INF, 2.0], [INF, -INF, INF], [-INF] * 3],
+                             ids=["nan", "nan-after-max", "all-nan", "+inf", "+inf-and--inf",
+                                  "all--inf"])
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    def test_refused_in_both_modes(self, row, mode):
+        logits = np.array(row, dtype=np.float32)
+        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
+            with pytest.raises(ValueError, match="not finite"):
+                pick(logits, GenerationConfig(max_new_tokens=1, mode=mode), u)
+
+    def test_minus_inf_entries_beside_a_finite_maximum_are_kept(self):
+        logits = np.array([-self.INF, 2.0, -self.INF, 1.0], dtype=np.float32)
+        assert argmax_sample(logits) == 1
+        assert sample_at(logits, 1.0, 0.0) == 1
+        assert sample_at(logits, 1.0, np.nextafter(1.0, 0.0)) == 3
+
+    def test_the_widest_binary32_row_at_the_smallest_temperature_is_kept(self):
+        top = float(np.finfo(np.float32).max)
+        logits = np.array([-top, top, 0.0], dtype=np.float32)
+        config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=1e-45)
+        assert config.temperature > 0.0  # the smallest binary32 subnormal
+        assert pick(logits, config, 0.5) == 1
+
+
 class TestSoftmax64:
     def test_rejects_nonpositive_temperature(self):
         with pytest.raises(ValueError):

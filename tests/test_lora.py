@@ -45,7 +45,7 @@ from offsetlm.models import (
     training_positions,
 )
 
-from conftest import random_corpus, with_biases
+from conftest import prdl_layout, random_corpus, with_biases
 
 
 @pytest.fixture
@@ -55,9 +55,10 @@ def base(vocab) -> TinyNeuralLM:
 
 def rich_adapter(base: TinyNeuralLM, rank: int = 2, seed: int = 13) -> LoraAdapter:
     """An adapter with both factors nonzero, for gradient and oracle tests."""
-    adapter = init_adapter(base, rank=rank, seed=seed, scaling=0.7)
+    adapter = init_adapter(base, rank=rank, seed=seed)
     rng = np.random.default_rng(seed + 1)
     for t in adapter.targets:
+        t.scaling = 0.7
         t.b = rng.normal(0.0, 0.3, size=t.b.shape)
         t.a = rng.normal(0.0, 0.3, size=t.a.shape)
     return adapter
@@ -104,19 +105,11 @@ def reference_loss_and_grads(base: TinyNeuralLM, adapter: LoraAdapter, batch):
     g[np.arange(n), targets] -= 1.0
     g /= n
 
-    t1, t2 = low_rank
-    grads = {}
-    if t2 is not None:
-        s2, a2, b2 = t2
-        grads["w2"] = {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}
-    if t1 is not None:
-        d_hid = g @ params[3]
-        if t2 is not None:
-            d_hid = d_hid + s2 * ((g @ b2) @ a2)
-        d_pre = d_hid * (1.0 - hid * hid)
-        s1, a1, b1 = t1
-        grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
-    return loss, grads
+    (s1, a1, b1), (s2, a2, b2) = low_rank
+    d_hid = g @ params[3] + s2 * ((g @ b2) @ a2)
+    d_pre = d_hid * (1.0 - hid * hid)
+    return loss, {"w1": {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))},
+                  "w2": {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}}
 
 
 def assert_same_step(got, want) -> None:
@@ -159,13 +152,9 @@ def at_shapes(ns) -> list:
 def dense_oracle_logits(base: TinyNeuralLM, adapter: LoraAdapter, seq) -> np.ndarray:
     """Binary64 forward with the dense updates materialized into the weights."""
     emb = base.embedding.astype(np.float64)
-    w1 = base.w1.astype(np.float64)
-    w2 = base.w2.astype(np.float64)
-    t1, t2 = adapter.target("w1"), adapter.target("w2")
-    if t1 is not None:
-        w1 = w1 + t1.delta()
-    if t2 is not None:
-        w2 = w2 + t2.delta()
+    t1, t2 = adapter.targets
+    w1 = base.w1.astype(np.float64) + t1.delta()
+    w2 = base.w2.astype(np.float64) + t2.delta()
     x = emb[base.window_ids(seq)].reshape(-1)
     hid = np.tanh(w1 @ x + base.b1.astype(np.float64))
     return w2 @ hid + base.b2.astype(np.float64)
@@ -195,15 +184,18 @@ class TestInit:
             init_adapter(base, rank=7)
 
     def test_adapter_validation(self, base):
+        w1, w2 = init_adapter(base, rank=1).targets
         with pytest.raises(ValueError):
-            LoraAdapter(rank=0)
-        with pytest.raises(ValueError):
-            LoraAdapter(rank=1, targets=[LoraTarget("w3", np.zeros((2, 1)), np.zeros((1, 2)))])
-        t = LoraTarget("w1", np.zeros((2, 1)), np.zeros((1, 2)))
-        with pytest.raises(ValueError):
-            LoraAdapter(rank=1, targets=[t, t])
+            LoraAdapter(rank=0, targets=[w1, w2])
         with pytest.raises(ShapeMismatchError):
-            LoraAdapter(rank=2, targets=[LoraTarget("w1", np.zeros((2, 1)), np.zeros((1, 2)))])
+            LoraAdapter(rank=2, targets=[w1, w2])
+
+    def test_only_w1_then_w2_is_a_layout(self, base):
+        w1, w2 = init_adapter(base, rank=1).targets
+        w3 = LoraTarget("w3", w2.b, w2.a)
+        for targets in ([], [w1], [w2], [w1, w1], [w2, w1], [w1, w2, w2], [w1, w3]):
+            with pytest.raises(ValueError, match=r"^adapter targets must be \['w1', 'w2'\]"):
+                LoraAdapter(rank=1, targets=targets)
 
 
 class TestAdaptedModel:
@@ -249,6 +241,24 @@ class TestAdaptedModel:
         before = base.w1.copy()
         apply_adapter(base, rich_adapter(base)).next_logits([3, 4])
         np.testing.assert_array_equal(base.w1, before)
+
+    @pytest.mark.parametrize("v", [37, 512])
+    def test_a_zero_b_layer_is_that_layer_unadapted(self, v):
+        # a single-layer adaptation: the other layer's B is zero
+        base = train_size_base(seed=v, v=v) if v == 512 else with_biases(
+            TinyNeuralLM.random(Vocab(size=v, eos_id=1, bos_id=2), 3, 5, 11, seed=13), 13)
+        rng = np.random.default_rng(v)
+        seqs = [[int(t) for t in rng.integers(0, v, size=int(k))] for k in rng.integers(4, 20, 50)]
+        for zeroed in (0, 1):
+            adapter = rich_adapter(base, rank=4, seed=v + zeroed)
+            adapter.targets[zeroed].b = np.zeros_like(adapter.targets[zeroed].b)
+            model = apply_adapter(base, adapter)
+            low_rank = list(_low_rank(adapter.snapshot(), np.float32))
+            low_rank[zeroed] = None
+            for seq in seqs:
+                for count in (1, 4):
+                    assert np.array_equal(model.batch_next_logits(seq, count),
+                                          base.batch_next_logits(seq, count, tuple(low_rank)))
 
     def test_shape_mismatch_rejected(self, base, vocab):
         other = TinyNeuralLM.random(vocab, context=2, embed_dim=5, hidden_dim=4, seed=0)
@@ -326,26 +336,22 @@ class TestInPlaceStep:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
-        names=st.sampled_from([("w1",), ("w2",), ("w1", "w2")]),
         lengths=st.lists(st.integers(2, 24), min_size=1, max_size=6),
     )
-    def test_matches_out_of_place_reference(self, seed, names, lengths):
+    def test_matches_out_of_place_reference(self, seed, lengths):
         vocab = Vocab(size=32, eos_id=1, bos_id=2)
         base = with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6,
                                                seed=seed % 7), seed)
         adapter = rich_adapter(base, rank=2, seed=seed)
-        adapter.targets = [t for t in adapter.targets if t.name in names]
         rng = np.random.default_rng(seed)
         batch = [[int(t) for t in rng.integers(0, vocab.size, size=k)] for k in lengths]
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
 
-    @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
-    def test_matches_reference_on_a_large_batch(self, names):
+    def test_matches_reference_on_a_large_batch(self):
         # 32 x 64 tokens: 2016 positions, large enough for threaded GEMM
         base = train_size_base()
         adapter = rich_adapter(base, rank=8, seed=21)
-        adapter.targets = [t for t in adapter.targets if t.name in names]
         rng = np.random.default_rng(5)
         batch = [[int(t) for t in rng.integers(3, 512, size=64)] for _ in range(32)]
         assert_same_step(loss_and_grads(base, adapter, batch),
@@ -380,26 +386,22 @@ class TestInPlaceStep:
             tracemalloc.stop()
         assert peak < 1.45 * n * v * 8, peak / (n * v * 8)
 
-    @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
     @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 767, 1023]))
-    def test_matches_reference_across_block_edges(self, n, shape, names):
+    def test_matches_reference_across_block_edges(self, n, shape):
         # at (512, 8): one block below 2 * ROW_BLOCK rows, then two, the last up to
         # 511 rows; the narrow products of the other shapes take taller blocks
         v, rank = shape
         base = train_size_base(seed=n, v=v)
         adapter = rich_adapter(base, rank=rank, seed=n + 1)
-        adapter.targets = [t for t in adapter.targets if t.name in names]
         batch = batch_of_positions(n, seed=n + 2, v=v)
         assert training_positions(batch, base.vocab, base.context)[0].shape[0] == n
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
 
-    @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
-    def test_matches_reference_on_many_blocks(self, names):
+    def test_matches_reference_on_many_blocks(self):
         # 8250 positions: 32 blocks, the last one 8250 - 31 * 256 = 314 rows
         base = train_size_base(seed=7)
         adapter = rich_adapter(base, rank=8, seed=8)
-        adapter.targets = [t for t in adapter.targets if t.name in names]
         batch = batch_of_positions(8250, seed=9)
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
@@ -431,31 +433,30 @@ class TestInPlaceStep:
             tracemalloc.stop()
         assert peak < 1.3 * n * v * 8, peak / (n * v * 8)
 
-    @pytest.mark.parametrize("names", [("w1",), ("w2",), ("w1", "w2")])
+    @pytest.mark.parametrize("tuned", [False, True], ids=["base", "tuned"])
     @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 1023, 8250]))
-    def test_batched_forward_matches_reference(self, n, shape, names):
-        # the first layer runs block by block, each block gathering its own embeddings
+    def test_batched_forward_matches_reference(self, n, shape, tuned):
+        # the first layer runs block by block, each block gathering its own
+        # embeddings; without an adapter (train_neural_lm's forward) the
+        # blocks are sized by w1
         v, rank = shape
         base = train_size_base(seed=n + 3, v=v)
         adapter = rich_adapter(base, rank=rank, seed=n + 4)
-        adapter.targets = [t for t in adapter.targets if t.name in names]
         windows, _ = training_positions(batch_of_positions(n, seed=n + 5, v=v), base.vocab,
                                         base.context)
         params = tuple(p.astype(np.float64) for p in base.params)
-        low_rank = _low_rank(adapter, np.float64)
+        low_rank = _low_rank(adapter, np.float64) if tuned else (None, None)
         hid, logits = mlp_forward(params, windows, low_rank)
         _, want_hid, want_logits = reference_forward(params, windows, low_rank)
         assert np.array_equal(hid, want_hid)
         assert np.array_equal(logits, want_logits)
 
-    @pytest.mark.parametrize("names", [("w1",), ("w1", "w2")])
-    def test_matches_reference_when_the_embeddings_outgrow_the_logits(self, vocab, names):
+    def test_matches_reference_when_the_embeddings_outgrow_the_logits(self, vocab):
         # context * d = 12 > V = 8: the w1 inputs do not fit in the logits
         # buffer and are gathered into a fresh array
         base = with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6,
                                                seed=2), 2)
         adapter = rich_adapter(base, rank=2, seed=3)
-        adapter.targets = [t for t in adapter.targets if t.name in names]
         rng = np.random.default_rng(4)
         batch = [[int(t) for t in rng.integers(0, vocab.size, size=65)] for _ in range(10)]
         assert base.context * base.embed_dim > vocab.size
@@ -641,15 +642,14 @@ class TestAdapterBytes:
         rank=st.integers(1, 4),
         seed=st.integers(0, 2**31 - 1),
         scaling=st.floats(0.0625, 4.0, allow_nan=False, width=32),
-        names=st.sampled_from([("w1",), ("w2",), ("w1", "w2")]),
     )
-    def test_round_trip_randomized(self, rank, seed, scaling, names):
+    def test_round_trip_randomized(self, rank, seed, scaling):
         vocab = Vocab(size=8, eos_id=1, bos_id=2)
         base = TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=1)
-        adapter = init_adapter(base, rank=rank, seed=seed, scaling=scaling,
-                               target_names=names)
+        adapter = init_adapter(base, rank=rank, seed=seed)
         rng = np.random.default_rng(seed)
         for t in adapter.targets:
+            t.scaling = scaling
             t.b = rng.normal(size=t.b.shape)
         snap = adapter.snapshot()
         clone = decode_adapter(encode_adapter(snap))
@@ -670,17 +670,25 @@ class TestAdapterBytes:
             decode_adapter(data + b"\xff")
 
     def test_unknown_target_tag_reports_offset(self, base):
-        data = bytearray(encode_adapter(init_adapter(base, rank=1, target_names=("w1",))))
+        data = bytearray(encode_adapter(init_adapter(base, rank=1)))
         # header: magic(4) + version(1) + rank u32(4) + count u16(2); tag byte next
         data[11] = 200
         with pytest.raises(AdapterFormatError) as err:
             decode_adapter(bytes(data))
         assert "200" in str(err.value)
 
+    @pytest.mark.parametrize("order", [(), (0,), (1,), (0, 0), (1, 0), (0, 1, 1)],
+                             ids=["none", "w1", "w2", "w1-w1", "w2-w1", "w1-w2-w2"])
+    def test_every_layout_but_w1_then_w2_is_refused(self, base, order):
+        adapter = init_adapter(base, rank=2)
+        assert prdl_layout(adapter, (0, 1)) == encode_adapter(adapter)
+        with pytest.raises(AdapterFormatError, match="adapter targets must be"):
+            decode_adapter(prdl_layout(adapter, order))
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     @pytest.mark.parametrize("where", ["scaling", "b", "a"])
     def test_non_finite_binary32_is_rejected(self, base, where, value):
-        data = bytearray(encode_adapter(init_adapter(base, rank=1, target_names=("w1",))))
+        data = bytearray(encode_adapter(init_adapter(base, rank=1)))
         # header(11) + tag(1) + m, n u32(8): the scaling f32, then B (m x 1), then A
         at = {"scaling": 20, "b": 24, "a": 24 + 4 * base.hidden_dim}[where]
         data[at:at + 4] = struct.pack("<f", value)

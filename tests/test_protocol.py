@@ -61,7 +61,7 @@ from offsetlm.protocol import (
     finished,
 )
 from offsetlm.core import make_rng, pick
-from offsetlm.models import VocabMismatchError
+from offsetlm.models import VocabMismatchError, decode_model, encode_model
 from offsetlm.transport import (
     MAX_PAYLOAD_LEN,
     MAX_RESULT_TOKENS,
@@ -74,7 +74,14 @@ from offsetlm.transport import (
     queue_channel_pair,
 )
 
-from conftest import TailOnly, argmax_oracle, monolithic_generate_oracle, with_biases
+from conftest import (
+    TailOnly,
+    argmax_oracle,
+    monolithic_generate_oracle,
+    needs_ipv6_loopback,
+    prdl_layout,
+    with_biases,
+)
 
 GREEDY_CFG = GenerationConfig(max_new_tokens=12, mode="greedy")
 
@@ -97,9 +104,10 @@ def dense_blackbox(vocab: Vocab, seed: int = 0) -> BigramTableModel:
 
 
 def rich_adapter(base: TinyNeuralLM, seed: int = 21, spread: float = 0.4):
-    adapter = init_adapter(base, rank=2, seed=seed, scaling=0.9)
+    adapter = init_adapter(base, rank=2, seed=seed)
     rng = np.random.default_rng(seed)
     for t in adapter.targets:
+        t.scaling = 0.9
         t.b = rng.normal(0.0, spread, size=t.b.shape)
         t.a = rng.normal(0.0, spread, size=t.a.shape)
     return adapter.snapshot()
@@ -673,6 +681,17 @@ class TestTransfer:
         assert "not finite" in reply.text
         client.conn.close()
 
+    @pytest.mark.parametrize("order", [(), (0,), (0, 0), (1, 0)],
+                             ids=["none", "w1", "w1-w1", "w2-w1"])
+    def test_adapter_layout_other_than_w1_then_w2_is_malformed(self, vocab, world, order):
+        blackbox, base, adapter = world
+        client = connected_client(Server(blackbox, base), vocab, base)
+        client.conn.send_message(UploadAdapter(prdl_layout(adapter, order), base.fingerprint()))
+        reply = client.conn.recv_message()
+        assert isinstance(reply, ProtocolError) and reply.code == ERR_MALFORMED_ADAPTER
+        assert "adapter targets must be" in reply.text
+        client.conn.close()
+
     def test_upload_is_billed_as_model_transfer(self, vocab, world):
         blackbox, base, adapter = world
         ledger = CostLedger()
@@ -685,6 +704,49 @@ class TestTransfer:
         blob = encode_adapter(adapter.snapshot())
         # frame header 4 + tag 1 + length u32 4 + blob + fingerprint u64 8
         assert ledger.bytes_total(CAT_MODEL, CLIENT_TO_SERVER) == 4 + 1 + 4 + len(blob) + 8
+
+
+def nan_snapshot(model: TinyNeuralLM) -> TinyNeuralLM:
+    """``model`` through PRDM bytes with one column of w2 NaN: every logit is NaN."""
+    w2 = model.w2.copy()
+    w2[:, 0] = np.nan
+    return decode_model(encode_model(
+        TinyNeuralLM(model.vocab, model.context, model.embedding, model.w1, model.b1, w2, model.b2)))
+
+
+class TestNonFiniteLogits:
+    """A NaN model raises instead of emitting token 0, in every mode and both sampling modes."""
+
+    CONFIGS = [GREEDY_CFG, GenerationConfig(max_new_tokens=12, mode="stochastic", seed=3)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["greedy", "stochastic"])
+    def test_generate_blackbox_raises(self, world, config):
+        _, base, _ = world
+        with pytest.raises(ValueError, match="not finite"):
+            generate_blackbox(nan_snapshot(base), [3, 4], config)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["greedy", "stochastic"])
+    def test_generate_adapted_raises_with_a_nan_proxy(self, world, config):
+        blackbox, base, adapter = world
+        nan_base = nan_snapshot(base)
+        with pytest.raises(ValueError, match="not finite"):
+            generate_adapted(blackbox, nan_base, apply_adapter(nan_base, adapter), [3, 4], config)
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["greedy", "stochastic"])
+    @pytest.mark.parametrize("mode", ["api", "prada-sd"])
+    def test_the_server_answers_a_fault(self, vocab, world, mode, config):
+        _, base, adapter = world
+        conn, thread = connect_in_process(Server(nan_snapshot(base)))
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()
+        run = client.run_api if mode == "api" else (
+            lambda prompt, cfg: client.run_speculative(prompt, cfg, 4))
+        with pytest.raises(RemoteProtocolError) as err:
+            run([3, 4], config)
+        assert (err.value.code, err.value.text) == (ERR_SERVER_FAULT, "ValueError")
+        conn.close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 class TestWireErrors:
@@ -1200,6 +1262,21 @@ class TestTransports:
         assert socket_tokens == queue_tokens
         assert socket_ledger.bytes_by == queue_ledger.bytes_by
         assert socket_ledger.round_count == queue_ledger.round_count
+
+    @needs_ipv6_loopback
+    def test_round_trip_on_ipv6_loopback(self, vocab, world):
+        blackbox, base, adapter = world
+        config = GenerationConfig(max_new_tokens=10, mode="greedy")
+        with SocketServer(Server(blackbox), host="::1") as srv:
+            host, port = srv.address
+            assert host == "::1"
+            conn = connect_socket(host, port)
+            client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+            client.handshake()
+            assert client.run_api([4, 5], config) == generate_blackbox(blackbox, [4, 5], config)
+            assert client.run_speculative([3], config, draft_len=3) == monolithic_generate_oracle(
+                blackbox, base, apply_adapter(base, adapter), [3], config)
+            conn.close()
 
     def test_two_concurrent_clients_are_isolated(self, vocab, world):
         blackbox, base, adapter = world
