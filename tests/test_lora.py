@@ -53,15 +53,23 @@ def base(vocab) -> TinyNeuralLM:
     return with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6, seed=1), 1)
 
 
-def rich_adapter(base: TinyNeuralLM, rank: int = 2, seed: int = 13) -> LoraAdapter:
-    """An adapter with both factors nonzero, for gradient and oracle tests."""
+def rich_adapter(base: TinyNeuralLM, rank: int = 2, seed: int = 13,
+                 names=("w1", "w2")) -> LoraAdapter:
+    """An adapter with both factors nonzero, for gradient and oracle tests. A layer
+    not in ``names`` gets a zero B: that layer is left unadapted, the way a
+    single-layer adaptation is spelled in the one (w1, w2) layout."""
     adapter = init_adapter(base, rank=rank, seed=seed)
     rng = np.random.default_rng(seed + 1)
     for t in adapter.targets:
         t.scaling = 0.7
         t.b = rng.normal(0.0, 0.3, size=t.b.shape)
         t.a = rng.normal(0.0, 0.3, size=t.a.shape)
+        if t.name not in names:
+            t.b = np.zeros_like(t.b)
     return adapter
+
+
+LAYER_SUBSETS = [("w1",), ("w2",), ("w1", "w2")]
 
 
 def forward_f64(base: TinyNeuralLM, adapter: LoraAdapter, windows: np.ndarray):
@@ -336,22 +344,24 @@ class TestInPlaceStep:
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**31 - 1),
+        names=st.sampled_from(LAYER_SUBSETS),
         lengths=st.lists(st.integers(2, 24), min_size=1, max_size=6),
     )
-    def test_matches_out_of_place_reference(self, seed, lengths):
+    def test_matches_out_of_place_reference(self, seed, names, lengths):
         vocab = Vocab(size=32, eos_id=1, bos_id=2)
         base = with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6,
                                                seed=seed % 7), seed)
-        adapter = rich_adapter(base, rank=2, seed=seed)
+        adapter = rich_adapter(base, rank=2, seed=seed, names=names)
         rng = np.random.default_rng(seed)
         batch = [[int(t) for t in rng.integers(0, vocab.size, size=k)] for k in lengths]
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
 
-    def test_matches_reference_on_a_large_batch(self):
+    @pytest.mark.parametrize("names", LAYER_SUBSETS)
+    def test_matches_reference_on_a_large_batch(self, names):
         # 32 x 64 tokens: 2016 positions, large enough for threaded GEMM
         base = train_size_base()
-        adapter = rich_adapter(base, rank=8, seed=21)
+        adapter = rich_adapter(base, rank=8, seed=21, names=names)
         rng = np.random.default_rng(5)
         batch = [[int(t) for t in rng.integers(3, 512, size=64)] for _ in range(32)]
         assert_same_step(loss_and_grads(base, adapter, batch),
@@ -386,22 +396,24 @@ class TestInPlaceStep:
             tracemalloc.stop()
         assert peak < 1.45 * n * v * 8, peak / (n * v * 8)
 
+    @pytest.mark.parametrize("names", LAYER_SUBSETS)
     @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 767, 1023]))
-    def test_matches_reference_across_block_edges(self, n, shape):
+    def test_matches_reference_across_block_edges(self, n, shape, names):
         # at (512, 8): one block below 2 * ROW_BLOCK rows, then two, the last up to
         # 511 rows; the narrow products of the other shapes take taller blocks
         v, rank = shape
         base = train_size_base(seed=n, v=v)
-        adapter = rich_adapter(base, rank=rank, seed=n + 1)
+        adapter = rich_adapter(base, rank=rank, seed=n + 1, names=names)
         batch = batch_of_positions(n, seed=n + 2, v=v)
         assert training_positions(batch, base.vocab, base.context)[0].shape[0] == n
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
 
-    def test_matches_reference_on_many_blocks(self):
+    @pytest.mark.parametrize("names", LAYER_SUBSETS)
+    def test_matches_reference_on_many_blocks(self, names):
         # 8250 positions: 32 blocks, the last one 8250 - 31 * 256 = 314 rows
         base = train_size_base(seed=7)
-        adapter = rich_adapter(base, rank=8, seed=8)
+        adapter = rich_adapter(base, rank=8, seed=8, names=names)
         batch = batch_of_positions(8250, seed=9)
         assert_same_step(loss_and_grads(base, adapter, batch),
                          reference_loss_and_grads(base, adapter, batch))
@@ -433,30 +445,31 @@ class TestInPlaceStep:
             tracemalloc.stop()
         assert peak < 1.3 * n * v * 8, peak / (n * v * 8)
 
-    @pytest.mark.parametrize("tuned", [False, True], ids=["base", "tuned"])
+    @pytest.mark.parametrize("names", LAYER_SUBSETS + [()])
     @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 1023, 8250]))
-    def test_batched_forward_matches_reference(self, n, shape, tuned):
+    def test_batched_forward_matches_reference(self, n, shape, names):
         # the first layer runs block by block, each block gathering its own
-        # embeddings; without an adapter (train_neural_lm's forward) the
-        # blocks are sized by w1
+        # embeddings; without an adapter (names = (), train_neural_lm's
+        # forward) the blocks are sized by w1
         v, rank = shape
         base = train_size_base(seed=n + 3, v=v)
-        adapter = rich_adapter(base, rank=rank, seed=n + 4)
+        adapter = rich_adapter(base, rank=rank, seed=n + 4, names=names)
         windows, _ = training_positions(batch_of_positions(n, seed=n + 5, v=v), base.vocab,
                                         base.context)
         params = tuple(p.astype(np.float64) for p in base.params)
-        low_rank = _low_rank(adapter, np.float64) if tuned else (None, None)
+        low_rank = _low_rank(adapter, np.float64) if names else (None, None)
         hid, logits = mlp_forward(params, windows, low_rank)
         _, want_hid, want_logits = reference_forward(params, windows, low_rank)
         assert np.array_equal(hid, want_hid)
         assert np.array_equal(logits, want_logits)
 
-    def test_matches_reference_when_the_embeddings_outgrow_the_logits(self, vocab):
+    @pytest.mark.parametrize("names", [("w1",), ("w1", "w2")])
+    def test_matches_reference_when_the_embeddings_outgrow_the_logits(self, vocab, names):
         # context * d = 12 > V = 8: the w1 inputs do not fit in the logits
         # buffer and are gathered into a fresh array
         base = with_biases(TinyNeuralLM.random(vocab, context=3, embed_dim=4, hidden_dim=6,
                                                seed=2), 2)
-        adapter = rich_adapter(base, rank=2, seed=3)
+        adapter = rich_adapter(base, rank=2, seed=3, names=names)
         rng = np.random.default_rng(4)
         batch = [[int(t) for t in rng.integers(0, vocab.size, size=65)] for _ in range(10)]
         assert base.context * base.embed_dim > vocab.size

@@ -402,7 +402,8 @@ class TestWindowContract:
 def _stack_models() -> dict:
     """Odd shapes (V = 37, context 3, embed 5, hidden 11, nonzero biases), the bench
     proxy's shape (V = 512, context 8, embed 16, hidden 64), adapters of rank 1, 2,
-    4 and 8, and a bigram."""
+    4 and 8 on w1 only, on w2 only (the other layer's B zero) and on both, and a
+    bigram."""
     rng = np.random.default_rng(21)
     odd, wide = Vocab(size=37, eos_id=1, bos_id=2), Vocab(size=512, eos_id=1, bos_id=2)
     bases = {"odd": with_biases(TinyNeuralLM.random(odd, 3, 5, 11, seed=13), 13),
@@ -410,11 +411,13 @@ def _stack_models() -> dict:
     models = {f"neural-{name}": base for name, base in bases.items()}
     for name, base in bases.items():
         for rank in (1, 2, 4, 8):
-            adapter = init_adapter(base, rank, seed=rank)
-            for t in adapter.targets:
-                t.scaling = 0.7
-                t.b = rng.normal(0.0, 0.5, size=t.b.shape)
-            models[f"adapted-{name}-r{rank}"] = apply_adapter(base, adapter)
+            for targets in (("w1",), ("w2",), ("w1", "w2")):
+                adapter = init_adapter(base, rank, seed=rank)
+                for t in adapter.targets:
+                    t.scaling = 0.7
+                    if t.name in targets:
+                        t.b = rng.normal(0.0, 0.5, size=t.b.shape)
+                models[f"adapted-{name}-r{rank}-{'+'.join(targets)}"] = apply_adapter(base, adapter)
     models["bigram"] = fit_bigram(random_corpus(rng, odd, 6, 40), odd, alpha=1.0)
     return models
 
