@@ -124,19 +124,20 @@ def sample_at(logits: np.ndarray, temperature: float, u: float) -> int:
     Computes :func:`softmax64` and its running sum in one binary64 buffer,
     with the same operands in the same order, so the CDF has the same bits.
     The token is the first whose CDF value exceeds ``u``, the last if none.
-    Raises ``ValueError`` when the normaliser is not finite, which a row
-    holding a NaN or +inf, or all -inf, makes NaN.
+    Raises ``ValueError``, before it subtracts the maximum, when that
+    maximum is not finite: a row holding a NaN or +inf, or all -inf. After
+    a finite maximum the normaliser lies in [1, V].
     """
     if not temperature > 0.0:
         raise ValueError("temperature must be positive")
     cdf = np.array(logits, dtype=np.float64)
     cdf /= float(temperature)
-    cdf -= cdf.max()
+    top = cdf.max()
+    if not math.isfinite(top):
+        raise ValueError(f"logit row is not finite: its maximum is {top}")
+    cdf -= top
     np.exp(cdf, out=cdf)
-    total = cdf.sum()
-    if not math.isfinite(total):
-        raise ValueError(f"logit row is not finite: its softmax normaliser is {total}")
-    cdf /= total
+    cdf /= cdf.sum()
     np.cumsum(cdf, out=cdf)
     return min(int(cdf.searchsorted(u, side="right")), cdf.shape[0] - 1)
 

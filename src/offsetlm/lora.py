@@ -38,6 +38,7 @@ from .models import (
     LogitModel,
     TinyNeuralLM,
     TrainingDivergedError,
+    blocked_matmul,
     fnv1a64,
     mlp_forward,
     row_blocks,
@@ -234,7 +235,10 @@ def loss_and_grads(
 
     For n positions, the step holds one (n, V) and one (n, h) binary64
     array; every other temporary is a row block of :func:`row_blocks`, a
-    narrow (n, r) or (n, context) array, or has no n dimension. (At rank 1
+    narrow (n, r) or (n, context) array, or has no n dimension. Every product
+    over n rows runs in row blocks, so BLAS's scratch space does not grow with
+    n, but the reductions over n (``g.T @ ·``, ``d_pre.T @ ·``): summing
+    blocks would round differently. (At rank 1
     a block spans every row, so the forward pass holds the (n, context * d)
     embeddings and the backward pass an (n, h) product.) The concatenated
     embeddings the w1 gradients read are gathered again, into the spent
@@ -273,7 +277,7 @@ def loss_and_grads(
     loss = float(-picked.mean())
 
     (s1, a1, b1), (s2, a2, b2) = low_rank  # b is the up factor, not a bias
-    grads = {"w2": {"b": s2 * (g.T @ (hid @ a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}}
+    grads = {"w2": {"b": s2 * (g.T @ blocked_matmul(hid, a2.T)), "a": s2 * (b2.T @ (g.T @ hid))}}
     for blk in row_blocks(n, b2):  # sized for the narrow (V, r) up factor
         d = g[blk] @ params[3]  # the base w2
         t = (g[blk] @ b2) @ a2
@@ -296,7 +300,7 @@ def loss_and_grads(
     else:
         x = emb[windows].reshape(n, width)
     del g
-    grads["w1"] = {"b": s1 * (d_pre.T @ (x @ a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
+    grads["w1"] = {"b": s1 * (d_pre.T @ blocked_matmul(x, a1.T)), "a": s1 * (b1.T @ (d_pre.T @ x))}
     return loss, grads
 
 

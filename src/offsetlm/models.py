@@ -256,9 +256,10 @@ def mlp_forward(params, windows, low_rank=(None, None)):
     and out-of-place results are bit-identical. For a batch, the first layer
     runs one block of :func:`row_blocks` at a time, sized for its narrowest
     product (``x @ a.T``, or ``x @ w.T`` without an adapter): it gathers
-    only that block's embeddings and writes into ``hid``'s rows. The second
-    layer's low-rank up product ``u @ b.T`` also runs block by block, so no
-    temporary holds more than a block of an (n, context * d) or (n, V)
+    only that block's embeddings and writes into ``hid``'s rows. Within a
+    layer, ``x @ w.T`` and ``x @ a.T`` run as :func:`blocked_matmul` and the
+    up product ``u @ b.T`` block by block, so no temporary, and no BLAS
+    scratch space, holds more than a block of an (n, context * d) or (n, V)
     array.
     """
     emb, w1, b1, w2, b2 = params
@@ -278,7 +279,7 @@ def mlp_forward(params, windows, low_rank=(None, None)):
 
 
 def _dense(x, w, bias, term):
-    out = x @ w.T
+    out = x @ w.T if x.ndim != 2 else blocked_matmul(x, w.T)
     if term is not None:
         scaling, a, b = term
         if x.ndim != 2:  # one window or a stack of one-row products
@@ -286,7 +287,7 @@ def _dense(x, w, bias, term):
             t *= scaling
             out += t
         else:
-            u = x @ a.T
+            u = blocked_matmul(x, a.T)
             for blk in row_blocks(len(x)):  # inner size r: no small-kernel bound
                 t = u[blk] @ b.T
                 t *= scaling
@@ -312,10 +313,10 @@ ROW_BLOCK = 256
 SMALL_GEMM = 10**6
 
 
-def row_blocks(n: int, right: np.ndarray | None = None) -> list[slice]:
+def row_blocks(n: int, right: np.ndarray | None = None, floor: int = ROW_BLOCK) -> list[slice]:
     """Cut ``n`` rows into consecutive slices of one height.
 
-    The height is ``ROW_BLOCK`` rows, or, given the right operand ``right``
+    The height is ``floor`` rows (``ROW_BLOCK`` or more), or, given the right operand ``right``
     of a product the blocks run, more than ``SMALL_GEMM / right.size`` rows
     when that is taller, and all ``n`` when ``right`` has one column. The
     last slice takes the remainder, so it holds one height up to two heights
@@ -323,13 +324,23 @@ def row_blocks(n: int, right: np.ndarray | None = None) -> list[slice]:
     computation makes the unblocked calls.
     """
     if right is None:
-        rows = ROW_BLOCK
+        rows = floor
     elif right.shape[1] == 1:
         rows = max(n, 1)
     else:
-        rows = max(ROW_BLOCK, SMALL_GEMM // right.size + 1)
+        rows = max(floor, SMALL_GEMM // right.size + 1)
     bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def blocked_matmul(x: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``x @ right`` one :func:`row_blocks` block at a time, into one new array. A block also holds
+    at least 2**17 values of ``x`` (1 MiB of binary64): BLAS's scratch space grows with a block, and
+    fewer, larger calls spend less CPU time in BLAS's threads than many small ones."""
+    out = np.empty((len(x), right.shape[1]), dtype=np.result_type(x, right))
+    for blk in row_blocks(len(x), right, max(ROW_BLOCK, 2**17 // len(right))):
+        np.matmul(x[blk], right, out=out[blk])
+    return out
 
 
 def _init_neural_params(rng, v, context, d, h, scale):

@@ -221,7 +221,6 @@ class TestNonFiniteRows:
                              ids=["nan", "nan-after-max", "all-nan", "+inf", "+inf-and--inf",
                                   "all--inf"])
     @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
     def test_refused_in_both_modes(self, row, mode):
         logits = np.array(row, dtype=np.float32)
         for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):

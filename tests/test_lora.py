@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -149,6 +152,39 @@ def batch_of_positions(n: int, seed: int, v: int = 512) -> list[list[int]]:
 # has fewer multiply-adds per row at these shapes, so a fixed-height row
 # block can fall under BLAS's small-matrix bound (models.SMALL_GEMM).
 OTHER_SHAPES = [(512, 4), (512, 2), (512, 1), (480, 8), (480, 4), (480, 2), (480, 1)]
+
+
+# Batch sizes on both sides of one and two block heights of the products
+# models.blocked_matmul runs, at (512, 8): x @ a1.T (128 x 8, transposed) runs
+# 1024-row blocks, hid @ a2.T and hid @ w2.T (64 x 8 and 64 x 512) 2048-row
+# blocks, so 2047 and 2048 make one block and two of the first, 4095 and 4096
+# three and four of the first and one and two of the others.
+NARROW_EDGES = [2047, 2048, 4095, 4096]
+
+
+# One full-corpus step at the train-adapter benchmark's shape, after a small
+# warm-up step; prints the positions n and the growth of the peak resident set.
+# The peak is the process's VmHWM, not ru_maxrss: Linux carries the high-water
+# mark of the memory a process had before exec into ru_maxrss, so a child of the
+# test process would start from the test process's own peak.
+RSS_STEP_SCRIPT = """
+import numpy as np
+from offsetlm import TinyNeuralLM, Vocab, init_adapter, loss_and_grads
+def peak():
+    with open("/proc/self/status") as fh:
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) * 1024
+base = TinyNeuralLM.random(Vocab(size=512, eos_id=1, bos_id=2), context=8, embed_dim=16,
+                           hidden_dim=64, seed=4)
+adapter = init_adapter(base, rank=8, seed=5)
+rng = np.random.default_rng(6)
+for t in adapter.targets:
+    t.b = rng.normal(0.0, 0.02, size=t.b.shape)
+docs = [[int(t) for t in rng.integers(3, 512, size=64)] for _ in range(256)]
+loss_and_grads(base, adapter, docs[:8])
+before = peak()
+loss_and_grads(base, adapter, docs)
+print(sum(len(doc) - 1 for doc in docs), peak() - before)
+"""
 
 
 def at_shapes(ns) -> list:
@@ -397,7 +433,7 @@ class TestInPlaceStep:
         assert peak < 1.45 * n * v * 8, peak / (n * v * 8)
 
     @pytest.mark.parametrize("names", LAYER_SUBSETS)
-    @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 767, 1023]))
+    @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 767, 1023, *NARROW_EDGES]))
     def test_matches_reference_across_block_edges(self, n, shape, names):
         # at (512, 8): one block below 2 * ROW_BLOCK rows, then two, the last up to
         # 511 rows; the narrow products of the other shapes take taller blocks
@@ -446,11 +482,11 @@ class TestInPlaceStep:
         assert peak < 1.3 * n * v * 8, peak / (n * v * 8)
 
     @pytest.mark.parametrize("names", LAYER_SUBSETS + [()])
-    @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 1023, 8250]))
+    @pytest.mark.parametrize(("n", "shape"), at_shapes([511, 512, 513, 1023, 8250, *NARROW_EDGES]))
     def test_batched_forward_matches_reference(self, n, shape, names):
-        # the first layer runs block by block, each block gathering its own
-        # embeddings; without an adapter (names = (), train_neural_lm's
-        # forward) the blocks are sized by w1
+        # each product of a layer runs block by block, the first layer's blocks
+        # each gathering their own embeddings; without an adapter (names = (),
+        # train_neural_lm's forward) the first layer's blocks are sized by w1
         v, rank = shape
         base = train_size_base(seed=n + 3, v=v)
         adapter = rich_adapter(base, rank=rank, seed=n + 4, names=names)
@@ -494,6 +530,26 @@ class TestInPlaceStep:
             tracemalloc.stop()
         assert peak < 1.1 * (n * v + n * h) * 8, peak / ((n * v + n * h) * 8)
 
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+    def test_resident_set_of_a_full_corpus_step(self):
+        # tracemalloc cannot see BLAS scratch space: threaded OpenBLAS keeps
+        # packing buffers resident in proportion to a product's left rows, so
+        # one whole-batch product over n rows grows the resident set by up to
+        # several MiB. In a fresh process, at the train-adapter benchmark's
+        # corpus (256 documents of 64 tokens, n = 16128), the peak resident set
+        # may grow across one step by the (n, V) and (n, h) buffers, the narrow
+        # (n, context) windows, two (n, r) products and two (n,) vectors, and
+        # 2 MiB for BLAS's scratch space over blocks of 2**17 values.
+        package_root = os.path.dirname(os.path.dirname(lora.__file__))
+        out = subprocess.run([sys.executable, "-c", RSS_STEP_SCRIPT], capture_output=True,
+                             text=True, check=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": package_root})
+        n, growth = map(int, out.stdout.split())
+        v, h, context, rank = 512, 64, 8, 8
+        bound = (n * v + n * h + n * (context + 2 * rank + 2)) * 8 + 2 * 2**20
+        assert n == 16128
+        assert growth <= bound, f"{(growth - (n * v + n * h) * 8) / 2**20:.2f} MiB over the buffers"
+
     def test_no_input_is_written(self, base):
         adapter = rich_adapter(base)
         params = tuple(p.astype(np.float64) for p in base.params)  # writable
@@ -527,15 +583,16 @@ class TestRowBlocks:
         else:
             assert all(ROW_BLOCK <= blk.stop - blk.start < 2 * ROW_BLOCK for blk in blocks)
 
-    @given(n=st.integers(0, 20000), k=st.integers(1, 2000), cols=st.integers(1, 600))
-    def test_blocks_of_a_product_exceed_the_small_gemm_bound(self, n, k, cols):
-        blocks = row_blocks(n, np.broadcast_to(0.0, (k, cols)))
+    @given(n=st.integers(0, 20000), k=st.integers(1, 2000), cols=st.integers(1, 600),
+           floor=st.sampled_from([ROW_BLOCK, 1024, 2**17 // 64]))
+    def test_blocks_of_a_product_exceed_the_small_gemm_bound(self, n, k, cols, floor):
+        blocks = row_blocks(n, np.broadcast_to(0.0, (k, cols)), floor)
         assert [i for blk in blocks for i in range(n)[blk]] == list(range(n))
         rows = [blk.stop - blk.start for blk in blocks]
         if cols == 1:
             assert len(blocks) == 1  # gemv: its bits depend on where a block starts
         elif len(blocks) > 1:
-            assert all(r >= ROW_BLOCK and r * k * cols > SMALL_GEMM for r in rows)
+            assert all(r >= floor and r * k * cols > SMALL_GEMM for r in rows)
             assert max(rows) < 2 * min(rows)
 
 
