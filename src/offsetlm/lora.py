@@ -236,12 +236,12 @@ def loss_and_grads(
     For n positions, the step holds one (n, V) and one (n, h) binary64
     array; every other temporary is a row block of :func:`row_blocks`, a
     narrow (n, r) or (n, context) array, or has no n dimension. Every product
-    over n rows runs in row blocks, so BLAS's scratch space does not grow with
-    n, but the reductions over n (``g.T @ ·``, ``d_pre.T @ ·``): summing
-    blocks would round differently. (At rank 1
-    a block spans every row, so the forward pass holds the (n, context * d)
-    embeddings and the backward pass an (n, h) product.) The concatenated
-    embeddings the w1 gradients read are gathered again, into the spent
+    over n rows except the reductions over n (``g.T @ ·``, ``d_pre.T @ ·``)
+    runs in row blocks, so BLAS's scratch space does not grow with n; the
+    reductions stay whole because summing blocks would round differently.
+    (At rank 1 a block spans every row, so the forward pass holds the (n,
+    context * d) embeddings and the backward pass an (n, h) product.) The
+    w1 gradients gather the concatenated embeddings again, into the spent
     logits buffer when they fit. The results are bit-identical to the
     out-of-place formula wherever the blocks keep BLAS on the whole
     product's kernel (see :data:`~offsetlm.models.ROW_BLOCK`).

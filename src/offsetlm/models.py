@@ -311,34 +311,33 @@ def _dense(x, w, bias, term):
 # or shape, raise these floors.
 ROW_BLOCK = 256
 SMALL_GEMM = 10**6
+MIN_BLOCK_VALUES = 2**17  # of a product's left operand per block: fewer calls start BLAS's threads
 
 
-def row_blocks(n: int, right: np.ndarray | None = None, floor: int = ROW_BLOCK) -> list[slice]:
+def row_blocks(n: int, right: np.ndarray | None = None) -> list[slice]:
     """Cut ``n`` rows into consecutive slices of one height.
 
-    The height is ``floor`` rows (``ROW_BLOCK`` or more), or, given the right operand ``right``
-    of a product the blocks run, more than ``SMALL_GEMM / right.size`` rows
-    when that is taller, and all ``n`` when ``right`` has one column. The
-    last slice takes the remainder, so it holds one height up to two heights
-    less a row; fewer than two heights make one slice, and then the blocked
-    computation makes the unblocked calls.
+    The height is ``ROW_BLOCK`` rows, or, given the right operand ``right``
+    of a product the blocks run, ``MIN_BLOCK_VALUES / len(right)`` and more than
+    ``SMALL_GEMM / right.size`` rows when taller, and all ``n`` when ``right``
+    has one column. The last slice takes the remainder, so it holds one height
+    up to two heights less a row; fewer than two heights make one slice, and
+    then the blocked computation makes the unblocked calls.
     """
     if right is None:
-        rows = floor
+        rows = ROW_BLOCK
     elif right.shape[1] == 1:
         rows = max(n, 1)
     else:
-        rows = max(floor, SMALL_GEMM // right.size + 1)
+        rows = max(ROW_BLOCK, MIN_BLOCK_VALUES // len(right), SMALL_GEMM // right.size + 1)
     bounds = [i * rows for i in range(max(n // rows, 1))] + [n]
     return [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def blocked_matmul(x: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``x @ right`` one :func:`row_blocks` block at a time, into one new array. A block also holds
-    at least 2**17 values of ``x`` (1 MiB of binary64): BLAS's scratch space grows with a block, and
-    fewer, larger calls spend less CPU time in BLAS's threads than many small ones."""
+    """``x @ right``, one :func:`row_blocks` block at a time, into one new array."""
     out = np.empty((len(x), right.shape[1]), dtype=np.result_type(x, right))
-    for blk in row_blocks(len(x), right, max(ROW_BLOCK, 2**17 // len(right))):
+    for blk in row_blocks(len(x), right):
         np.matmul(x[blk], right, out=out[blk])
     return out
 

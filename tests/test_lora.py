@@ -39,6 +39,7 @@ from offsetlm.lora import (
     _low_rank,
 )
 from offsetlm.models import (
+    MIN_BLOCK_VALUES,
     ROW_BLOCK,
     SMALL_GEMM,
     VocabMismatchError,
@@ -539,11 +540,13 @@ class TestInPlaceStep:
         # corpus (256 documents of 64 tokens, n = 16128), the peak resident set
         # may grow across one step by the (n, V) and (n, h) buffers, the narrow
         # (n, context) windows, two (n, r) products and two (n,) vectors, and
-        # 2 MiB for BLAS's scratch space over blocks of 2**17 values.
+        # 2 MiB for BLAS's scratch space over blocks of MIN_BLOCK_VALUES values.
+        # The scratch space grows with BLAS's thread count, so the child runs
+        # the two threads the bound was measured with.
         package_root = os.path.dirname(os.path.dirname(lora.__file__))
+        env = {**os.environ, "PYTHONPATH": package_root, "OPENBLAS_NUM_THREADS": "2"}
         out = subprocess.run([sys.executable, "-c", RSS_STEP_SCRIPT], capture_output=True,
-                             text=True, check=True, timeout=120,
-                             env={**os.environ, "PYTHONPATH": package_root})
+                             text=True, check=True, timeout=120, env=env)
         n, growth = map(int, out.stdout.split())
         v, h, context, rank = 512, 64, 8, 8
         bound = (n * v + n * h + n * (context + 2 * rank + 2)) * 8 + 2 * 2**20
@@ -583,15 +586,15 @@ class TestRowBlocks:
         else:
             assert all(ROW_BLOCK <= blk.stop - blk.start < 2 * ROW_BLOCK for blk in blocks)
 
-    @given(n=st.integers(0, 20000), k=st.integers(1, 2000), cols=st.integers(1, 600),
-           floor=st.sampled_from([ROW_BLOCK, 1024, 2**17 // 64]))
-    def test_blocks_of_a_product_exceed_the_small_gemm_bound(self, n, k, cols, floor):
-        blocks = row_blocks(n, np.broadcast_to(0.0, (k, cols)), floor)
+    @given(n=st.integers(0, 20000), k=st.integers(1, 2000), cols=st.integers(1, 600))
+    def test_blocks_of_a_product_exceed_the_small_gemm_bound(self, n, k, cols):
+        blocks = row_blocks(n, np.broadcast_to(0.0, (k, cols)))
         assert [i for blk in blocks for i in range(n)[blk]] == list(range(n))
         rows = [blk.stop - blk.start for blk in blocks]
         if cols == 1:
             assert len(blocks) == 1  # gemv: its bits depend on where a block starts
         elif len(blocks) > 1:
+            floor = max(ROW_BLOCK, MIN_BLOCK_VALUES // k)
             assert all(r >= floor and r * k * cols > SMALL_GEMM for r in rows)
             assert max(rows) < 2 * min(rows)
 
