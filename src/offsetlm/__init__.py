@@ -7,7 +7,7 @@ low-rank adapter training, a draft/verify wire protocol with speculative
 acceleration, byte-exact cost accounting, and a CLI.
 """
 
-from .core import GenerationConfig, Vocab, argmax_sample, make_rng, pick, seeded_sample
+from .core import GenerationConfig, Vocab, argmax_sample, gumbel_vectors, make_rng, pick
 from .lora import (
     AdaptedModel,
     LoraAdapter,

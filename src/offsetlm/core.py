@@ -8,14 +8,16 @@ Conventions used throughout the package:
   if present, is the last element;
 * logit vectors are one-dimensional ``numpy.float32`` arrays of length
   ``vocab.size`` with all entries finite;
-* every generation draws one uniform variate per response token from a
-  seeded generator (:func:`make_rng`, numpy PCG64), greedy too, and
-  :func:`pick` turns the row and that uniform into the token, so runs are
-  reproducible bit-for-bit from the seed.
+* a stochastic generation draws one V-wide Gumbel vector per response
+  token from a seeded generator (:func:`gumbel_vectors` over
+  :func:`make_rng`, numpy PCG64), and :func:`pick` turns the row and that
+  vector into the token, so runs are reproducible bit-for-bit from the seed;
+  greedy draws nothing.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import struct
 from dataclasses import dataclass
@@ -51,7 +53,8 @@ class GenerationConfig:
     """How to turn logits into tokens and when to stop.
 
     ``mode`` is either ``"greedy"`` (argmax, ties to the lowest index) or
-    ``"stochastic"`` (temperature softmax sampling driven by ``seed``).
+    ``"stochastic"`` (temperature softmax sampling by Gumbel-max, driven by
+    ``seed``; see :func:`pick`).
     ``max_new_tokens`` counts committed response tokens only; zero is a legal
     degenerate budget yielding an empty response.
 
@@ -108,63 +111,37 @@ def argmax_sample(logits: np.ndarray) -> int:
     return tok
 
 
-def softmax64(logits: np.ndarray, temperature: float = 1.0) -> np.ndarray:
-    """Temperature softmax computed in binary64 with max subtraction."""
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
-    z = np.asarray(logits, dtype=np.float64) / float(temperature)
-    z = z - np.max(z)
-    e = np.exp(z)
-    return e / np.sum(e)
+def gumbel_vectors(config: GenerationConfig, size: int):
+    """The noise of each response position, in order: ``g_k`` for position k.
 
-
-def sample_at(logits: np.ndarray, temperature: float, u: float) -> int:
-    """The token at uniform ``u`` of ``softmax(logits / temperature)``'s inverse CDF.
-
-    Computes :func:`softmax64` and its running sum in one binary64 buffer,
-    with the same operands in the same order, so the CDF has the same bits.
-    The token is the first whose CDF value exceeds ``u``, the last if none.
-    Raises ``ValueError``, before it subtracts the maximum, when that
-    maximum is not finite: a row holding a NaN or +inf, or all -inf. After
-    a finite maximum the normaliser lies in [1, V].
-    """
-    if not temperature > 0.0:
-        raise ValueError("temperature must be positive")
-    cdf = np.array(logits, dtype=np.float64)
-    cdf /= float(temperature)
-    top = cdf.max()
-    if not math.isfinite(top):
-        raise ValueError(f"logit row is not finite: its maximum is {top}")
-    cdf -= top
-    np.exp(cdf, out=cdf)
-    cdf /= cdf.sum()
-    np.cumsum(cdf, out=cdf)
-    return min(int(cdf.searchsorted(u, side="right")), cdf.shape[0] - 1)
-
-
-def seeded_sample(logits: np.ndarray, temperature: float, rng: np.random.Generator) -> int:
-    """Draw one token from ``softmax(logits / temperature)``.
-
-    Consumes exactly one uniform variate from ``rng`` and takes
-    :func:`sample_at` there, so the draw is a pure function of (logits,
-    temperature, generator state). Whoever rebuilds the generator from its
-    seed knows the k-th draw's uniform without seeing the logits.
-    """
-    return sample_at(logits, temperature, rng.random())
-
-
-def pick(logits: np.ndarray, config: GenerationConfig, u: float) -> int:
-    """The token rule of every mode: the token ``config`` takes from ``logits`` at uniform ``u``.
-
-    Greedy: the argmax, whatever ``u``. Stochastic: :func:`sample_at` at the
-    config's temperature. Response token k is picked at the k-th draw of
-    ``make_rng(config.seed)``, greedy too. A row holding a NaN or +inf, or
-    all -inf, raises ``ValueError`` in both modes rather than yield a
-    token; a finite binary32 row is never refused.
+    Stochastic: ``g_k`` is the k-th ``rng.gumbel(size=size)`` of
+    ``make_rng(config.seed)``, so whoever knows the seed and the vocabulary
+    size knows every position's vector without seeing a logit. Greedy:
+    ``None`` at every position, and nothing is drawn.
     """
     if config.mode == GREEDY:
-        return argmax_sample(logits)
-    return sample_at(logits, config.temperature, u)
+        return itertools.repeat(None)
+    rng = make_rng(config.seed)
+    return (rng.gumbel(size=size) for _ in itertools.count())
+
+
+def pick(logits: np.ndarray, config: GenerationConfig, g: np.ndarray | None) -> int:
+    """The token rule of every mode: the token ``config`` takes from ``logits`` with noise ``g``.
+
+    Greedy: the argmax, whatever ``g``. Stochastic (Gumbel-max):
+    ``argmax(float64(logits) / T + g)``, ties to the lowest index, which is a
+    draw from ``softmax(logits / T)`` when ``g`` holds independent standard
+    Gumbel variates. ``g`` is the position's vector of :func:`gumbel_vectors`.
+    A row holding a NaN or +inf, or all -inf, raises ``ValueError`` in both
+    modes before any arithmetic; a finite binary32 row is never refused.
+    """
+    tok = argmax_sample(logits)
+    if config.mode == GREEDY:
+        return tok
+    scores = logits.astype(np.float64)
+    scores /= config.temperature
+    scores += g
+    return int(scores.argmax())
 
 
 class VocabMismatchError(ValueError):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import GenerationConfig
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 FLAVOR_BLACKBOX = 0  # generate from the black-box model alone (api mode)
 FLAVOR_ADAPTED = 1  # offset-adapted generation using the uploaded adapter
@@ -35,13 +35,12 @@ def _token_tuple(tokens, what: str) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Hello:
-    """Client's opening claim: protocol version, vocab geometry, proxy print."""
+    """Client's opening claim: protocol version and vocab geometry."""
 
     protocol_version: int
     vocab_size: int
     eos_id: int
     bos_id: int
-    model_fingerprint: int
 
     def __post_init__(self) -> None:
         if self.vocab_size < 1:
@@ -65,7 +64,7 @@ class StartSession:
 
     ``config`` is the client's whole sampling setting. The server takes the
     budget from it and, in a stochastic session, rebuilds the client's
-    uniforms from its seed to draft with.
+    Gumbel vectors from its seed to draft with.
     """
 
     session_id: int
@@ -84,7 +83,7 @@ class DraftBatch:
     """One server round: drafted tokens and their black-box logit rows.
 
     Greedy sessions draft each row's argmax; stochastic ones draft the token
-    that the client's own uniform for that position picks from the row.
+    that the client's own Gumbel vector for that position picks from the row.
     """
 
     session_id: int

@@ -44,6 +44,7 @@ def adjusted_logits(z_b: np.ndarray, d: np.ndarray) -> np.ndarray:
     return z_b.astype(np.float32, copy=False) + d
 
 
-def adapted_next_token(z_b: np.ndarray, d: np.ndarray, config: GenerationConfig, u: float) -> int:
-    """The next token: :func:`~offsetlm.core.pick` from the offset-adjusted logits at ``u``."""
-    return pick(adjusted_logits(z_b, d), config, u)
+def adapted_next_token(z_b: np.ndarray, d: np.ndarray, config: GenerationConfig,
+                       g: np.ndarray | None) -> int:
+    """The next token: :func:`~offsetlm.core.pick` from the offset-adjusted logits with noise ``g``."""
+    return pick(adjusted_logits(z_b, d), config, g)

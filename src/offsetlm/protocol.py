@@ -6,11 +6,13 @@ Roles
 The **server** owns the black-box generator. Per session it keeps one
 canonical token sequence (prompt plus committed tokens) and, each round,
 drafts tokens ahead, returning them together with their logit rows. Each
-drafted token is :func:`~offsetlm.core.pick` of its row at the client's own
-uniform for that response position (the argmax when greedy):
+drafted token is :func:`~offsetlm.core.pick` of its row with the client's
+own Gumbel vector for that response position (the argmax when greedy):
 ``StartSession`` carries the client's config, and the server's generator,
-seeded alike, draws the same uniforms in the same order. Where the offset
-leaves a row's pick unchanged, the draft is accepted. The client's
+seeded alike, draws the same vectors in the same order. Where the offset
+leaves a row's pick unchanged, the draft is accepted: with shared Gumbel
+noise, at least ``(1 - TV) / (1 + TV)`` of the time, TV being the total
+variation distance between the two tempered softmaxes. The client's
 ``draft_len`` is a ceiling: once a commit has carried a replacement, a round
 drafts ``ceil(committed / replacements)`` tokens, the mean committed run per
 replacement, read only from validated commits so replays draft alike.
@@ -23,7 +25,7 @@ The **client** owns the proxy pair (base + adapter) as one
 :class:`~offsetlm.offset.OffsetProxy`. One stacked forward per proxy gives
 the offset ``d`` at every drafted position, with the bits of each position's
 forward alone. The client walks the positions with the per-token step (``d``
-plus the black-box row, one pick at the position's uniform) and stops at the
+plus the black-box row, one pick with the position's vector) and stops at the
 first token that differs from the draft, the replacement; later rows are
 dropped. The client mirrors the canonical sequence locally and the final
 result echoed by the server must match that mirror exactly.
@@ -32,8 +34,8 @@ result echoed by the server must match that mirror exactly.
 one. ``run_transfer`` instead uploads the serialized adapter once and asks
 the server to run the whole offset-adapted generation locally; with the same
 models, adapter, and config it returns the identical token sequence: every
-loop, client, server or in-process, picks response token k at the k-th draw
-of the config's generator, greedy too.
+loop, client, server or in-process, picks response token k with the k-th
+vector of :func:`~offsetlm.core.gumbel_vectors`.
 
 Every loop stops by one rule, :func:`finished`: the budget is spent or the
 sequence ends in eos.
@@ -46,11 +48,12 @@ import itertools
 import logging
 import socket
 import threading
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GenerationConfig, Vocab, check_prompt, check_same_vocab, make_rng, pick
+from .core import GenerationConfig, Vocab, check_prompt, check_same_vocab, gumbel_vectors, pick
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
 from .models import LogitModel, TinyNeuralLM
 from .messages import (
@@ -148,10 +151,10 @@ def finished(seq: list[int], prompt_len: int, max_new_tokens: int, eos_id: int) 
 class ServerSession:
     """Canonical sequence plus draft bookkeeping for one generation.
 
-    It also keeps the client's generator, rebuilt from ``config.seed``, and
-    the uniforms it has drawn for drafted positions not yet committed, oldest
-    first: at most ``draft_len`` of them. Greedy sessions draw them too, and
-    :func:`~offsetlm.core.pick` ignores them.
+    It also keeps the client's :func:`~offsetlm.core.gumbel_vectors`, rebuilt
+    from ``config``, and in ``gumbels`` the vectors it has drawn for drafted
+    positions not yet committed, oldest first: at most ``draft_len`` of them
+    (``None`` each when greedy).
     """
 
     session_id: int
@@ -162,14 +165,14 @@ class ServerSession:
     canonical: list[int] = field(default_factory=list)
     last_draft: list[int] | None = None
     replacements: int = 0  # validated commits that carried a replacement
-    uniforms: list[float] = field(default_factory=list)
-    rng: np.random.Generator = field(init=False, repr=False)
+    gumbels: list = field(default_factory=list)
+    noise: Iterator = field(init=False, repr=False)
     done: bool = field(init=False)  # the stop rule, set when apply_commit extends canonical
     max_rows: int = field(init=False, repr=False)  # most rows one DraftBatch frame carries
 
     def __post_init__(self) -> None:
         self.canonical = list(self.prompt)
-        self.rng = make_rng(self.config.seed)
+        self.noise = gumbel_vectors(self.config, self.vocab.size)
         self.done = finished(self.canonical, len(self.prompt), self.max_new_tokens, self.vocab.eos_id)
         self.max_rows = max_draft_rows(self.vocab.size)
 
@@ -197,12 +200,12 @@ class ServerSession:
     def draft_token(self, z: np.ndarray, i: int) -> int:
         """The token drafted from row ``z``, ``i`` positions past the committed ones.
 
-        :func:`~offsetlm.core.pick` at the uniform the client draws for that
-        response position, drawn forward in order from the session's generator.
+        :func:`~offsetlm.core.pick` with the Gumbel vector the client draws for
+        that response position, drawn forward in order from the session's noise.
         """
-        while len(self.uniforms) <= i:
-            self.uniforms.append(self.rng.random())
-        return pick(z, self.config, self.uniforms[i])
+        while len(self.gumbels) <= i:
+            self.gumbels.append(next(self.noise))
+        return pick(z, self.config, self.gumbels[i])
 
     def draft(self, blackbox: LogitModel) -> DraftBatch:
         """Autoregressive speculation from the canonical sequence.
@@ -253,7 +256,7 @@ class ServerSession:
         if commit.replacement is not None:
             self.canonical.append(commit.replacement)
             self.replacements += 1
-        del self.uniforms[: commit.accept_count + (commit.replacement is not None)]  # spent
+        del self.gumbels[: commit.accept_count + (commit.replacement is not None)]  # spent
         self.last_draft = None
         self.done = finished(self.canonical, len(self.prompt), self.max_new_tokens, self.vocab.eos_id)
         if bool(commit.done) != self.done:
@@ -294,7 +297,7 @@ class Server:
         return self.blackbox.vocab
 
     def check_hello(self, hello: Hello) -> HelloAck:
-        """Accept iff the vocabulary geometry matches; prints are informational."""
+        """Accept iff the protocol version and the vocabulary geometry match."""
         v = self.vocab
         if hello.protocol_version != PROTOCOL_VERSION:
             return HelloAck(False, f"unsupported protocol version {hello.protocol_version}")
@@ -304,7 +307,6 @@ class Server:
                 f"vocab mismatch: client ({hello.vocab_size}, eos={hello.eos_id}, "
                 f"bos={hello.bos_id}) vs server ({v.size}, eos={v.eos_id}, bos={v.bos_id})",
             )
-        log.debug("handshake: client proxy fingerprint %016x", hello.model_fingerprint)
         return HelloAck(True, "")
 
     # -- per-connection state machine ---------------------------------------
@@ -434,24 +436,24 @@ class Server:
 
 
 def _generate(step, vocab: Vocab, prompt: list[int], config: GenerationConfig) -> list[int]:
-    """The shared in-process loop: ``step(seq, u)`` picks each next token at its uniform.
+    """The shared in-process loop: ``step(seq, g)`` picks each next token with its Gumbel vector.
 
     The prompt is checked once, here, by the rule the server applies
     (:func:`~offsetlm.core.check_prompt`); each step then reads only the
     models' windows. A prompt ending in eos yields nothing.
     """
     check_prompt(prompt, vocab)
-    rng = make_rng(config.seed)
+    noise = gumbel_vectors(config, vocab.size)
     seq = list(prompt)
     while not finished(seq, len(prompt), config.max_new_tokens, vocab.eos_id):
-        seq.append(step(seq, rng.random()))
+        seq.append(step(seq, next(noise)))
     return seq[len(prompt):]
 
 
 def generate_blackbox(blackbox: LogitModel, prompt: list[int], config: GenerationConfig) -> list[int]:
     """Plain autoregressive generation from the black-box model alone."""
     return _generate(
-        lambda seq, u: pick(blackbox.next_logits(seq), config, u),
+        lambda seq, g: pick(blackbox.next_logits(seq), config, g),
         blackbox.vocab, prompt, config,
     )
 
@@ -469,14 +471,14 @@ def generate_adapted(
     verification does, with ``d`` the one-row ``proxy.offsets(seq, 1)[0]``:
     the per-token reference for the rows of a stacked verify. The three
     vocabularies are checked once, on entry.
-    One draw per response token, exactly like the protocol modes — which is
-    what makes server-side (transfer) and client-side generation
+    One Gumbel vector per response token, exactly like the protocol modes —
+    which is what makes server-side (transfer) and client-side generation
     token-identical for the same seed.
     """
     proxy = OffsetProxy(base_proxy, tuned_proxy)
     check_same_vocab(blackbox.vocab, proxy.vocab, "black-box")
     return _generate(
-        lambda seq, u: adapted_next_token(blackbox.next_logits(seq), proxy.offsets(seq, 1)[0], config, u),
+        lambda seq, g: adapted_next_token(blackbox.next_logits(seq), proxy.offsets(seq, 1)[0], config, g),
         blackbox.vocab, prompt, config,
     )
 
@@ -520,17 +522,9 @@ class Client:
 
     def handshake(self) -> None:
         """Preamble + Hello; raises HandshakeRejectedError on refusal."""
-        fingerprint = self.base_proxy.fingerprint() if self.base_proxy is not None else 0
         self.conn.send_preamble()
         self.conn.send_message(
-            Hello(
-                protocol_version=PROTOCOL_VERSION,
-                vocab_size=self.vocab.size,
-                eos_id=self.vocab.eos_id,
-                bos_id=self.vocab.bos_id,
-                model_fingerprint=fingerprint,
-            )
-        )
+            Hello(PROTOCOL_VERSION, self.vocab.size, self.vocab.eos_id, self.vocab.bos_id))
         ack = self._recv()
         if not isinstance(ack, HelloAck):
             raise OutOfSyncError(f"expected HelloAck, got {type(ack).__name__}")
@@ -562,7 +556,7 @@ class Client:
         The tokens equal ``run_per_token`` and ``generate_adapted`` for every
         draft length, greedy and stochastic: verification scores the drafted
         positions with the per-token step's bits and commits every position
-        it inspects, so the k-th RNG draw always picks response token k.
+        it inspects, so the k-th Gumbel vector always picks response token k.
 
         A draft whose rows are not ``vocab.size`` wide or whose tokens fall
         outside the vocabulary raises :class:`OutOfSyncError` before any
@@ -570,7 +564,7 @@ class Client:
         """
         if self.proxy is None:
             raise ValueError("speculative generation needs a base proxy and an adapter")
-        rng = make_rng(config.seed)
+        noise = gumbel_vectors(config, self.vocab.size)
         session_id = next(self._session_ids)
         mirror = list(prompt)
         self.conn.send_message(StartSession(session_id, tuple(prompt), draft_len, config))
@@ -589,7 +583,7 @@ class Client:
                     f"draft of {len(msg.tokens)} tokens up to {max(msg.tokens)} with "
                     f"{msg.logits.shape} logits does not fit vocab size {v}"
                 )
-            commit = self._verify(mirror, msg, config, rng, len(prompt))
+            commit = self._verify(mirror, msg, config, noise, len(prompt))
             self.ledger.note_draft(len(msg.tokens))
             self.ledger.note_commit(commit.accept_count, len(msg.tokens), commit.replacement is not None)
             self.conn.send_message(commit)
@@ -599,15 +593,15 @@ class Client:
         mirror: list[int],
         draft: DraftBatch,
         config: GenerationConfig,
-        rng: np.random.Generator,
+        noise: Iterator,
         prompt_len: int,
     ) -> Commit:
         """Accept the agreeing prefix of a draft; replace the first divergence.
 
         One :meth:`~offsetlm.offset.OffsetProxy.offsets` call gives every
         drafted position's offset, bit for bit ``generate_adapted``'s. Each
-        position then samples the draft's black-box row plus its offset by
-        ``adapted_next_token``; the token is appended to ``mirror``, and the
+        position then picks from the draft's black-box row plus its offset by
+        ``adapted_next_token`` with the next vector of ``noise``; the token is appended to ``mirror``, and the
         walk stops at the first one that differs from the draft. On return
         ``mirror`` holds the committed tokens; when a forward raises, it is
         rolled back to its length on entry.
@@ -619,7 +613,7 @@ class Client:
             reach = mirror[-self.proxy.window:] + list(draft.tokens[:-1])
             offsets = self.proxy.offsets(reach, len(draft.tokens))
             for i, (z_b, d, drafted) in enumerate(zip(draft.logits, offsets, draft.tokens)):
-                tok = adapted_next_token(z_b, d, config, rng.random())
+                tok = adapted_next_token(z_b, d, config, next(noise))
                 mirror.append(tok)
                 if tok != drafted:
                     accept, replacement = i, tok

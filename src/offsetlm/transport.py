@@ -156,8 +156,7 @@ class MessageLayout(NamedTuple):
 
 MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
     Hello: MessageLayout(1, CAT_HANDSHAKE, (
-        ("protocol_version", "u32"), ("vocab_size", "u32"), ("eos_id", "u32"),
-        ("bos_id", "u32"), ("model_fingerprint", "u64"),
+        ("protocol_version", "u32"), ("vocab_size", "u32"), ("eos_id", "u32"), ("bos_id", "u32"),
     )),
     HelloAck: MessageLayout(2, CAT_HANDSHAKE, (("accept", "flag"), ("reason", "text"))),
     StartSession: MessageLayout(3, CAT_DATA, (

@@ -134,6 +134,11 @@ def argmax_oracle(values) -> int:
     return best_i
 
 
+def gumbel_max_oracle(values, temperature: float, g) -> int:
+    """Gumbel-max written out per entry: the first maximum of ``float(z) / T + g``."""
+    return argmax_oracle([float(z) / temperature + float(gi) for z, gi in zip(values, g)])
+
+
 def softmax_oracle(values, temperature: float = 1.0) -> np.ndarray:
     """Binary64 softmax via direct definition (no library shortcuts)."""
     z = [float(x) / temperature for x in values]
@@ -159,12 +164,10 @@ def monolithic_generate_oracle(
     Independent of the protocol layer on purpose — it recomputes the offset
     composition and the greedy selection step by step and is the ground truth
     that the per-token, speculative, and transfer paths must all reproduce.
-    (The stochastic branch reuses the package's single-draw sampler: the
-    point of the oracle is independence of the protocol and composition, not
-    re-deriving IEEE summation order.)
+    The stochastic branch is Gumbel-max written out per entry: response
+    token k is the first maximum of ``float(z) / T + g`` over the row, ``g``
+    the k-th ``gumbel(size=V)`` of the config's generator.
     """
-    from offsetlm import seeded_sample
-
     rng = make_rng(config.seed) if config.mode == STOCHASTIC else None
     seq = list(prompt)
     out: list[int] = []
@@ -179,7 +182,7 @@ def monolithic_generate_oracle(
         if config.mode == GREEDY:
             tok = argmax_oracle(adjusted)
         else:
-            tok = seeded_sample(adjusted, config.temperature, rng)
+            tok = gumbel_max_oracle(adjusted, config.temperature, rng.gumbel(size=len(adjusted)))
         out.append(int(tok))
         seq.append(int(tok))
         if tok == eos:

@@ -52,12 +52,11 @@ from offsetlm import (
     load_model,
     loss_and_grads,
     make_rng,
-    seeded_sample,
+    pick,
     train_lora,
     train_neural_lm,
 )
 from offsetlm.cli import main
-from offsetlm.core import softmax64
 from offsetlm.messages import (
     Commit,
     DraftBatch,
@@ -515,15 +514,16 @@ def test_criterion_4_adaptation_shrinks_kl(world):
         for ctx, n_draws in zip(contexts, draws):
             z_b = world.blackbox.next_logits(ctx)
             z_p, z_p_tuned = world.base.next_logits(ctx), tuned.next_logits(ctx)
-            reference = softmax64(
-                world.shifted_reference.next_logits(ctx).astype(np.float64), 1.0
-            )
+            target = world.shifted_reference.next_logits(ctx).astype(np.float64)
+            reference = np.exp(target - target.max())
+            reference /= reference.sum()
             rng_black, rng_adapted = make_rng(7), make_rng(7)
             hist_black = np.zeros(world.vocab.size)
             hist_adapted = np.zeros(world.vocab.size)
+            v = world.vocab.size
             for _ in range(n_draws):
-                hist_black[seeded_sample(z_b, 1.0, rng_black)] += 1
-                hist_adapted[adapted_next_token(z_b, z_p_tuned - z_p, config, rng_adapted.random())] += 1
+                hist_black[pick(z_b, config, rng_black.gumbel(size=v))] += 1
+                hist_adapted[adapted_next_token(z_b, z_p_tuned - z_p, config, rng_adapted.gumbel(size=v))] += 1
             kl_black.append(_kl_to_reference(hist_black, reference))
             kl_adapted.append(_kl_to_reference(hist_adapted, reference))
 
@@ -564,7 +564,7 @@ def test_criterion_5_ledger_matches_closed_form(world):
         assert ledger.round_count == rounds
 
         # Frame = 4-byte length header + payload; payloads per transport.py.
-        hello = 4 + (1 + 4 + 4 + 4 + 4 + 8)          # tag, version, vocab geometry, print
+        hello = 4 + (1 + 4 + 4 + 4 + 4)              # tag, version, vocab geometry
         preamble = 5                                  # magic + version, sent once
         hello_ack = 4 + (1 + 1 + 2)                   # tag, flag, empty reason
         start = 4 + (1 + 8 + 4 + 4 * len(prompt) + 4 + 17)  # draft_len, then the config
@@ -645,8 +645,8 @@ def test_criterion_6_zero_adapter_accepts_every_coupled_draft(world):
     """Stochastic drafts obey the ceiling law when the offset is zero.
 
     With B = 0 the tuned proxy's row equals the base proxy's bit for bit, so
-    the adjusted row is the black-box row, and the client samples it at the
-    uniform the server drafted with: every coupled draft is accepted.
+    the adjusted row is the black-box row, and the client picks from it with
+    the Gumbel vector the server drafted with: every coupled draft is accepted.
     """
     with verdict(6, "zero-adapter-coupled-round-law", 10.0):
         neural_bb = with_biases(
@@ -723,7 +723,6 @@ def _random_message(rng) -> Message:
             vocab_size=size,
             eos_id=int(rng.integers(0, size)),
             bos_id=int(rng.integers(0, size)),
-            model_fingerprint=int(rng.integers(0, 2**64, dtype=np.uint64)),
         )
     if kind == 1:
         return HelloAck(accept=bool(rng.integers(0, 2)), reason=_random_text(rng))

@@ -2,16 +2,18 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetlm import GenerationConfig, Vocab, argmax_sample, make_rng, seeded_sample
-from offsetlm.core import check_prompt, parse_token_line, pick, read_corpus, sample_at, softmax64
+from offsetlm import GenerationConfig, Vocab, argmax_sample, gumbel_vectors, make_rng, pick
+from offsetlm.core import check_prompt, parse_token_line, read_corpus
 from offsetlm.models import VocabMismatchError
 
-from conftest import argmax_oracle, softmax_oracle
+from conftest import argmax_oracle, gumbel_max_oracle, softmax_oracle
 
 finite_f32 = st.floats(
     min_value=-1e4, max_value=1e4, allow_nan=False, allow_infinity=False, width=32
@@ -110,105 +112,95 @@ class TestArgmax:
         assert argmax_sample(arr) == argmax_sample(arr + np.float32(shift))
 
 
-class TestSeededSample:
+class TestGumbelVectors:
+    def test_stochastic_vectors_are_the_seeds_gumbel_draws_in_order(self):
+        config = GenerationConfig(max_new_tokens=1, mode="stochastic", seed=7)
+        noise, rng = gumbel_vectors(config, 5), make_rng(7)
+        for _ in range(4):
+            np.testing.assert_array_equal(next(noise), rng.gumbel(size=5))
+
     def test_deterministic_per_seed(self):
-        logits = np.array([0.3, -1.0, 2.0, 0.0], dtype=np.float32)
-        a = [seeded_sample(logits, 1.0, make_rng(7)) for _ in range(5)]
-        b = [seeded_sample(logits, 1.0, make_rng(7)) for _ in range(5)]
-        assert a == b
+        config = GenerationConfig(max_new_tokens=1, mode="stochastic", seed=3)
+        a, b = gumbel_vectors(config, 4), gumbel_vectors(config, 4)
+        for _ in range(5):
+            np.testing.assert_array_equal(next(a), next(b))
 
-    def test_overwhelming_logit_wins(self):
-        logits = np.array([1000.0, 0.0, 0.0], dtype=np.float32)
-        rng = make_rng(0)
-        assert all(seeded_sample(logits, 1.0, rng) == 0 for _ in range(50))
-
-    def test_consumes_one_draw_per_token(self):
-        logits = np.array([0.0, 0.1, -0.2], dtype=np.float32)
-        rng_a = make_rng(3)
-        seeded_sample(logits, 1.0, rng_a)
-        follow_up = rng_a.random()
-        rng_b = make_rng(3)
-        rng_b.random()
-        assert follow_up == rng_b.random()
-
-    def test_frequencies_match_softmax_oracle(self):
-        logits = np.array([1.0, 0.0, -1.0, 0.5], dtype=np.float32)
-        probs = softmax_oracle(logits)
-        n = 20000
-        rng = make_rng(11)
-        counts = np.zeros(4)
-        for _ in range(n):
-            counts[seeded_sample(logits, 1.0, rng)] += 1
-        # three-sigma binomial envelope per symbol
-        for k in range(4):
-            sigma = np.sqrt(n * probs[k] * (1 - probs[k]))
-            assert abs(counts[k] - n * probs[k]) < 3.5 * sigma
-
-    def test_low_temperature_sharpens(self):
-        logits = np.array([1.0, 0.9, 0.0], dtype=np.float32)
-        rng = make_rng(5)
-        picks = [seeded_sample(logits, 0.01, rng) for _ in range(200)]
-        assert sum(1 for p in picks if p == 0) > 195
+    def test_greedy_draws_nothing(self):
+        noise = gumbel_vectors(GenerationConfig(max_new_tokens=1, seed=7), 5)
+        assert [next(noise) for _ in range(4)] == [None] * 4
 
 
-def cdf_oracle_sample(logits, temperature, u) -> int:
-    """The inverse-CDF step as ``softmax64``, ``np.cumsum`` and ``np.searchsorted``."""
-    cdf = np.cumsum(softmax64(logits, temperature))
-    return min(int(np.searchsorted(cdf, u, side="right")), cdf.shape[0] - 1)
-
-
-class TestSampleAt:
-    @pytest.mark.parametrize("temperature", [1.0, 0.7, 1.3])
-    def test_matches_the_softmax64_cdf(self, temperature):
-        rng = np.random.default_rng(17)
-        for row in range(200):
-            logits = rng.normal(0.0, 3.0, size=int(rng.integers(3, 64))).astype(np.float32)
-            uniforms = make_rng(row)
-            for _ in range(20):
-                u = uniforms.random()
-                assert sample_at(logits, temperature, u) == cdf_oracle_sample(logits, temperature, u)
-
-    def test_a_uniform_on_a_cdf_value_picks_the_next_token(self):
-        logits = np.array([0.5, -1.0, 2.0, 0.25], dtype=np.float32)
-        cdf = np.cumsum(softmax64(logits, 0.9))
-        for k in range(3):
-            assert sample_at(logits, 0.9, cdf[k]) == cdf_oracle_sample(logits, 0.9, cdf[k]) == k + 1
-        assert sample_at(logits, 0.9, 0.0) == 0
-        assert sample_at(logits, 0.9, np.nextafter(1.0, 0.0)) == 3
-
-    def test_leaves_binary64_logits_unchanged(self):
-        logits = np.array([0.5, -1.0, 2.0], dtype=np.float64)
-        sample_at(logits, 0.5, 0.3)
-        np.testing.assert_array_equal(logits, [0.5, -1.0, 2.0])
-
-    def test_seeded_sample_is_sample_at_the_next_draw(self):
-        logits = np.array([0.3, -1.0, 2.0, 0.0], dtype=np.float32)
-        rng, uniforms = make_rng(9), make_rng(9)
-        for _ in range(50):
-            assert seeded_sample(logits, 1.2, rng) == sample_at(logits, 1.2, uniforms.random())
-
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            sample_at(np.array([0.0, 1.0]), 0.0, 0.5)
-
-
-unit_uniform = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+def stochastic(temperature: float = 1.0) -> GenerationConfig:
+    return GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=temperature)
 
 
 class TestPick:
-    """The token rule of every mode: the argmax when greedy, ``sample_at`` when stochastic."""
+    """The token rule of every mode: the argmax when greedy, Gumbel-max when stochastic."""
 
-    @given(st.lists(finite_f32, min_size=1, max_size=40), unit_uniform)
-    def test_greedy_is_the_argmax_at_every_uniform(self, values, u):
+    @given(st.lists(finite_f32, min_size=1, max_size=40), st.integers(0, 2**32 - 1))
+    def test_greedy_is_the_argmax_with_any_noise(self, values, seed):
         logits = np.array(values, dtype=np.float32)
-        assert pick(logits, GenerationConfig(max_new_tokens=1), u) == int(np.argmax(logits))
+        greedy = GenerationConfig(max_new_tokens=1)
+        for g in (None, make_rng(seed).gumbel(size=len(values))):
+            assert pick(logits, greedy, g) == int(np.argmax(logits))
 
-    @given(st.lists(finite_f32, min_size=1, max_size=40), unit_uniform,
+    @given(st.lists(finite_f32, min_size=1, max_size=40), st.integers(0, 2**32 - 1),
            st.sampled_from([0.5, 1.0, 1.3]))
-    def test_stochastic_is_sample_at(self, values, u, temperature):
+    def test_stochastic_is_the_gumbel_max(self, values, seed, temperature):
         logits = np.array(values, dtype=np.float32)
-        config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=temperature)
-        assert pick(logits, config, u) == sample_at(logits, config.temperature, u)
+        config = stochastic(temperature)
+        g = make_rng(seed).gumbel(size=len(values))
+        assert pick(logits, config, g) == gumbel_max_oracle(logits, config.temperature, g)
+
+    @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
+    def test_ties_go_to_the_lowest_index(self, mode):
+        config = GenerationConfig(max_new_tokens=1, mode=mode)
+        assert pick(np.array([0.0, 2.0, 2.0, 1.0], dtype=np.float32), config, np.zeros(4)) == 1
+        # distinct logits whose scores tie exactly once the noise is added
+        assert pick(np.array([0.0, 1.0, 0.0], dtype=np.float32), stochastic(), np.array([1.0, 0.0, 1.0])) == 0
+        assert pick(np.array([3.0, 1.0, 2.0], dtype=np.float32), stochastic(), np.array([0.0, 2.0, 1.0])) == 0
+
+    def test_noise_decides_among_close_logits(self):
+        logits = np.array([0.5, -1.0, 2.0, 0.25], dtype=np.float32)
+        for k in range(4):
+            g = np.zeros(4)
+            g[k] = 10.0
+            assert pick(logits, stochastic(0.9), g) == k
+
+    def test_leaves_the_row_and_the_noise_unchanged(self):
+        logits, g = np.array([0.5, -1.0, 2.0], dtype=np.float64), np.array([0.1, 0.2, 0.3])
+        pick(logits, stochastic(0.5), g)
+        np.testing.assert_array_equal(logits, [0.5, -1.0, 2.0])
+        np.testing.assert_array_equal(g, [0.1, 0.2, 0.3])
+
+    def test_overwhelming_logit_wins(self):
+        logits = np.array([1000.0, 0.0, 0.0], dtype=np.float32)
+        noise = gumbel_vectors(GenerationConfig(max_new_tokens=1, mode="stochastic"), 3)
+        assert all(pick(logits, stochastic(), next(noise)) == 0 for _ in range(50))
+
+    def test_low_temperature_sharpens(self):
+        logits = np.array([1.0, 0.9, 0.0], dtype=np.float32)
+        noise = gumbel_vectors(GenerationConfig(max_new_tokens=1, mode="stochastic", seed=5), 3)
+        picks = [pick(logits, stochastic(0.01), next(noise)) for _ in range(200)]
+        assert sum(1 for p in picks if p == 0) > 195
+
+    @pytest.mark.parametrize("temperature", [0.5, 1.0, 2.0])
+    def test_frequencies_match_the_temperature_softmax(self, temperature):
+        """20 000 seeded picks of one row: KL to ``softmax(z / T)`` and every count near its mean."""
+        logits = np.array([1.0, 0.0, -1.0, 0.5, -2.0, 0.25], dtype=np.float32)
+        config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=temperature,
+                                  seed=11)
+        probs = softmax_oracle(logits, config.temperature)
+        n, noise = 20_000, gumbel_vectors(config, len(logits))
+        counts = np.zeros(len(logits))
+        for _ in range(n):
+            counts[pick(logits, config, next(noise))] += 1
+        freq = counts / n
+        kl = sum(p * np.log(p / q) for p, q in zip(freq, probs) if p)
+        assert kl < 1e-3  # about (V - 1) / (2n) = 1.25e-4 expected
+        for k in range(len(logits)):  # a 3.5-sigma binomial envelope per token
+            sigma = np.sqrt(n * probs[k] * (1 - probs[k]))
+            assert abs(counts[k] - n * probs[k]) < 3.5 * sigma
 
 
 class TestNonFiniteRows:
@@ -221,34 +213,33 @@ class TestNonFiniteRows:
                              ids=["nan", "nan-after-max", "all-nan", "+inf", "+inf-and--inf",
                                   "all--inf"])
     @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
-    def test_refused_in_both_modes(self, row, mode):
+    def test_refused_in_both_modes_without_a_warning(self, row, mode):
         logits = np.array(row, dtype=np.float32)
-        for u in (0.0, 0.5, np.nextafter(1.0, 0.0)):
-            with pytest.raises(ValueError, match="not finite"):
-                pick(logits, GenerationConfig(max_new_tokens=1, mode=mode), u)
+        config = GenerationConfig(max_new_tokens=1, mode=mode)
+        for g in (None, np.zeros(3), make_rng(0).gumbel(size=3)):
+            if g is None and mode == "stochastic":
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # any RuntimeWarning fails the case
+                with pytest.raises(ValueError, match="not finite"):
+                    pick(logits, config, g)
 
     def test_minus_inf_entries_beside_a_finite_maximum_are_kept(self):
         logits = np.array([-self.INF, 2.0, -self.INF, 1.0], dtype=np.float32)
         assert argmax_sample(logits) == 1
-        assert sample_at(logits, 1.0, 0.0) == 1
-        assert sample_at(logits, 1.0, np.nextafter(1.0, 0.0)) == 3
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pick(logits, stochastic(), np.array([100.0, 0.0, 100.0, 0.0])) == 1
+            assert pick(logits, stochastic(), np.array([0.0, 0.0, 0.0, 5.0])) == 3
 
     def test_the_widest_binary32_row_at_the_smallest_temperature_is_kept(self):
         top = float(np.finfo(np.float32).max)
         logits = np.array([-top, top, 0.0], dtype=np.float32)
-        config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=1e-45)
+        config = stochastic(1e-45)
         assert config.temperature > 0.0  # the smallest binary32 subnormal
-        assert pick(logits, config, 0.5) == 1
-
-
-class TestSoftmax64:
-    def test_rejects_nonpositive_temperature(self):
-        with pytest.raises(ValueError):
-            softmax64(np.array([0.0, 1.0]), 0.0)
-
-    def test_temperature_one_matches_oracle(self):
-        vals = [0.2, -1.0, 3.0]
-        np.testing.assert_allclose(softmax64(np.array(vals)), softmax_oracle(vals), rtol=1e-12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pick(logits, config, make_rng(0).gumbel(size=3)) == 1
 
 
 class TestCheckPrompt:

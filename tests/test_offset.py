@@ -13,8 +13,9 @@ from offsetlm import (
     adapted_next_token,
     adjusted_logits,
     argmax_sample,
+    gumbel_vectors,
     make_rng,
-    seeded_sample,
+    pick,
 )
 
 finite_f32 = st.floats(
@@ -104,10 +105,12 @@ class TestAdaptedNextToken:
     def test_greedy_picks_adjusted_argmax(self):
         z_b, d = vec(5.0, 0.0, 0.0), offset(vec(0.0, 0.0, 0.0), vec(0.0, 0.0, 10.0))
         config = GenerationConfig(max_new_tokens=1, mode="greedy")
-        assert adapted_next_token(z_b, d, config, make_rng(0).random()) == 2
+        assert adapted_next_token(z_b, d, config, None) == 2
 
-    def test_stochastic_consumes_exactly_one_draw(self):
+    def test_stochastic_picks_the_adjusted_row_with_the_positions_vector(self):
         z_b, d = vec(0.0, 1.0), offset(vec(0.0, 0.0), vec(0.5, 0.0))
         config = GenerationConfig(max_new_tokens=1, mode="stochastic", temperature=0.8, seed=4)
-        tok = adapted_next_token(z_b, d, config, make_rng(4).random())
-        assert tok == seeded_sample(adjusted_logits(z_b, d), 0.8, make_rng(4))
+        noise, rng = gumbel_vectors(config, 2), make_rng(4)
+        for _ in range(20):
+            tok = adapted_next_token(z_b, d, config, next(noise))
+            assert tok == pick(adjusted_logits(z_b, d), config, rng.gumbel(size=2))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import struct
 import threading
 
@@ -60,7 +61,7 @@ from offsetlm.protocol import (
     ServerSession,
     finished,
 )
-from offsetlm.core import make_rng, pick
+from offsetlm.core import gumbel_vectors, pick
 from offsetlm.models import VocabMismatchError, decode_model, encode_model
 from offsetlm.transport import (
     MAX_PAYLOAD_LEN,
@@ -84,6 +85,12 @@ from conftest import (
 )
 
 GREEDY_CFG = GenerationConfig(max_new_tokens=12, mode="greedy")
+V8 = Vocab(size=8, eos_id=1, bos_id=2)
+
+
+def as_lists(gumbels) -> list:
+    """Gumbel vectors (or greedy ``None``s) in a form ``==`` compares by value."""
+    return [g if g is None else g.tolist() for g in gumbels]
 
 
 def dense_blackbox(vocab: Vocab, seed: int = 0) -> BigramTableModel:
@@ -291,28 +298,30 @@ class TestServerSession:
         assert session.draft_size() == max_draft_rows(512)
 
     @pytest.mark.parametrize("mode", ["greedy", "stochastic"])
-    def test_drafts_use_the_clients_uniforms(self, vocab, world, mode):
-        """Each row is drafted by ``pick`` at the uniform the client draws for its position.
+    def test_drafts_use_the_clients_gumbel_vectors(self, vocab, world, mode):
+        """Each row is drafted by ``pick`` with the vector the client draws for its position.
 
         Over a 10 000-token session with random commits, the session never
-        holds more than ``draft_len`` uniforms: those of drafted positions
-        not yet committed. Greedy sessions draw them too.
+        holds more than ``draft_len`` vectors: those of drafted positions not
+        yet committed (``None`` each when greedy).
         """
         blackbox, _, _ = world
         draft_len = 8
         session = self.make(vocab, draft_len=draft_len, budget=10_000,
                             mode=mode, temperature=1.3, seed=5)
-        client_rng, uniforms = make_rng(5), []  # the client's draws, by response position
+        # the client's vectors, by response position
+        client_noise, gumbels = gumbel_vectors(session.config, vocab.size), []
         commits, peak = np.random.default_rng(23), 0
         while not session.done:
             batch = session.draft(blackbox)
             n, committed = len(batch.tokens), len(session.response_tokens())
-            while len(uniforms) < committed + n:
-                uniforms.append(client_rng.random())
+            while len(gumbels) < committed + n:
+                gumbels.append(next(client_noise))
             for i, (z, tok) in enumerate(zip(batch.logits, batch.tokens)):
-                assert tok == pick(z, session.config, uniforms[committed + i])
-            peak = max(peak, len(session.uniforms))
-            assert session.uniforms == uniforms[committed : committed + len(session.uniforms)]
+                assert tok == pick(z, session.config, gumbels[committed + i])
+            peak = max(peak, len(session.gumbels))
+            assert as_lists(session.gumbels) == as_lists(
+                gumbels[committed : committed + len(session.gumbels)])
             k = int(commits.integers(0, n + 1))
             if k == n and batch.tokens[-1] == vocab.eos_id:
                 k -= 1  # replace a drafted eos, so the session runs its whole budget
@@ -320,15 +329,37 @@ class TestServerSession:
             session.apply_commit(Commit(session_id=1, accept_count=k,
                                         replacement=3 if k < n else None,
                                         done=committed >= session.max_new_tokens))
-            assert len(session.uniforms) == len(uniforms) - committed
+            assert len(session.gumbels) == len(gumbels) - committed
         assert len(session.response_tokens()) == 10_000
         assert peak == draft_len
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(draft_len=st.integers(1, 9), budget=st.integers(1, 80),
+           accepts=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=30),
+           replace_with=st.sampled_from([3, V8.eos_id]), seed=st.integers(0, 2**32 - 1))
+    def test_never_holds_more_than_draft_len_gumbel_vectors(self, draft_len, budget, accepts,
+                                                            replace_with, seed):
+        """Whatever the commit pattern: full or partial accepts, eos drafted or sent back."""
+        blackbox = dense_blackbox(V8)
+        session = self.make(V8, draft_len=draft_len, budget=budget, mode="stochastic", seed=seed)
+        fractions = itertools.cycle(accepts)
+        while not session.done:
+            n = len(session.draft(blackbox).tokens)
+            assert len(session.gumbels) <= draft_len
+            k = min(n, int(next(fractions) * (n + 1)))
+            tail = session.last_draft[:k] + ([replace_with] if k < n else [])
+            session.apply_commit(Commit(session_id=1, accept_count=k,
+                                        replacement=replace_with if k < n else None,
+                                        done=finished(session.canonical + tail, len(session.prompt),
+                                                      budget, V8.eos_id)))
+            assert len(session.gumbels) <= draft_len - len(tail)
+            assert all(g.shape == (V8.size,) for g in session.gumbels)
 
     def test_low_acceptance_drafts_at_most_two_rows_per_token(self, vocab32):
         blackbox = dense_blackbox(vocab32)
         base = TinyNeuralLM.random(vocab32, context=3, embed_dim=4, hidden_dim=6, seed=2)
-        adapter = rich_adapter(base, spread=1.0)  # at 0.4, half the coupled drafts pass
-        config = GenerationConfig(max_new_tokens=64, mode="stochastic", temperature=2.0, seed=3)
+        adapter = rich_adapter(base, spread=2.0)  # at 1.0, about 30% of coupled drafts pass
+        config = GenerationConfig(max_new_tokens=64, mode="stochastic", temperature=2.0, seed=5)
         ledger = CostLedger()
         client = connected_client(Server(blackbox), vocab32, base, adapter, ledger)
         got = client.run_speculative([3, 4], config, draft_len=8)
@@ -365,7 +396,7 @@ class TestHandshake:
         for version in (PROTOCOL_VERSION - 1, PROTOCOL_VERSION + 1):
             ack = Server(blackbox).check_hello(
                 Hello(protocol_version=version, vocab_size=vocab.size,
-                      eos_id=vocab.eos_id, bos_id=vocab.bos_id, model_fingerprint=0)
+                      eos_id=vocab.eos_id, bos_id=vocab.bos_id)
             )
             assert not ack.accept
 
@@ -412,6 +443,35 @@ class TestOneVocabularyRule:
         assert len(joins["generate-adapted-tuned"]()) == GREEDY_CFG.max_new_tokens
         assert joins["server"]().vocab == vocab
         assert joins["client"]().proxy.vocab == vocab
+
+
+class TestGreedyDrawsNothing:
+    """Greedy runs build no generator anywhere: no in-process loop, server or client draws."""
+
+    @pytest.mark.parametrize("mode", ["generate_blackbox", "generate_adapted", "api", "prada-sd",
+                                      "prada-transfer"])
+    def test_no_greedy_mode_builds_a_generator(self, vocab, world, monkeypatch, mode):
+        blackbox, base, adapter = world
+        tuned = apply_adapter(base, adapter)
+        plain = generate_blackbox(blackbox, [3, 4], GREEDY_CFG)
+        adapted = generate_adapted(blackbox, base, tuned, [3, 4], GREEDY_CFG)
+
+        def no_generator(seed):
+            raise AssertionError("a greedy run built a generator")
+
+        monkeypatch.setattr("offsetlm.core.make_rng", no_generator)
+        client = connected_client(Server(blackbox, base), vocab, base, adapter)
+        runs = {
+            "generate_blackbox": (lambda: generate_blackbox(blackbox, [3, 4], GREEDY_CFG), plain),
+            "generate_adapted": (lambda: generate_adapted(blackbox, base, tuned, [3, 4], GREEDY_CFG),
+                                 adapted),
+            "api": (lambda: client.run_api([3, 4], GREEDY_CFG), plain),
+            "prada-sd": (lambda: client.run_speculative([3, 4], GREEDY_CFG, 4), adapted),
+            "prada-transfer": (lambda: client.run_transfer([3, 4], GREEDY_CFG), adapted),
+        }
+        run, want = runs[mode]
+        assert run() == want
+        client.conn.close()
 
 
 class TestModeEquivalence:
@@ -516,9 +576,9 @@ class TestModeEquivalence:
     def test_stochastic_transfer_samples_with_the_client_temperature(self, vocab):
         """T=0.9 has no exact binary32 value; every mode samples with the same one.
 
-        With this black-box row and a zero adapter, seed 0's first uniform falls
-        between token 0's probability at T=0.9 and at T=fl32(0.9), so sampling
-        with the two temperatures picks different tokens.
+        With this black-box row and a zero adapter, seed 0's first Gumbel
+        vector makes token 0 the Gumbel-max at T=fl32(0.9) and token 3 at
+        T=0.9, so sampling with the two temperatures picks different tokens.
         """
 
         class FixedRow(LogitModel):
@@ -529,7 +589,7 @@ class TestModeEquivalence:
 
             def batch_next_logits(self, seq, count):
                 rows = np.zeros((count, self.vocab.size), dtype=np.float32)
-                rows[:, 0] = 2.2573001
+                rows[:, 0] = 3.696804
                 return rows
 
         blackbox = FixedRow(vocab)
@@ -542,6 +602,8 @@ class TestModeEquivalence:
         client.conn.close()
         tuned = apply_adapter(base, adapter)
         assert per_token == transfer == generate_adapted(blackbox, base, tuned, [3], config)
+        row, g = blackbox.next_logits([3]), next(gumbel_vectors(config, vocab.size))
+        assert per_token[0] == 0 != int(np.argmax(row.astype(np.float64) / 0.9 + g))
 
     def test_generate_adapted_equals_oracle_directly(self, vocab, world):
         blackbox, base, adapter = world
@@ -886,7 +948,7 @@ def frame(msg) -> bytes:
 
 
 def hello_for(vocab: Vocab, size: int | None = None, version: int = PROTOCOL_VERSION) -> Hello:
-    return Hello(version, vocab.size if size is None else size, vocab.eos_id, vocab.bos_id, 0)
+    return Hello(version, vocab.size if size is None else size, vocab.eos_id, vocab.bos_id)
 
 
 class ScriptedChannel(ByteChannel):
@@ -913,7 +975,6 @@ class ScriptedChannel(ByteChannel):
         self.closed = True
 
 
-V8 = Vocab(size=8, eos_id=1, bos_id=2)
 SEQ_BLACKBOX = dense_blackbox(V8)
 SEQ_BASE = TinyNeuralLM.random(V8, context=3, embed_dim=4, hidden_dim=6, seed=2)
 
@@ -1231,7 +1292,7 @@ class TestLedgerIntegration:
         client = connected_client(Server(blackbox), vocab, base, adapter, ledger)
         client.proxy.base = CountingModel(client.proxy.base)
         client.proxy.tuned = CountingModel(client.proxy.tuned)
-        config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=1.2, seed=4)
+        config = GenerationConfig(max_new_tokens=24, mode=mode, temperature=1.2, seed=9)
         got = client.run_speculative([3], config, draft_len=4)
         client.conn.close()
         assert ledger.tokens_committed == len(got)
@@ -1437,9 +1498,10 @@ class TestLinearDecoding:
         draft = self.session(vocab, prompt=self.HISTORY).draft(blackbox)
         client = Client(None, vocab, base_proxy=base, adapter=adapter)
         plain = list(self.HISTORY)
-        want = client._verify(plain, draft, GREEDY_CFG, make_rng(0), len(self.HISTORY))
+        want = client._verify(plain, draft, GREEDY_CFG, gumbel_vectors(GREEDY_CFG, 8), len(self.HISTORY))
         mirror = TailOnly(self.HISTORY, limit=base.window)
-        assert client._verify(mirror, draft, GREEDY_CFG, make_rng(0), len(self.HISTORY)) == want
+        assert client._verify(mirror, draft, GREEDY_CFG, gumbel_vectors(GREEDY_CFG, 8),
+                              len(self.HISTORY)) == want
         assert len(plain) > len(self.HISTORY)
         assert mirror == plain
 
@@ -1461,7 +1523,7 @@ class TestLinearDecoding:
         setattr(client.proxy, failing, FailingModel(getattr(client.proxy, failing), ok=2))
         mirror = [3, 4, 5]
         with pytest.raises(RuntimeError):
-            client._verify(mirror, draft, GREEDY_CFG, make_rng(0), 3)
+            client._verify(mirror, draft, GREEDY_CFG, gumbel_vectors(GREEDY_CFG, 8), 3)
         assert mirror == [3, 4, 5]
 
     def test_oversized_draft_is_capped_to_one_frame(self, vocab, world):

@@ -60,7 +60,7 @@ def draft_batch(session_id=7, n=3, vocab=5, seed=0) -> DraftBatch:
 
 
 EXAMPLES = [
-    Hello(protocol_version=1, vocab_size=32, eos_id=1, bos_id=2, model_fingerprint=2**63 + 5),
+    Hello(protocol_version=1, vocab_size=32, eos_id=1, bos_id=2),
     HelloAck(accept=True),
     HelloAck(accept=False, reason="vocabulary mismatch: 32 != 16"),
     StartSession(session_id=9, prompt=(3, 4, 5), draft_len=8,
@@ -81,7 +81,7 @@ EXAMPLES = [
 # encode_message(EXAMPLES[i]).hex(), pinned: a round trip cannot catch two
 # same-width fields swapped in both the encoder and the decoder
 GOLDEN_HEX = [
-    "01010000002000000001000000020000000500000000000080",
+    "0101000000200000000100000002000000",
     "02010000",
     "02001d00766f636162756c617279206d69736d617463683a20333220213d203136",
     "0309000000000000000300000003000000040000000500000008000000010000403f030000000001000028000000",
@@ -100,14 +100,13 @@ GOLDEN_HEX = [
 
 
 hello_msgs = st.builds(
-    lambda size, eos, bos, ver, fp: Hello(
+    lambda size, eos, bos, ver: Hello(
         protocol_version=ver,
         vocab_size=size,
         eos_id=eos % size,
         bos_id=bos % size,
-        model_fingerprint=fp,
     ),
-    st.integers(1, 2**32 - 1), u32, u32, u32, u64,
+    st.integers(1, 2**32 - 1), u32, u32, u32,
 )
 hello_ack_msgs = st.builds(HelloAck, st.booleans(), short_text)
 configs = st.builds(
@@ -167,9 +166,9 @@ class TestRoundTrip:
 
 
 class TestFrameSizes:
-    def test_hello_frame_is_29_bytes(self):
+    def test_hello_frame_is_21_bytes(self):
         payload = encode_message(EXAMPLES[0])
-        assert len(payload) == 25  # tag + 4 u32 fields + u64 fingerprint
+        assert len(payload) == 17  # tag + 4 u32 fields
 
     def test_bare_ack_frame_is_8_bytes(self):
         assert 4 + len(encode_message(HelloAck(accept=True))) == 8
@@ -373,7 +372,7 @@ class TestFramedConnection:
         client.send_message(EXAMPLES[3])
         assert server.recv_message() == EXAMPLES[3]
         assert lc.bytes_by == ls.bytes_by
-        assert lc.bytes_by[(CAT_HANDSHAKE, CLIENT_TO_SERVER)] == 5 + 29
+        assert lc.bytes_by[(CAT_HANDSHAKE, CLIENT_TO_SERVER)] == 5 + 21
         assert lc.bytes_by[(CAT_HANDSHAKE, SERVER_TO_CLIENT)] == 8
         # StartSession: header 4 + tag 1 + session 8 + (count 4 + 3 tokens) + draft_len u32
         # + config (mode u8, temperature f32, seed u64, max_new_tokens u32)

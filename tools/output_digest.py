@@ -1,11 +1,13 @@
-"""Print two SHA-256 digests over the package's outputs at fixed seeds.
+"""Print three SHA-256 digests over the package's outputs at fixed seeds.
 
 The ``values`` digest covers, at several model shapes: binary32
 ``next_logits`` rows of the base, adapted and black-box models at every
 prefix of a few sequences; ``train_neural_lm`` snapshot bytes; ``train_lora``
 factors (binary64) and adapter bytes; ``loss_and_grads`` loss and gradients;
-and the tokens of every generation mode, greedy and stochastic (in-process
-``generate_*`` and every protocol mode, ``prada-sd`` at S = 1 and 8). The
+and the greedy tokens of every generation mode (in-process ``generate_*``
+and every protocol mode, ``prada-sd`` at S = 1 and 8). The ``stochastic``
+digest covers the same modes' stochastic tokens, so a change of the
+stochastic token rule moves it and leaves ``values`` alone. The
 base and black-box models of every shape carry seeded nonzero biases, since
 adding zero hides a reordered bias addition. The ``billing`` digest covers
 each protocol session's billed bytes per ledger category and direction and
@@ -14,7 +16,7 @@ and leaves ``values`` alone. One more case
 runs adapter training at the benchmark's train-adapter size (V = 512,
 context 8, embed 16, hidden 64, rank 8, 32 documents of 64 tokens, batch 8,
 one epoch) and then ``loss_and_grads`` over the whole corpus (2016
-positions: 7 row blocks of ``models.row_blocks`` in the backward pass, 2 in
+positions: 7 row blocks of ``models.row_blocks`` in the backward pass, 1 in
 the forward pass's first layer), so the large-batch path,
 where BLAS runs threaded and the step works block by block, is covered too.
 
@@ -24,12 +26,13 @@ and the transfer mode must each equal ``generate_adapted``, greedy and
 stochastic. A mismatch exits nonzero and names the run.
 
 A refactor that must not change any output runs this before and after, on
-one machine, and compares the last two lines. The digests depend on the numpy
+one machine, and compares the last three lines. The digests depend on the numpy
 and BLAS build, so they are never golden values to commit. They also depend
 on the BLAS thread count, so compare runs under one setting. With numpy
 2.4.6 and OpenBLAS 0.3.31 on 2 vCPUs, ``OPENBLAS_NUM_THREADS=1`` moves only
 the ``train=`` line and the ``shape=257x8x32x128x8`` line, and with them the
-``values`` digest; inference rows and every ``billing`` line stay the same.
+``values`` digest; inference rows and every ``stochastic`` and ``billing``
+line stay the same.
 A training gradient that reduces over one batch of 504 positions (8
 documents of 63), such as a (512x504)@(504x64) product, takes other bits
 with one thread than with two; reductions over 2016 and 16128 positions do
@@ -139,13 +142,13 @@ def with_biases(model: TinyNeuralLM, rng: np.random.Generator) -> TinyNeuralLM:
                         rng.normal(0.0, 0.5, size=model.vocab.size))
 
 
-def shape_digest(index: int, shape: tuple[int, ...]) -> tuple[str, str]:
-    """The ``(values, billing)`` digests of one model shape."""
+def shape_digest(index: int, shape: tuple[int, ...]) -> tuple[str, str, str]:
+    """The ``(values, stochastic, billing)`` digests of one model shape."""
     v, context, embed, hidden, rank = shape
     vocab = Vocab(size=v, eos_id=1, bos_id=2)
     rng = np.random.Generator(np.random.PCG64(100 + index))
     docs = corpus(rng, vocab, 12)
-    h, billing = hashlib.sha256(), hashlib.sha256()
+    h, stochastic, billing = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
 
     trained = train_neural_lm(docs, vocab, context=context, embed_dim=embed,
                               hidden_dim=hidden, epochs=2, batch_size=5, seed=index)
@@ -196,9 +199,10 @@ def shape_digest(index: int, shape: tuple[int, ...]) -> tuple[str, str]:
             billed = (sorted(ledger.bytes_by.items()), ledger.round_count, ledger.tokens_drafted,
                       ledger.tokens_committed, ledger.tokens_dropped, ledger.replacements)
             billing.update(repr(billed).encode())
+        tokens_digest = h if mode == "greedy" else stochastic
         for tokens in runs:
-            h.update(struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens))
-    return h.hexdigest(), billing.hexdigest()
+            tokens_digest.update(struct.pack(f"<I{len(tokens)}I", len(tokens), *tokens))
+    return h.hexdigest(), stochastic.hexdigest(), billing.hexdigest()
 
 
 def train_digest(seed: int) -> str:
@@ -221,18 +225,19 @@ def train_digest(seed: int) -> str:
 
 
 def main() -> None:
-    values, billing = hashlib.sha256(), hashlib.sha256()
+    values, stochastic, billing = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for index, shape in enumerate(SHAPES):
         case = "shape=" + "x".join(map(str, shape))
         digests = run_case(case, shape_digest, index, shape)
-        values.update(bytes.fromhex(digests[0]))
-        billing.update(bytes.fromhex(digests[1]))
-        print(case + " values=%s billing=%s" % digests)
+        for total, digest in zip((values, stochastic, billing), digests):
+            total.update(bytes.fromhex(digest))
+        print(case + " values=%s stochastic=%s billing=%s" % digests)
     case = "train=" + "x".join(map(str, TRAIN_SHAPE + TRAIN_CORPUS))
     digest = run_case(case, train_digest, len(SHAPES))
     values.update(bytes.fromhex(digest))
     print(case + f" values={digest}")
     print(f"values sha256={values.hexdigest()}")
+    print(f"stochastic sha256={stochastic.hexdigest()}")
     print(f"billing sha256={billing.hexdigest()}")
 
 
