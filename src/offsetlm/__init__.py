@@ -29,7 +29,7 @@ from .models import (
     decode_model,
     encode_model,
     fit_bigram,
-    fnv1a64,
+    hash64,
     load_model,
     save_model,
     train_neural_lm,

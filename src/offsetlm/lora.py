@@ -39,7 +39,7 @@ from .models import (
     TinyNeuralLM,
     TrainingDivergedError,
     blocked_matmul,
-    fnv1a64,
+    hash64,
     mlp_forward,
     row_blocks,
     training_positions,
@@ -124,7 +124,7 @@ class LoraAdapter:
         )
 
     def fingerprint(self) -> int:
-        return fnv1a64(encode_adapter(self))
+        return hash64(encode_adapter(self))
 
 
 @dataclass(frozen=True)

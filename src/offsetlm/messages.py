@@ -3,7 +3,9 @@
 These are plain records; their byte layout lives in :mod:`offsetlm.transport`.
 Structural invariants that a decoder can check without session state are
 enforced here in ``__post_init__`` so that a decoded message is always a
-well-formed one. Sampling settings travel as the
+well-formed one; :meth:`DraftBatch.from_rows`, for a round's parts that
+already have the batch's shape, runs only the check they leave open.
+Sampling settings travel as the
 :class:`~offsetlm.core.GenerationConfig` itself, which checks its own ranges.
 Cross-message invariants (commit counts versus the last draft, session ids,
 budgets) belong to :mod:`offsetlm.protocol`.
@@ -17,20 +19,18 @@ import numpy as np
 
 from .core import GenerationConfig
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 FLAVOR_BLACKBOX = 0  # generate from the black-box model alone (api mode)
 FLAVOR_ADAPTED = 1  # offset-adapted generation using the uploaded adapter
 
 
 def _token_tuple(tokens, what: str) -> tuple[int, ...]:
-    out = []
-    for tok in tokens:
-        tok = int(tok)
-        if tok < 0 or tok > 0xFFFFFFFF:
-            raise ValueError(f"{what} contains an invalid token id {tok!r}")
-        out.append(tok)
-    return tuple(out)
+    out = tuple(map(int, tokens))
+    if out and (min(out) < 0 or max(out) > 0xFFFFFFFF):
+        bad = next(tok for tok in out if not 0 <= tok <= 0xFFFFFFFF)
+        raise ValueError(f"{what} contains an invalid token id {bad!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,11 @@ class StartSession:
             raise ValueError(f"draft_len must be in [1, 2**32), got {self.draft_len}")
 
 
+def _check_finite(rows: np.ndarray) -> None:
+    if not np.isfinite(rows).all():
+        raise ValueError("draft logits contain non-finite entries")
+
+
 @dataclass(eq=False)
 class DraftBatch:
     """One server round: drafted tokens and their black-box logit rows.
@@ -102,8 +107,21 @@ class DraftBatch:
             )
         if self.logits.shape[1] < 1:
             raise ValueError("draft logits must have at least one column")
-        if not np.isfinite(self.logits).all():
-            raise ValueError("draft logits contain non-finite entries")
+        _check_finite(self.logits)
+
+    @classmethod
+    def from_rows(cls, session_id: int, tokens: tuple[int, ...], rows: np.ndarray) -> "DraftBatch":
+        """A batch whose parts already have its shape: a tuple of at least one u32 token id and
+        a float32 ``(len(tokens), V)`` block, V at least 1.
+
+        Where a round builds or decodes a batch, its parts come that way, so of
+        the constructor's checks this runs the one they leave open: every logit
+        is finite.
+        """
+        _check_finite(rows)
+        batch = cls.__new__(cls)
+        batch.session_id, batch.tokens, batch.logits = session_id, tokens, rows
+        return batch
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -15,8 +15,8 @@ next-token logits after each of the last ``count`` prefixes of a sequence.
 
 Both are immutable after construction and serialize to the ``PRDM`` snapshot
 format (little-endian, binary32 reals). A model's fingerprint is the 64-bit
-FNV-1a hash of its snapshot bytes, which makes "same parameters" checkable
-across processes with one integer.
+BLAKE2b digest of its snapshot bytes, read little-endian (:func:`hash64`),
+which makes "same parameters" checkable across processes with one integer.
 
 Each model reads a fixed window of trailing tokens (its ``window``), so one
 decoding step costs the same however long the history is. Callers check a
@@ -34,6 +34,7 @@ trainers (binary64, a batch from :func:`training_positions`) all run it.
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from abc import ABC, abstractmethod
 
@@ -45,10 +46,6 @@ PRDM_MAGIC = b"PRDM"
 PRDM_VERSION = 1
 ARCH_BIGRAM = 1
 ARCH_TINY_NEURAL = 2
-
-_FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
-_U64 = (1 << 64) - 1
 
 
 class EmptyCorpusError(ValueError):
@@ -65,13 +62,9 @@ class TrainingDivergedError(ValueError):
     code = "training-diverged"
 
 
-def fnv1a64(data: bytes) -> int:
-    """64-bit FNV-1a over ``data``."""
-    h = _FNV_OFFSET
-    for b in data:
-        h ^= b
-        h = (h * _FNV_PRIME) & _U64
-    return h
+def hash64(data: bytes) -> int:
+    """The 8-byte BLAKE2b digest of ``data`` as a little-endian integer: every fingerprint."""
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "little")
 
 
 def _checked_window(seq: list[int], n: int, vocab: Vocab, count: int) -> list[int]:
@@ -110,12 +103,12 @@ class LogitModel(ABC):
         return encode_model(self)
 
     def fingerprint(self) -> int:
-        """64-bit FNV-1a over the model's snapshot bytes.
+        """:func:`hash64` of the model's snapshot bytes.
 
         Hashed on the first call and memoized: models are immutable.
         """
         if self._fingerprint is None:
-            self._fingerprint = fnv1a64(self.snapshot_bytes())
+            self._fingerprint = hash64(self.snapshot_bytes())
         return self._fingerprint
 
 

@@ -39,6 +39,14 @@ vector of :func:`~offsetlm.core.gumbel_vectors`.
 
 Every loop stops by one rule, :func:`finished`: the budget is spent or the
 sequence ends in eos.
+
+A connection's server side is one loop, :meth:`Server.connection_loop`, a
+generator that yields after each reply it sends, with two drivers.
+:meth:`Server.serve_connection` drains it on a thread of its own, as
+:class:`SocketServer` does for each accepted socket. :func:`connect_in_process`
+steps it on the client's thread over a memory channel pair: a client read
+that finds no reply waiting serves one message first. The frames, their
+checks and their bills are the same over both.
 """
 
 from __future__ import annotations
@@ -79,9 +87,11 @@ from .transport import (
     MAX_RESULT_TOKENS,
     FrameTooLargeError,
     MalformedPayloadError,
+    MemoryChannel,
     SocketChannel,
     max_draft_rows,
-    queue_channel_pair,
+    memory_channel_pair,
+    queue_channel_pair,  # noqa: F401 — bench/tracing.py wraps the socket pairs made through this name
 )
 
 log = logging.getLogger(__name__)
@@ -234,7 +244,7 @@ class ServerSession:
         finally:
             del ctx[start:]
         self.last_draft = tokens
-        return DraftBatch(session_id=self.session_id, tokens=tuple(tokens), logits=rows[: len(tokens)])
+        return DraftBatch.from_rows(self.session_id, tuple(tokens), rows[: len(tokens)])
 
     def apply_commit(self, commit: Commit) -> None:
         """Advance the canonical sequence; speculated suffix is dropped."""
@@ -311,8 +321,8 @@ class Server:
 
     # -- per-connection state machine ---------------------------------------
 
-    def serve_connection(self, conn: FramedConnection) -> None:
-        """Run one connection to completion (blocking), one reply per message.
+    def connection_loop(self, conn: FramedConnection) -> Iterator[None]:
+        """One connection's loop, one reply per message: it yields after each reply it sends.
 
         Until a ``Hello`` is accepted, only a ``Hello`` is served. A bad
         preamble, an undecodable or oversized frame, or a first message that
@@ -322,7 +332,11 @@ class Server:
         too big for a frame, is a fault of this server: it is logged with its
         session id and answered with ``ProtocolError(server-fault, <exception
         type>)``, then a close. A peer that leaves, at any point, ends the loop
-        quietly.
+        quietly. A reply followed by a close is sent before the close and is
+        not followed by a yield.
+
+        :meth:`serve_connection` drains it on a thread of its own;
+        :func:`connect_in_process` runs it a step at a time on the client's thread.
         """
         state = _ConnectionState()
         try:
@@ -333,22 +347,23 @@ class Server:
                     if state.greeted:
                         try:
                             conn.send_message(self._dispatch(msg, state))
-                            continue
                         except ConnectionClosedError:
                             raise
                         except Exception as exc:  # noqa: BLE001 — reported to the peer
                             log.exception("session %s: server fault on %s",
                                           getattr(msg, "session_id", None), type(msg).__name__)
-                            reply = ProtocolError(ERR_SERVER_FAULT, type(exc).__name__)
-                            state.greeted = False  # close after this reply
+                            conn.send_message(ProtocolError(ERR_SERVER_FAULT, type(exc).__name__))
+                            break
                     elif isinstance(msg, Hello):
                         reply = self.check_hello(msg)
-                        state.greeted = reply.accept
+                        conn.send_message(reply)
+                        if not reply.accept:
+                            break
+                        state.greeted = True
                     else:
-                        reply = ProtocolError(ERR_UNSUPPORTED, "expected Hello")
-                    conn.send_message(reply)
-                    if not state.greeted:
+                        conn.send_message(ProtocolError(ERR_UNSUPPORTED, "expected Hello"))
                         break
+                    yield
             except (MalformedPayloadError, FrameTooLargeError) as exc:
                 conn.send_message(ProtocolError(ERR_MALFORMED, str(exc)))
         except ConnectionClosedError:
@@ -356,7 +371,14 @@ class Server:
         finally:
             conn.close()
 
+    def serve_connection(self, conn: FramedConnection) -> None:
+        """Run one connection to completion (blocking): :meth:`connection_loop`, drained."""
+        for _ in self.connection_loop(conn):
+            pass
+
     def _dispatch(self, msg: Message, state: "_ConnectionState") -> Message:
+        if isinstance(msg, Commit):  # the message of every round
+            return self._on_commit(msg, state)
         if isinstance(msg, (StartSession, ServerGenerate)):
             try:
                 check_prompt(msg.prompt, self.vocab)
@@ -366,8 +388,6 @@ class Server:
                 return ProtocolError(ERR_LIMIT_EXCEEDED, f"budget above {MAX_RESULT_TOKENS} tokens")
         if isinstance(msg, StartSession):
             return self._on_start(msg, state)
-        if isinstance(msg, Commit):
-            return self._on_commit(msg, state)
         if isinstance(msg, UploadAdapter):
             return self._on_upload(msg, state)
         if isinstance(msg, ServerGenerate):
@@ -564,10 +584,11 @@ class Client:
         """
         if self.proxy is None:
             raise ValueError("speculative generation needs a base proxy and an adapter")
-        noise = gumbel_vectors(config, self.vocab.size)
+        v, conn, ledger = self.vocab.size, self.conn, self.ledger
+        noise = gumbel_vectors(config, v)
         session_id = next(self._session_ids)
         mirror = list(prompt)
-        self.conn.send_message(StartSession(session_id, tuple(prompt), draft_len, config))
+        conn.send_message(StartSession(session_id, tuple(prompt), draft_len, config))
         while True:
             msg = self._reply(session_id, DraftBatch, GenerationResult)
             if isinstance(msg, GenerationResult):
@@ -575,18 +596,18 @@ class Client:
                 want = mirror[len(prompt):]
                 if got != want:
                     raise OutOfSyncError(f"server result {got} disagrees with client mirror {want}")
-                self.ledger.check_token_flow()
+                ledger.check_token_flow()
                 return got
-            v = self.vocab.size
-            if msg.logits.shape != (len(msg.tokens), v) or max(msg.tokens) >= v:
+            n = len(msg.tokens)
+            if msg.logits.shape != (n, v) or max(msg.tokens) >= v:
                 raise OutOfSyncError(
-                    f"draft of {len(msg.tokens)} tokens up to {max(msg.tokens)} with "
+                    f"draft of {n} tokens up to {max(msg.tokens)} with "
                     f"{msg.logits.shape} logits does not fit vocab size {v}"
                 )
             commit = self._verify(mirror, msg, config, noise, len(prompt))
-            self.ledger.note_draft(len(msg.tokens))
-            self.ledger.note_commit(commit.accept_count, len(msg.tokens), commit.replacement is not None)
-            self.conn.send_message(commit)
+            ledger.note_draft(n)
+            ledger.note_commit(commit.accept_count, n, commit.replacement is not None)
+            conn.send_message(commit)
 
     def _verify(
         self,
@@ -607,26 +628,23 @@ class Client:
         rolled back to its length on entry.
         """
         start = len(mirror)
-        accept, replacement = len(draft.tokens), None
+        tokens, rows = draft.tokens, draft.logits
+        accept, replacement = len(tokens), None
         try:
             # every window the walk can reach: the mirror's tail, then the draft
-            reach = mirror[-self.proxy.window:] + list(draft.tokens[:-1])
-            offsets = self.proxy.offsets(reach, len(draft.tokens))
-            for i, (z_b, d, drafted) in enumerate(zip(draft.logits, offsets, draft.tokens)):
-                tok = adapted_next_token(z_b, d, config, next(noise))
+            reach = mirror[-self.proxy.window:] + list(tokens[:-1])
+            offsets = self.proxy.offsets(reach, len(tokens))
+            for i in range(len(tokens)):
+                tok = adapted_next_token(rows[i], offsets[i], config, next(noise))
                 mirror.append(tok)
-                if tok != drafted:
+                if tok != tokens[i]:
                     accept, replacement = i, tok
                     break
         except BaseException:
             del mirror[start:]
             raise
-        return Commit(
-            session_id=draft.session_id,
-            accept_count=accept,
-            replacement=replacement,
-            done=finished(mirror, prompt_len, config.max_new_tokens, self.vocab.eos_id),
-        )
+        done = finished(mirror, prompt_len, config.max_new_tokens, self.vocab.eos_id)
+        return Commit(draft.session_id, accept, replacement, done)
 
     def run_per_token(self, prompt: list[int], config: GenerationConfig) -> list[int]:
         """One round trip per committed token: the draft-length-1 loop."""
@@ -674,16 +692,55 @@ def serve_channel(server: Server, channel) -> threading.Thread:
     return thread
 
 
+class InlineServer:
+    """The server end of :func:`connect_in_process`: its connection loop, a step at a time.
+
+    ``is_alive`` and ``join`` stand in for those of a service thread.
+    """
+
+    def __init__(self, loop: Iterator[None], channel: MemoryChannel) -> None:
+        self._loop: Iterator[None] | None = loop
+        self._channel = channel
+
+    def step(self) -> bool:
+        """Serve the next message the client has sent; False when the loop has ended or has
+        nothing to read yet."""
+        if self._loop is None or not self._channel.readable():
+            return False
+        try:
+            next(self._loop)
+        except StopIteration:
+            self._loop = None  # frees the loop's connection and session
+        return True
+
+    def is_alive(self) -> bool:
+        return self._loop is not None
+
+    def join(self, timeout: float | None = None) -> None:
+        """Serve every message already sent; once the client has closed, run the loop to its end.
+
+        Nothing runs elsewhere, so ``timeout`` has nothing to wait for.
+        """
+        while self.step():
+            pass
+
+
 def connect_in_process(
     server: Server, ledger: CostLedger | None = None
-) -> tuple[FramedConnection, threading.Thread]:
-    """In-process socket pair with the server end running on a thread.
+) -> tuple[FramedConnection, InlineServer]:
+    """A connection to ``server`` whose server end runs inline, on the caller's thread.
 
-    ``ledger`` bills the client end; the server end keeps its own.
+    The ends share a :func:`~offsetlm.transport.memory_channel_pair`. A client
+    read that finds too few bytes runs :meth:`Server.connection_loop` up to its
+    next reply, so no thread, socket or wait sits between the two sides; every
+    frame is still encoded, decoded and billed as over a socket. ``ledger``
+    bills the client end; the server end keeps its own. The handle's ``join``
+    runs the server to its end once the client has closed.
     """
-    client_end, server_end = queue_channel_pair()
-    thread = serve_channel(server, server_end)
-    return FramedConnection(client_end, side="client", ledger=ledger), thread
+    client_end, server_end = memory_channel_pair()
+    handle = InlineServer(server.connection_loop(FramedConnection(server_end, side="server")), server_end)
+    client_end.pump = handle.step
+    return FramedConnection(client_end, side="client", ledger=ledger), handle
 
 
 class SocketServer:

@@ -12,7 +12,10 @@ Wire conventions (little-endian throughout):
 
 Decoding is strict: truncation, unknown tags, non-UTF-8 text, and invariant
 violations all raise :class:`MalformedPayloadError` carrying the byte offset
-of the failure — a decoded message is always well-formed.
+of the failure — a decoded message is always well-formed. ``DraftBatch`` and
+``Commit``, the two messages of every round, are also written and read by a
+direct codec that resolves their layouts once; any payload it does not read
+whole goes to the field-by-field reader, which reports the error.
 
 The :class:`CostLedger` attributes every frame (header included) to a
 category — ``data_transfer`` for prompt shipping, ``model_transfer`` for
@@ -47,6 +50,7 @@ from .messages import (
 )
 
 FRAME_HEADER_LEN = 4
+_FRAME_HEADER = struct.Struct("<I")  # the payload length
 MAX_PAYLOAD_LEN = 64 * 1024 * 1024
 
 PREAMBLE_MAGIC = b"PRDA"
@@ -183,8 +187,8 @@ _BY_TAG = {layout.tag: (cls, [(name, FIELD_KINDS[kind].read) for name, kind in l
            for cls, layout in MESSAGE_LAYOUTS.items()}
 
 
-def encode_message(msg: Message) -> bytes:
-    """Serialize one message to its tagged payload bytes."""
+def _encode_fields(msg: Message) -> bytes:
+    """The payload of ``msg``, written field by field from its layout."""
     writer = _WRITERS.get(type(msg))
     if writer is None:
         raise TypeError(f"cannot encode object of type {type(msg).__name__}")
@@ -192,8 +196,8 @@ def encode_message(msg: Message) -> bytes:
     return b"".join([tag] + [write(getattr(msg, name)) for name, write in fields])
 
 
-def decode_message(data: bytes) -> Message:
-    """Parse payload bytes back into a message, validating as it goes."""
+def _decode_fields(data: bytes) -> Message:
+    """The message in ``data``, read field by field from its layout, with every error's offset."""
     r = ByteReader(data, MalformedPayloadError)
     if len(data) == 0:
         raise r.fail("empty payload")
@@ -214,6 +218,74 @@ def decode_message(data: bytes) -> Message:
         raise r.fail(f"message invariant violated: {exc}") from exc
     r.finish()
     return msg
+
+
+# The two messages of every draft round also have a direct codec: their
+# layouts above, resolved into one struct call per part. A direct decoder
+# returns None for a payload it does not parse whole, and the field reader
+# then decides, so every error and its offset come from _decode_fields.
+_DRAFT_TAG, _COMMIT_TAG = MESSAGE_LAYOUTS[DraftBatch].tag, MESSAGE_LAYOUTS[Commit].tag
+_DRAFT_HEAD = struct.Struct("<BQH")  # tag, session id, token count
+_COMMIT_HEAD = struct.Struct("<BQIB")  # tag, session id, accept count, replacement flag
+_COMMIT_TAIL = (struct.Struct("<B"), struct.Struct("<IB"))  # by that flag: (done), (replacement, done)
+_ROW_DTYPE = np.dtype("<f4")
+
+
+def _encode_draft(msg: DraftBatch) -> bytes:
+    n = len(msg.tokens)
+    return b"".join((_DRAFT_HEAD.pack(_DRAFT_TAG, msg.session_id, n), struct.pack(f"<{n}I", *msg.tokens),
+                     np.asarray(msg.logits, dtype=_ROW_DTYPE).tobytes()))
+
+
+def _decode_draft(data: bytes) -> DraftBatch | None:
+    if len(data) < _DRAFT_HEAD.size:
+        return None
+    _, session_id, n = _DRAFT_HEAD.unpack_from(data)
+    at = _DRAFT_HEAD.size + 4 * n
+    width, left = divmod(len(data) - at, 4 * n) if n else (0, 0)
+    if width < 1 or left:
+        return None
+    rows = np.ndarray((n, width), _ROW_DTYPE, data[at:])  # the slice copies, so the rows are aligned
+    try:
+        return DraftBatch.from_rows(session_id, struct.unpack_from(f"<{n}I", data, _DRAFT_HEAD.size), rows)
+    except ValueError:
+        return None
+
+
+def _encode_commit(msg: Commit) -> bytes:
+    head = _COMMIT_HEAD.pack(_COMMIT_TAG, msg.session_id, msg.accept_count, msg.replacement is not None)
+    if msg.replacement is None:
+        return head + _COMMIT_TAIL[0].pack(bool(msg.done))
+    return head + _COMMIT_TAIL[1].pack(msg.replacement, bool(msg.done))
+
+
+def _decode_commit(data: bytes) -> Commit | None:
+    if len(data) < _COMMIT_HEAD.size:
+        return None
+    _, session_id, accept_count, present = _COMMIT_HEAD.unpack_from(data)
+    if present > 1 or len(data) != _COMMIT_HEAD.size + _COMMIT_TAIL[present].size:
+        return None
+    *replacement, done = _COMMIT_TAIL[present].unpack_from(data, _COMMIT_HEAD.size)
+    if done > 1:
+        return None
+    return Commit(session_id, accept_count, replacement[0] if present else None, done == 1)
+
+
+_DIRECT_ENCODERS = {DraftBatch: _encode_draft, Commit: _encode_commit}
+_DIRECT_DECODERS = {_DRAFT_TAG: _decode_draft, _COMMIT_TAG: _decode_commit}
+
+
+def encode_message(msg: Message) -> bytes:
+    """Serialize one message to its tagged payload bytes."""
+    direct = _DIRECT_ENCODERS.get(type(msg))
+    return _encode_fields(msg) if direct is None else direct(msg)
+
+
+def decode_message(data: bytes) -> Message:
+    """Parse payload bytes back into a message, validating as it goes."""
+    direct = _DIRECT_DECODERS.get(data[0]) if data else None
+    msg = None if direct is None else direct(data)
+    return _decode_fields(data) if msg is None else msg
 
 
 # a one-row, one-logit batch minus its row: the tag, session id and u16 count
@@ -242,8 +314,9 @@ def max_draft_rows(vocab_size: int) -> int:
 class ByteChannel(ABC):
     """A reliable ordered byte stream with exact-read semantics.
 
-    :class:`SocketChannel` is the one implementation, over a TCP socket or
-    one end of an in-process socket pair (:func:`queue_channel_pair`).
+    :class:`SocketChannel` runs over a TCP socket or one end of an in-process
+    socket pair (:func:`queue_channel_pair`); :class:`MemoryChannel` over
+    buffers whose two ends take turns on one thread (:func:`memory_channel_pair`).
     """
 
     @abstractmethod
@@ -308,6 +381,64 @@ def queue_channel_pair(timeout: float = 30.0) -> tuple[SocketChannel, SocketChan
     return SocketChannel(ends[0]), SocketChannel(ends[1])
 
 
+class _Link:
+    """What the two ends of a memory channel pair share: whether either end has closed."""
+
+    __slots__ = ("closed",)
+
+    def __init__(self) -> None:
+        self.closed = False
+
+
+class MemoryChannel(ByteChannel):
+    """One end of :func:`memory_channel_pair`: a send appends to the peer's buffer.
+
+    The ends take turns on one thread. A read that finds too few bytes calls
+    ``pump()``, which runs the peer a step and returns False when the peer
+    has nothing to do; the read then raises :class:`ConnectionClosedError`.
+    So does a read past the bytes sent before either end closed, and any
+    send after a close.
+    """
+
+    def __init__(self, inbound: bytearray, outbound: bytearray, link: _Link) -> None:
+        self._in = inbound
+        self._out = outbound
+        self._link = link
+        self.pump: Callable[[], bool] | None = None
+
+    def readable(self) -> bool:
+        """Whether a read can make progress: bytes are waiting, or the pair has closed."""
+        return bool(self._in) or self._link.closed
+
+    def send(self, data: bytes) -> None:
+        if self._link.closed:
+            raise ConnectionClosedError("memory channel closed")
+        self._out += data
+
+    def recv_exact(self, n: int) -> bytes:
+        buf = self._in
+        while len(buf) < n:
+            if self._link.closed or self.pump is None or not self.pump():
+                raise ConnectionClosedError(
+                    "memory channel closed" if self._link.closed else "peer has nothing to send")
+        data = bytes(memoryview(buf)[:n])  # one copy; the view is gone before the buffer shrinks
+        del buf[:n]
+        return data
+
+    def close(self) -> None:
+        self._link.closed = True
+
+
+def memory_channel_pair() -> tuple[MemoryChannel, MemoryChannel]:
+    """Two connected :class:`MemoryChannel` ends, with no ``pump`` yet.
+
+    Nothing links one end to the other but their buffers, so dropping both
+    ends frees the pair without the cycle collector.
+    """
+    a_to_b, b_to_a, link = bytearray(), bytearray(), _Link()
+    return MemoryChannel(b_to_a, a_to_b, link), MemoryChannel(a_to_b, b_to_a, link)
+
+
 # ---------------------------------------------------------------------------
 # Cost accounting
 # ---------------------------------------------------------------------------
@@ -324,14 +455,22 @@ class CostLedger:
     tokens_dropped: int = 0
     replacements: int = 0
 
-    def record_frame(self, category: str, direction: str, nbytes: int) -> None:
+    @staticmethod
+    def key(category: str, direction: str) -> tuple[str, str]:
+        """The ``bytes_by`` key of a category and a direction, which must be known labels."""
         if category not in CATEGORIES:
             raise ValueError(f"unknown ledger category {category!r}")
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown ledger direction {direction!r}")
+        return category, direction
+
+    def record_frame(self, category: str, direction: str, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError("byte count must be non-negative")
-        key = (category, direction)
+        self.add_bytes(self.key(category, direction), nbytes)
+
+    def add_bytes(self, key: tuple[str, str], nbytes: int) -> None:
+        """Bill ``nbytes`` (not negative) to ``key``, a :meth:`key` checked beforehand."""
         self.bytes_by[key] = self.bytes_by.get(key, 0) + nbytes
 
     def bytes_total(self, category: str, direction: str | None = None) -> int:
@@ -405,11 +544,16 @@ class FramedConnection:
         self.channel = channel
         self.side = side
         self.ledger = ledger if ledger is not None else CostLedger()
-        self._sent, self._received = DIRECTIONS if side == "client" else DIRECTIONS[::-1]
+        sent, received = DIRECTIONS if side == "client" else DIRECTIONS[::-1]
+        # every ledger key this connection bills, by message class, checked once here
+        self._sent = {cls: CostLedger.key(layout.category, sent) for cls, layout in MESSAGE_LAYOUTS.items()}
+        self._received = {cls: CostLedger.key(layout.category, received)
+                          for cls, layout in MESSAGE_LAYOUTS.items()}
+        self._preamble_keys = CostLedger.key(CAT_HANDSHAKE, sent), CostLedger.key(CAT_HANDSHAKE, received)
 
     def send_preamble(self) -> None:
         self.channel.send(PREAMBLE)
-        self.ledger.record_frame(CAT_HANDSHAKE, self._sent, len(PREAMBLE))
+        self.ledger.add_bytes(self._preamble_keys[0], len(PREAMBLE))
 
     def expect_preamble(self) -> None:
         raw = self.channel.recv_exact(len(PREAMBLE))
@@ -417,26 +561,24 @@ class FramedConnection:
             raise MalformedPayloadError(f"bad connection magic {raw[:4]!r}", 0)
         if raw[4] != PREAMBLE_VERSION:
             raise MalformedPayloadError(f"unsupported protocol version {raw[4]}", 4)
-        self.ledger.record_frame(CAT_HANDSHAKE, self._received, len(PREAMBLE))
+        self.ledger.add_bytes(self._preamble_keys[1], len(PREAMBLE))
 
     def send_message(self, msg: Message) -> None:
         payload = encode_message(msg)
-        if len(payload) > MAX_PAYLOAD_LEN:
-            raise FrameTooLargeError(
-                f"payload of {len(payload)} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap"
-            )
-        self.channel.send(struct.pack("<I", len(payload)) + payload)
-        self.ledger.record_frame(classify_message(msg), self._sent, FRAME_HEADER_LEN + len(payload))
+        size = len(payload)
+        if size > MAX_PAYLOAD_LEN:
+            raise FrameTooLargeError(f"payload of {size} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap")
+        self.channel.send(_FRAME_HEADER.pack(size) + payload)
+        self.ledger.add_bytes(self._sent[type(msg)], FRAME_HEADER_LEN + size)
 
     def recv_message(self) -> Message:
-        (length,) = struct.unpack("<I", self.channel.recv_exact(4))
+        (length,) = _FRAME_HEADER.unpack(self.channel.recv_exact(FRAME_HEADER_LEN))
         if length > MAX_PAYLOAD_LEN:
             raise FrameTooLargeError(
                 f"incoming frame of {length} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap"
             )
-        payload = self.channel.recv_exact(length)
-        msg = decode_message(payload)
-        self.ledger.record_frame(classify_message(msg), self._received, FRAME_HEADER_LEN + length)
+        msg = decode_message(self.channel.recv_exact(length))
+        self.ledger.add_bytes(self._received[type(msg)], FRAME_HEADER_LEN + length)
         return msg
 
     def close(self) -> None:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -77,9 +78,11 @@ from offsetlm.transport import (
     CAT_MODEL,
     CLIENT_TO_SERVER,
     SERVER_TO_CLIENT,
+    FramedConnection,
     MalformedPayloadError,
     decode_message,
     encode_message,
+    queue_channel_pair,
 )
 
 
@@ -811,45 +814,68 @@ def test_criterion_8_wire_robustness(world):
 # ---------------------------------------------------------------------------
 
 
+TRANSPORT_MODES = {
+    "api": lambda c, prompt, config: c.run_api(prompt, config),
+    "prada": lambda c, prompt, config: c.run_per_token(prompt, config),
+    "prada-sd-1": lambda c, prompt, config: c.run_speculative(prompt, config, draft_len=1),
+    "prada-sd-8": lambda c, prompt, config: c.run_speculative(prompt, config, draft_len=8),
+    "prada-transfer": lambda c, prompt, config: c.run_transfer(prompt, config),
+}
+
+
 def test_criterion_9_transport_determinism(world):
+    """Every mode, greedy and stochastic, over the inline in-process connection, the
+    connection loop served on a thread over a socket pair, and TCP: the same tokens and
+    the same bill, field for field."""
     with verdict(9, "transport-determinism", 10.0):
+        configs = (GenerationConfig(max_new_tokens=24, mode="greedy"),
+                   GenerationConfig(max_new_tokens=20, mode="stochastic", temperature=1.0, seed=5))
+
         def scripted_session(connect):
             ledger = CostLedger()
-            conn = connect(ledger)
+            conn, finish = connect(ledger)
             client = Client(conn, world.vocab, base_proxy=world.base, adapter=world.mild)
             client.handshake()
-            outputs = (
-                client.run_speculative(
-                    [3, 4], GenerationConfig(max_new_tokens=32, mode="greedy"),
-                    draft_len=4,
-                ),
-                client.run_per_token(
-                    [5], GenerationConfig(max_new_tokens=16, mode="stochastic",
-                                          temperature=1.0, seed=5)
-                ),
-                client.run_transfer(
-                    [3], GenerationConfig(max_new_tokens=24, mode="greedy")
-                ),
-            )
+            outputs = [run(client, [3, 4], config) for run in TRANSPORT_MODES.values() for config in configs]
             conn.close()
+            finish()
             return outputs, ledger
 
-        def in_process(ledger):
-            server = Server(world.blackbox, base_proxy=world.base)
-            conn, _ = connect_in_process(server, ledger)
-            return conn
+        def server():
+            return Server(world.blackbox, base_proxy=world.base)
 
-        via_queue, queue_ledger = scripted_session(in_process)
+        def inline(ledger):
+            threads = threading.active_count()
+            conn, handle = connect_in_process(server(), ledger)
+            assert threading.active_count() == threads  # the server runs on this thread
 
-        with SocketServer(Server(world.blackbox, base_proxy=world.base)) as sock_server:
+            def finish():
+                handle.join()
+                assert not handle.is_alive()
+            return conn, finish
+
+        def served_socket_pair(ledger):
+            client_end, server_end = queue_channel_pair(timeout=5.0)
+            thread = threading.Thread(target=server().serve_connection,
+                                      args=(FramedConnection(server_end, side="server"),))
+            thread.start()
+
+            def finish():
+                thread.join(timeout=10)
+                assert not thread.is_alive()
+            return FramedConnection(client_end, side="client", ledger=ledger), finish
+
+        results = {"inline": scripted_session(inline),
+                   "socket-pair": scripted_session(served_socket_pair)}
+        with SocketServer(server()) as sock_server:
             host, port = sock_server.address
+            results["tcp"] = scripted_session(lambda ledger: (connect_socket(host, port, ledger),
+                                                              lambda: None))
 
-            def over_socket(ledger):
-                return connect_socket(host, port, ledger)
-
-            via_socket, socket_ledger = scripted_session(over_socket)
-
-        assert via_socket == via_queue
-        assert socket_ledger.bytes_by == queue_ledger.bytes_by
-        assert socket_ledger.round_count == queue_ledger.round_count
-        assert socket_ledger.tokens_committed == queue_ledger.tokens_committed
+        outputs, ledger = results["inline"]
+        for config, got in zip(configs * len(TRANSPORT_MODES), outputs):
+            assert len(got) == config.max_new_tokens
+        assert ledger.round_count > 0 and ledger.bytes_total(CAT_INFERENCE) > 0
+        for name in ("socket-pair", "tcp"):
+            assert results[name][0] == outputs, name
+            assert results[name][1] == ledger, name  # every CostLedger field

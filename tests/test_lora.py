@@ -43,7 +43,7 @@ from offsetlm.models import (
     ROW_BLOCK,
     SMALL_GEMM,
     VocabMismatchError,
-    fnv1a64,
+    hash64,
     mlp_forward,
     row_blocks,
     training_positions,
@@ -801,4 +801,4 @@ class TestAdapterBytes:
             t.b = t.b - 0.1 * grads[t.name]["b"]
             t.a = t.a - 0.1 * grads[t.name]["a"]
         assert adapter.fingerprint() != before
-        assert adapter.fingerprint() == fnv1a64(encode_adapter(adapter))
+        assert adapter.fingerprint() == hash64(encode_adapter(adapter))

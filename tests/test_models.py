@@ -28,7 +28,7 @@ from offsetlm.models import (
     VocabMismatchError,
     decode_model,
     encode_model,
-    fnv1a64,
+    hash64,
     training_positions,
 )
 
@@ -326,11 +326,12 @@ class TestSnapshotFormat:
 
 
 class TestFingerprint:
-    def test_fnv1a64_known_vectors(self):
-        # reference values for the 64-bit FNV-1a parameters
-        assert fnv1a64(b"") == 0xCBF29CE484222325
-        assert fnv1a64(b"a") == 0xAF63DC4C8601EC8C
-        assert fnv1a64(b"foobar") == 0x85944171F73967E8
+    def test_hash64_known_vectors(self):
+        # BLAKE2b with an 8-byte digest, read little-endian: b"" digests to e4a6a0577479b2b4
+        assert hash64(b"") == 0xB4B2797457A0A6E4
+        assert hash64(b"a") == 0x2F42665B399EF840
+        assert hash64(b"foobar") == 0xF9514A257F2F219D
+        assert hash64(b"abc") == 0x5995D533D814BBD8
 
     def test_stable_across_reload(self, neural, tmp_path):
         path = tmp_path / "m.prdm"
@@ -480,13 +481,13 @@ class TestFingerprintMemo:
 
         def counting(data):
             calls.append(len(data))
-            return fnv1a64(data)
+            return hash64(data)
 
-        monkeypatch.setattr(models, "fnv1a64", counting)
+        monkeypatch.setattr(models, "hash64", counting)
         return calls
 
     def test_equals_the_snapshot_hash_on_every_call(self, neural, hash_calls):
-        want = fnv1a64(neural.snapshot_bytes())
+        want = hash64(neural.snapshot_bytes())
         assert [neural.fingerprint() for _ in range(3)] == [want] * 3
         assert len(hash_calls) == 1
         assert decode_model(encode_model(neural)).fingerprint() == want
@@ -497,5 +498,5 @@ class TestFingerprintMemo:
         clone = load_model(path)
         assert hash_calls == []
         assert clone.fingerprint() == neural.fingerprint()
-        assert clone.fingerprint() == fnv1a64(encode_model(clone))
+        assert clone.fingerprint() == hash64(encode_model(clone))
         assert len(hash_calls) == 2  # once per model, not once per call

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import struct
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -998,16 +1000,34 @@ _requests = st.one_of(
 )
 
 
-class TestConnectionLoop:
-    """One receive loop per connection: every refusal is a reply, a leaving peer ends it quietly."""
+def serve_on_thread(server: Server) -> tuple[FramedConnection, threading.Thread]:
+    """``server.serve_connection`` on a thread over a socket pair; the thread fails the test
+    if the loop raises."""
+    client_end, server_end = queue_channel_pair(timeout=5.0)
+    thread = threading.Thread(target=server.serve_connection,
+                              args=(FramedConnection(server_end, side="server"),), daemon=True)
+    thread.start()
+    return FramedConnection(client_end, side="client"), thread
 
+
+# the two drivers of Server.connection_loop
+DRIVERS = {"inline": connect_in_process, "thread": serve_on_thread}
+
+
+class TestConnectionLoop:
+    """One receive loop per connection: every refusal is a reply, a leaving peer ends it quietly.
+
+    Its first and last tests run the loop through both drivers.
+    """
+
+    @pytest.mark.parametrize("driver", DRIVERS)
     @pytest.mark.parametrize(
         "opening",
         [PREAMBLE + struct.pack("<I", 3) + b"\xff\xff\xff", b"XXXX\x01", b"PRDA\x09"],
         ids=["malformed-first-frame", "bad-magic", "bad-version"],
     )
-    def test_bad_opening_gets_error_then_close(self, vocab, world, opening):
-        conn, thread = connect_in_process(Server(world[0]))
+    def test_bad_opening_gets_error_then_close(self, vocab, world, opening, driver):
+        conn, thread = DRIVERS[driver](Server(world[0]))
         conn.channel.send(opening)
         reply = conn.recv_message()
         assert isinstance(reply, ProtocolError) and reply.code == ERR_MALFORMED
@@ -1066,28 +1086,27 @@ class TestConnectionLoop:
         assert isinstance(result, GenerationResult) and result.tokens == draft.tokens
         conn.close()
 
+    @pytest.mark.parametrize("driver", DRIVERS)
     @settings(max_examples=50, deadline=None)
     @given(
         greet=st.booleans(),
         more=st.lists(_hellos | _requests, min_size=1, max_size=5),
         fault_after=st.none() | st.integers(0, 4),
     )
-    def test_every_message_gets_exactly_one_reply(self, greet, more, fault_after):
+    def test_every_message_gets_exactly_one_reply(self, driver, greet, more, fault_after):
         # with fault_after = k, the black box raises from its (k + 1)-th forward on
         blackbox = SEQ_BLACKBOX if fault_after is None else FailingModel(SEQ_BLACKBOX, fault_after)
-        server = Server(blackbox, SEQ_BASE)
-        client_end, server_end = queue_channel_pair(timeout=5.0)
         errors = []
 
-        def serve() -> None:
-            try:
-                server.serve_connection(FramedConnection(server_end, side="server"))
-            except Exception as exc:  # surfaced below
-                errors.append(exc)
+        class Recorded(Server):  # a loop that raises fails the test on either driver
+            def connection_loop(self, conn):
+                try:
+                    yield from super().connection_loop(conn)
+                except Exception as exc:  # surfaced below
+                    errors.append(exc)
 
-        thread = threading.Thread(target=serve, daemon=True)
-        thread.start()
-        conn = FramedConnection(client_end, side="client")
+        server = Recorded(blackbox, SEQ_BASE)
+        conn, thread = DRIVERS[driver](server)
         conn.send_preamble()
         sent = [hello_for(V8), *more] if greet else more
         # anything but an accepted Hello first is refused, and the server then closes
@@ -1110,6 +1129,80 @@ class TestConnectionLoop:
         thread.join(timeout=5)
         assert not thread.is_alive()
         assert errors == []
+        conn.close()
+
+
+class TestInlineConnection:
+    """``connect_in_process`` runs the server loop on the client's thread, a message per read."""
+
+    def test_no_reference_cycle_links_the_two_ends(self, vocab, world):
+        refs = []
+
+        class Watched(Server):
+            def connection_loop(self, conn):
+                refs.append(weakref.ref(conn))
+                return super().connection_loop(conn)
+
+            def _on_start(self, msg, state):
+                reply = super()._on_start(msg, state)
+                refs.append(weakref.ref(state.session))
+                return reply
+
+        gc.disable()
+        try:
+            conn, handle = connect_in_process(Watched(world[0]))
+            Client(conn, vocab).handshake()
+            conn.send_message(StartSession(session_id=1, prompt=(3,), draft_len=2,
+                                           config=GenerationConfig(max_new_tokens=6)))
+            assert isinstance(conn.recv_message(), DraftBatch)  # the session is live
+            assert len(refs) == 2 and all(ref() is not None for ref in refs)
+            conn.close()
+            handle.join()
+            assert not handle.is_alive()
+            # freed by reference counts alone: the server-side connection and session
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
+
+    def test_join_serves_what_was_sent_and_ends_the_loop_once_the_client_closes(self, vocab, world):
+        conn, handle = connect_in_process(Server(world[0]))
+        Client(conn, vocab).handshake()
+        handle.join()
+        assert handle.is_alive()  # the client is still open, with nothing sent
+        conn.send_message(ServerGenerate(session_id=1, prompt=(3,), flavor=FLAVOR_BLACKBOX,
+                                         config=GenerationConfig(max_new_tokens=4)))
+        handle.join()  # serves the request; its reply waits for the client
+        assert handle.is_alive()
+        reply = conn.recv_message()
+        assert isinstance(reply, GenerationResult)
+        assert list(reply.tokens) == generate_blackbox(world[0], [3], GenerationConfig(max_new_tokens=4))
+        conn.close()
+        handle.join()
+        assert not handle.is_alive()
+
+    def test_a_read_with_nothing_sent_raises_and_the_connection_goes_on(self, vocab, world):
+        conn, handle = connect_in_process(Server(world[0]))
+        client = Client(conn, vocab)
+        client.handshake()
+        with pytest.raises(ConnectionClosedError, match="nothing to send"):
+            conn.recv_message()
+        assert handle.is_alive()
+        assert client.run_api([3], GREEDY_CFG) == generate_blackbox(world[0], [3], GREEDY_CFG)
+        conn.close()
+        handle.join()
+        assert not handle.is_alive()
+
+    def test_a_refused_hello_is_read_before_the_close(self, vocab, world):
+        conn, handle = connect_in_process(Server(world[0]))
+        conn.send_preamble()
+        conn.send_message(hello_for(vocab, size=vocab.size + 1))
+        ack = conn.recv_message()
+        assert isinstance(ack, HelloAck) and not ack.accept
+        assert not handle.is_alive()  # the loop ended with the reply
+        with pytest.raises(ConnectionClosedError):
+            conn.recv_message()
+        with pytest.raises(ConnectionClosedError):
+            conn.send_message(hello_for(vocab))
         conn.close()
 
 

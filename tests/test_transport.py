@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetlm import CostLedger, FramedConnection, GenerationConfig, decode_message, encode_message
+from offsetlm import CostLedger, FramedConnection, GenerationConfig, decode_message, encode_message, transport
 from offsetlm.messages import (
     Commit,
     DraftBatch,
@@ -41,6 +41,7 @@ from offsetlm.transport import (
     latency_report,
     ledger_report,
     max_draft_rows,
+    memory_channel_pair,
     queue_channel_pair,
 )
 
@@ -297,6 +298,43 @@ class TestStrictDecoding:
             pass
 
 
+def _outcome(decode, data: bytes):
+    """A decoder's message, or its error's type, text and offset."""
+    try:
+        return decode(data)
+    except MalformedPayloadError as exc:
+        return type(exc), str(exc), exc.offset
+
+
+class TestDirectCodec:
+    """DraftBatch and Commit, the two messages of every round, also have a direct codec;
+    it writes and reads exactly what the field-by-field codec does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(draft_msgs, commit_msgs))
+    def test_direct_encoders_write_the_layout(self, msg):
+        assert transport._DIRECT_ENCODERS[type(msg)](msg) == transport._encode_fields(msg)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(draft_msgs, commit_msgs), st.integers(0, 2**16), st.integers(0, 255),
+           st.integers(-4, 3))
+    def test_decoding_agrees_with_the_field_reader(self, msg, pos, value, resize):
+        """A corrupted byte, then a cut or extra bytes: the same message or the same error."""
+        data = bytearray(encode_message(msg))
+        data[pos % len(data)] = value
+        data = bytes(data[:len(data) + resize] if resize < 0 else data + b"\x00" * resize)
+        assert _outcome(decode_message, data) == _outcome(transport._decode_fields, data)
+
+    @pytest.mark.parametrize("row", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, -np.inf]],
+                             ids=["inf", "nan", "all-minus-inf"])
+    def test_a_non_finite_row_is_refused_with_the_field_readers_offset(self, row):
+        payload = encode_message(draft_batch(n=1, vocab=2))[:-8] + np.asarray(row, "<f4").tobytes()
+        with pytest.raises(MalformedPayloadError, match="non-finite") as err:
+            decode_message(payload)
+        assert err.value.offset == len(payload)
+        assert _outcome(decode_message, payload) == _outcome(transport._decode_fields, payload)
+
+
 class TestChannels:
     def test_queue_pair_reassembles_split_reads(self):
         a, b = queue_channel_pair()
@@ -329,6 +367,44 @@ class TestChannels:
         with pytest.raises(ConnectionClosedError):
             a.send(b"x")
         b.close()
+
+    def test_memory_pair_reassembles_split_reads(self):
+        a, b = memory_channel_pair()
+        a.send(b"hel")
+        a.send(b"lo!")
+        assert b.recv_exact(2) == b"he"
+        assert b.recv_exact(4) == b"llo!"
+        b.send(b"ok")
+        assert a.recv_exact(2) == b"ok"
+
+    def test_memory_close_lets_the_peer_read_what_was_sent_first(self):
+        a, b = memory_channel_pair()
+        a.send(b"x")
+        a.close()
+        assert b.recv_exact(1) == b"x"
+        with pytest.raises(ConnectionClosedError):
+            b.recv_exact(1)
+        for end in (a, b):
+            with pytest.raises(ConnectionClosedError):
+                end.send(b"y")
+
+    def test_memory_short_read_pumps_the_peer_until_it_has_nothing_to_do(self):
+        a, b = memory_channel_pair()
+        steps = iter([b"ab", b"cd"])
+
+        def pump() -> bool:
+            chunk = next(steps, None)
+            if chunk is not None:
+                b.send(chunk)
+            return chunk is not None
+
+        a.pump = pump
+        assert a.recv_exact(3) == b"abc"
+        assert a.recv_exact(1) == b"d"
+        with pytest.raises(ConnectionClosedError, match="nothing to send"):
+            a.recv_exact(1)
+        with pytest.raises(ConnectionClosedError):
+            b.recv_exact(1)  # no pump: nothing runs the peer
 
     def test_socket_pair_round_trip(self):
         left, right = socket.socketpair()
