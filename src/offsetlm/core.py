@@ -26,7 +26,7 @@ import numpy as np
 
 GREEDY = "greedy"
 STOCHASTIC = "stochastic"
-_U16, _U32, _U64, _F32 = (struct.Struct(fmt) for fmt in ("<H", "<I", "<Q", "<f"))  # for ByteReader
+_U16, _U32, _F32 = (struct.Struct(fmt) for fmt in ("<H", "<I", "<f"))  # for ByteReader
 
 
 @dataclass(frozen=True)
@@ -238,9 +238,6 @@ class ByteReader:
     def u32(self) -> int:
         return _U32.unpack(self.take(4))[0]
 
-    def u64(self) -> int:
-        return _U64.unpack(self.take(8))[0]
-
     def f32(self) -> float:
         return _F32.unpack(self.take(4))[0]
 
@@ -248,26 +245,6 @@ class ByteReader:
         """A read-only view of ``shape`` items of ``dtype``."""
         n = np.dtype(dtype).itemsize * math.prod(shape)
         return np.frombuffer(self.take(n), dtype=dtype).reshape(shape)
-
-    def flag(self) -> bool:
-        b = self.u8()
-        if b not in (0, 1):
-            raise self.fail(f"flag byte must be 0 or 1, got {b}", self.pos - 1)
-        return bool(b)
-
-    def tokens(self) -> list[int]:
-        """A u32 count, then that many u32 token ids."""
-        n = self.u32()
-        return list(struct.unpack(f"<{n}I", self.take(4 * n)))
-
-    def text(self) -> str:
-        """A u16 byte length, then that many bytes of UTF-8."""
-        n = self.u16()
-        raw = self.take(n)
-        try:
-            return raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise self.fail(f"invalid UTF-8 text: {exc}", self.pos - n) from exc
 
     def finish(self) -> None:
         if self.pos != len(self.data):

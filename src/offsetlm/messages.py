@@ -110,7 +110,7 @@ class DraftBatch:
         _check_finite(self.logits)
 
     @classmethod
-    def from_rows(cls, session_id: int, tokens: tuple[int, ...], rows: np.ndarray) -> "DraftBatch":
+    def from_rows(cls, session_id: int, tokens: tuple[int, ...], logits: np.ndarray) -> "DraftBatch":
         """A batch whose parts already have its shape: a tuple of at least one u32 token id and
         a float32 ``(len(tokens), V)`` block, V at least 1.
 
@@ -118,9 +118,9 @@ class DraftBatch:
         the constructor's checks this runs the one they leave open: every logit
         is finite.
         """
-        _check_finite(rows)
+        _check_finite(logits)
         batch = cls.__new__(cls)
-        batch.session_id, batch.tokens, batch.logits = session_id, tokens, rows
+        batch.session_id, batch.tokens, batch.logits = session_id, tokens, logits
         return batch
 
     def __eq__(self, other: object) -> bool:

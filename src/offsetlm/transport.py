@@ -12,10 +12,7 @@ Wire conventions (little-endian throughout):
 
 Decoding is strict: truncation, unknown tags, non-UTF-8 text, and invariant
 violations all raise :class:`MalformedPayloadError` carrying the byte offset
-of the failure — a decoded message is always well-formed. ``DraftBatch`` and
-``Commit``, the two messages of every round, are also written and read by a
-direct codec that resolves their layouts once; any payload it does not read
-whole goes to the field-by-field reader, which reports the error.
+of the failure — a decoded message is always well-formed.
 
 The :class:`CostLedger` attributes every frame (header included) to a
 category — ``data_transfer`` for prompt shipping, ``model_transfer`` for
@@ -31,11 +28,12 @@ import struct
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import GREEDY, STOCHASTIC, ByteReader, GenerationConfig
+from .core import GREEDY, STOCHASTIC, GenerationConfig
 from .messages import (
     Commit,
     DraftBatch,
@@ -50,7 +48,8 @@ from .messages import (
 )
 
 FRAME_HEADER_LEN = 4
-_FRAME_HEADER = struct.Struct("<I")  # the payload length
+_U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in ("<B", "<H", "<I", "<Q"))
+_ROW = np.dtype("<f4")  # one logit of a draft row
 MAX_PAYLOAD_LEN = 64 * 1024 * 1024
 
 PREAMBLE_MAGIC = b"PRDA"
@@ -89,20 +88,87 @@ class FrameTooLargeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
+# Each field reader takes the payload, the offset of its field and the values
+# of the message read so far, and returns its value and the offset after it.
+
+
+def _truncated(data: bytes, at: int, n: int) -> MalformedPayloadError:
+    return MalformedPayloadError(f"truncated: needed {n} bytes, {len(data) - at} left", len(data))
+
+
+def _read_fixed(s: struct.Struct, data: bytes, at: int, _=None) -> tuple[Any, int]:
+    """The one value of struct ``s`` at ``at``."""
+    end = at + s.size
+    if end > len(data):
+        raise _truncated(data, at, s.size)
+    return s.unpack_from(data, at)[0], end
+
+
+def _read_u32s(data: bytes, at: int, n: int) -> tuple[tuple[int, ...], int]:
+    end = at + 4 * n
+    if end > len(data):
+        raise _truncated(data, at, 4 * n)
+    return struct.unpack_from(f"<{n}I", data, at), end
+
+
+def _read_sized(head: struct.Struct, data: bytes, at: int, _=None) -> tuple[bytes, int]:
+    """A byte count of struct ``head``, then that many bytes."""
+    n, at = _read_fixed(head, data, at)
+    end = at + n
+    if end > len(data):
+        raise _truncated(data, at, n)
+    return data[at:end], end
+
+
+def _read_flag(data: bytes, at: int, _=None) -> tuple[bool, int]:
+    if at >= len(data):
+        raise _truncated(data, at, 1)
+    b = data[at]
+    if b > 1:
+        raise MalformedPayloadError(f"flag byte must be 0 or 1, got {b}", at)
+    return b == 1, at + 1
+
+
 def _pack_text(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ValueError("text field exceeds 16-bit length")
-    return struct.pack("<H", len(raw)) + raw
+    return _U16.pack(len(raw)) + raw
 
 
-def _read_draft_rows(r: ByteReader, fields: dict[str, Any]) -> np.ndarray:
-    n, rest = len(fields["tokens"]), len(r.data) - r.pos
+def _read_text(data: bytes, at: int, _) -> tuple[str, int]:
+    raw, end = _read_sized(_U16, data, at)
+    try:
+        return raw.decode("utf-8"), end
+    except UnicodeDecodeError as exc:
+        raise MalformedPayloadError(f"invalid UTF-8 text: {exc}", end - len(raw)) from exc
+
+
+def _read_tokens(data: bytes, at: int, _) -> tuple[list[int], int]:
+    n, at = _read_fixed(_U32, data, at)
+    tokens, end = _read_u32s(data, at, n)
+    return list(tokens), end
+
+
+def _read_opt_u32(data: bytes, at: int, _) -> tuple[int | None, int]:
+    present, at = _read_flag(data, at)
+    return _read_fixed(_U32, data, at) if present else (None, at)
+
+
+def _read_draft_tokens(data: bytes, at: int, _) -> tuple[tuple[int, ...], int]:
+    n, at = _read_fixed(_U16, data, at)
+    return _read_u32s(data, at, n)
+
+
+def _read_draft_rows(data: bytes, at: int, values: list) -> tuple[np.ndarray, int]:
+    n, rest = len(values[-1]), len(data) - at  # values[-1]: the token ids just read
     if n < 1:
-        raise r.fail("draft batch token count must be at least 1")
+        raise MalformedPayloadError("draft batch token count must be at least 1", at)
     if rest == 0 or rest % (4 * n) != 0:
-        raise r.fail(f"draft logits block of {rest} bytes does not divide into {n} float32 rows")
-    return r.array("<f4", n, rest // (4 * n))
+        raise MalformedPayloadError(
+            f"draft logits block of {rest} bytes does not divide into {n} float32 rows", at)
+    # the slice copies the rows out of the frame, so the array is aligned
+    return np.frombuffer(data[at:], _ROW).reshape(n, rest // (4 * n)), len(data)
 
 
 _SAMPLING_MODES = (GREEDY, STOCHASTIC)  # a config's mode byte indexes this
@@ -113,40 +179,40 @@ def _pack_config(c: GenerationConfig) -> bytes:
     return _CONFIG.pack(_SAMPLING_MODES.index(c.mode), c.temperature, c.seed, c.max_new_tokens)
 
 
-def _read_config(r: ByteReader, _) -> GenerationConfig:
-    at = r.pos
-    mode, temperature, seed, max_new_tokens = r.unpack(_CONFIG.format)
+def _read_config(data: bytes, at: int, _) -> tuple[GenerationConfig, int]:
+    end = at + _CONFIG.size
+    if end > len(data):
+        raise _truncated(data, at, _CONFIG.size)
+    mode, temperature, seed, max_new_tokens = _CONFIG.unpack_from(data, at)
     if mode >= len(_SAMPLING_MODES):
-        raise r.fail(f"unknown sampling mode byte {mode}", at)
-    return GenerationConfig(max_new_tokens, _SAMPLING_MODES[mode], temperature, seed)
+        raise MalformedPayloadError(f"unknown sampling mode byte {mode}", at)
+    try:
+        return GenerationConfig(max_new_tokens, _SAMPLING_MODES[mode], temperature, seed), end
+    except ValueError as exc:
+        raise MalformedPayloadError(f"message invariant violated: {exc}", end) from exc
 
 
 class FieldKind(NamedTuple):
     write: Callable[[Any], bytes]
-    read: Callable[[ByteReader, dict[str, Any]], Any]  # also given the fields read so far
+    read: Callable[[bytes, int, list], tuple[Any, int]]
 
 
 FIELD_KINDS = {
-    "u8": FieldKind(struct.Struct("<B").pack, lambda r, _: r.u8()),
-    "u32": FieldKind(struct.Struct("<I").pack, lambda r, _: r.u32()),
-    "u64": FieldKind(struct.Struct("<Q").pack, lambda r, _: r.u64()),
-    "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", lambda r, _: r.flag()),
-    "text": FieldKind(_pack_text, lambda r, _: r.text()),
-    "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), lambda r, _: r.tokens()),
+    "u8": FieldKind(_U8.pack, partial(_read_fixed, _U8)),
+    "u32": FieldKind(_U32.pack, partial(_read_fixed, _U32)),
+    "u64": FieldKind(_U64.pack, partial(_read_fixed, _U64)),
+    "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", _read_flag),
+    "text": FieldKind(_pack_text, _read_text),
+    "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), _read_tokens),
     # u32 byte length, then the bytes
-    "blob": FieldKind(lambda v: struct.pack("<I", len(v)) + v, lambda r, _: r.take(r.u32())),
+    "blob": FieldKind(lambda v: _U32.pack(len(v)) + v, partial(_read_sized, _U32)),
     # presence flag, then a u32 when present
-    "opt_u32": FieldKind(
-        lambda v: b"\x00" if v is None else struct.pack("<BI", 1, v),
-        lambda r, _: r.u32() if r.flag() else None,
-    ),
+    "opt_u32": FieldKind(lambda v: b"\x00" if v is None else struct.pack("<BI", 1, v), _read_opt_u32),
     # u16 count, then that many u32 token ids
-    "draft_tokens": FieldKind(
-        lambda v: struct.pack(f"<H{len(v)}I", len(v), *v), lambda r, _: r.unpack(f"<{r.u16()}I")
-    ),
+    "draft_tokens": FieldKind(lambda v: struct.pack(f"<H{len(v)}I", len(v), *v), _read_draft_tokens),
     # binary32 rows to the end of the payload, one per drafted token (at
     # least one); the decoder infers the row width from the bytes left
-    "draft_rows": FieldKind(lambda v: np.asarray(v, dtype="<f4").tobytes(), _read_draft_rows),
+    "draft_rows": FieldKind(lambda v: np.asarray(v, dtype=_ROW).tobytes(), _read_draft_rows),
     # a GenerationConfig: mode u8, temperature f32, seed u64, max_new_tokens u32
     "config": FieldKind(_pack_config, _read_config),
 }
@@ -156,6 +222,10 @@ class MessageLayout(NamedTuple):
     tag: int
     category: str
     fields: tuple[tuple[str, str], ...]  # (attribute, field kind) in wire order
+    # makes the message from its field values in wire order; the class by
+    # default. The DraftBatch readers already give its parts the batch's
+    # shape, so its builder, from_rows, runs only the check they leave open
+    build: Callable[..., Any] | None = None
 
 
 MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
@@ -168,7 +238,7 @@ MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
     )),
     DraftBatch: MessageLayout(4, CAT_INFERENCE, (
         ("session_id", "u64"), ("tokens", "draft_tokens"), ("logits", "draft_rows"),
-    )),
+    ), DraftBatch.from_rows),
     Commit: MessageLayout(5, CAT_INFERENCE, (
         ("session_id", "u64"), ("accept_count", "u32"), ("replacement", "opt_u32"), ("done", "flag"),
     )),
@@ -183,12 +253,12 @@ MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
 # MESSAGE_LAYOUTS with each field's writer and reader looked up once, by class and by tag
 _WRITERS = {cls: (bytes((layout.tag,)), [(name, FIELD_KINDS[kind].write) for name, kind in layout.fields])
             for cls, layout in MESSAGE_LAYOUTS.items()}
-_BY_TAG = {layout.tag: (cls, [(name, FIELD_KINDS[kind].read) for name, kind in layout.fields])
+_BY_TAG = {layout.tag: (layout.build or cls, [FIELD_KINDS[kind].read for _, kind in layout.fields])
            for cls, layout in MESSAGE_LAYOUTS.items()}
 
 
-def _encode_fields(msg: Message) -> bytes:
-    """The payload of ``msg``, written field by field from its layout."""
+def encode_message(msg: Message) -> bytes:
+    """Serialize one message to its tagged payload bytes."""
     writer = _WRITERS.get(type(msg))
     if writer is None:
         raise TypeError(f"cannot encode object of type {type(msg).__name__}")
@@ -196,96 +266,28 @@ def _encode_fields(msg: Message) -> bytes:
     return b"".join([tag] + [write(getattr(msg, name)) for name, write in fields])
 
 
-def _decode_fields(data: bytes) -> Message:
-    """The message in ``data``, read field by field from its layout, with every error's offset."""
-    r = ByteReader(data, MalformedPayloadError)
-    if len(data) == 0:
-        raise r.fail("empty payload")
-    tag = r.u8()
-    if tag not in _BY_TAG:
-        raise MalformedPayloadError(f"unknown message tag {tag}", 0)
-    cls, fields = _BY_TAG[tag]
+def decode_message(data: bytes) -> Message:
+    """Parse payload bytes back into a message, validating as it goes."""
+    if not data:
+        raise MalformedPayloadError("empty payload", 0)
+    entry = _BY_TAG.get(data[0])
+    if entry is None:
+        raise MalformedPayloadError(f"unknown message tag {data[0]}", 0)
+    build, reads = entry
+    values: list[Any] = []
+    at = 1
     try:
-        values: dict[str, Any] = {}
-        for name, read in fields:
-            values[name] = read(r, values)
-        msg = cls(**values)
-    except struct.error as exc:  # defensive; take() should catch first
-        raise r.fail(f"bad field encoding: {exc}") from exc
+        for read in reads:
+            value, at = read(data, at, values)
+            values.append(value)
+        msg = build(*values)
     except ValueError as exc:
         if isinstance(exc, MalformedPayloadError):
             raise
-        raise r.fail(f"message invariant violated: {exc}") from exc
-    r.finish()
+        raise MalformedPayloadError(f"message invariant violated: {exc}", at) from exc
+    if at != len(data):
+        raise MalformedPayloadError(f"{len(data) - at} trailing bytes", at)
     return msg
-
-
-# The two messages of every draft round also have a direct codec: their
-# layouts above, resolved into one struct call per part. A direct decoder
-# returns None for a payload it does not parse whole, and the field reader
-# then decides, so every error and its offset come from _decode_fields.
-_DRAFT_TAG, _COMMIT_TAG = MESSAGE_LAYOUTS[DraftBatch].tag, MESSAGE_LAYOUTS[Commit].tag
-_DRAFT_HEAD = struct.Struct("<BQH")  # tag, session id, token count
-_COMMIT_HEAD = struct.Struct("<BQIB")  # tag, session id, accept count, replacement flag
-_COMMIT_TAIL = (struct.Struct("<B"), struct.Struct("<IB"))  # by that flag: (done), (replacement, done)
-_ROW_DTYPE = np.dtype("<f4")
-
-
-def _encode_draft(msg: DraftBatch) -> bytes:
-    n = len(msg.tokens)
-    return b"".join((_DRAFT_HEAD.pack(_DRAFT_TAG, msg.session_id, n), struct.pack(f"<{n}I", *msg.tokens),
-                     np.asarray(msg.logits, dtype=_ROW_DTYPE).tobytes()))
-
-
-def _decode_draft(data: bytes) -> DraftBatch | None:
-    if len(data) < _DRAFT_HEAD.size:
-        return None
-    _, session_id, n = _DRAFT_HEAD.unpack_from(data)
-    at = _DRAFT_HEAD.size + 4 * n
-    width, left = divmod(len(data) - at, 4 * n) if n else (0, 0)
-    if width < 1 or left:
-        return None
-    rows = np.ndarray((n, width), _ROW_DTYPE, data[at:])  # the slice copies, so the rows are aligned
-    try:
-        return DraftBatch.from_rows(session_id, struct.unpack_from(f"<{n}I", data, _DRAFT_HEAD.size), rows)
-    except ValueError:
-        return None
-
-
-def _encode_commit(msg: Commit) -> bytes:
-    head = _COMMIT_HEAD.pack(_COMMIT_TAG, msg.session_id, msg.accept_count, msg.replacement is not None)
-    if msg.replacement is None:
-        return head + _COMMIT_TAIL[0].pack(bool(msg.done))
-    return head + _COMMIT_TAIL[1].pack(msg.replacement, bool(msg.done))
-
-
-def _decode_commit(data: bytes) -> Commit | None:
-    if len(data) < _COMMIT_HEAD.size:
-        return None
-    _, session_id, accept_count, present = _COMMIT_HEAD.unpack_from(data)
-    if present > 1 or len(data) != _COMMIT_HEAD.size + _COMMIT_TAIL[present].size:
-        return None
-    *replacement, done = _COMMIT_TAIL[present].unpack_from(data, _COMMIT_HEAD.size)
-    if done > 1:
-        return None
-    return Commit(session_id, accept_count, replacement[0] if present else None, done == 1)
-
-
-_DIRECT_ENCODERS = {DraftBatch: _encode_draft, Commit: _encode_commit}
-_DIRECT_DECODERS = {_DRAFT_TAG: _decode_draft, _COMMIT_TAG: _decode_commit}
-
-
-def encode_message(msg: Message) -> bytes:
-    """Serialize one message to its tagged payload bytes."""
-    direct = _DIRECT_ENCODERS.get(type(msg))
-    return _encode_fields(msg) if direct is None else direct(msg)
-
-
-def decode_message(data: bytes) -> Message:
-    """Parse payload bytes back into a message, validating as it goes."""
-    direct = _DIRECT_DECODERS.get(data[0]) if data else None
-    msg = None if direct is None else direct(data)
-    return _decode_fields(data) if msg is None else msg
 
 
 # a one-row, one-logit batch minus its row: the tag, session id and u16 count
@@ -467,9 +469,9 @@ class CostLedger:
     def record_frame(self, category: str, direction: str, nbytes: int) -> None:
         if nbytes < 0:
             raise ValueError("byte count must be non-negative")
-        self.add_bytes(self.key(category, direction), nbytes)
+        self._add_bytes(self.key(category, direction), nbytes)
 
-    def add_bytes(self, key: tuple[str, str], nbytes: int) -> None:
+    def _add_bytes(self, key: tuple[str, str], nbytes: int) -> None:
         """Bill ``nbytes`` (not negative) to ``key``, a :meth:`key` checked beforehand."""
         self.bytes_by[key] = self.bytes_by.get(key, 0) + nbytes
 
@@ -553,7 +555,7 @@ class FramedConnection:
 
     def send_preamble(self) -> None:
         self.channel.send(PREAMBLE)
-        self.ledger.add_bytes(self._preamble_keys[0], len(PREAMBLE))
+        self.ledger._add_bytes(self._preamble_keys[0], len(PREAMBLE))
 
     def expect_preamble(self) -> None:
         raw = self.channel.recv_exact(len(PREAMBLE))
@@ -561,24 +563,24 @@ class FramedConnection:
             raise MalformedPayloadError(f"bad connection magic {raw[:4]!r}", 0)
         if raw[4] != PREAMBLE_VERSION:
             raise MalformedPayloadError(f"unsupported protocol version {raw[4]}", 4)
-        self.ledger.add_bytes(self._preamble_keys[1], len(PREAMBLE))
+        self.ledger._add_bytes(self._preamble_keys[1], len(PREAMBLE))
 
     def send_message(self, msg: Message) -> None:
         payload = encode_message(msg)
         size = len(payload)
         if size > MAX_PAYLOAD_LEN:
             raise FrameTooLargeError(f"payload of {size} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap")
-        self.channel.send(_FRAME_HEADER.pack(size) + payload)
-        self.ledger.add_bytes(self._sent[type(msg)], FRAME_HEADER_LEN + size)
+        self.channel.send(_U32.pack(size) + payload)
+        self.ledger._add_bytes(self._sent[type(msg)], FRAME_HEADER_LEN + size)
 
     def recv_message(self) -> Message:
-        (length,) = _FRAME_HEADER.unpack(self.channel.recv_exact(FRAME_HEADER_LEN))
+        (length,) = _U32.unpack(self.channel.recv_exact(FRAME_HEADER_LEN))
         if length > MAX_PAYLOAD_LEN:
             raise FrameTooLargeError(
                 f"incoming frame of {length} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap"
             )
         msg = decode_message(self.channel.recv_exact(length))
-        self.ledger.add_bytes(self._received[type(msg)], FRAME_HEADER_LEN + length)
+        self.ledger._add_bytes(self._received[type(msg)], FRAME_HEADER_LEN + length)
         return msg
 
     def close(self) -> None:

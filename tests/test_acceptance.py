@@ -70,7 +70,7 @@ from offsetlm.messages import (
     StartSession,
     UploadAdapter,
 )
-from offsetlm.protocol import FingerprintMismatchError, ServerSession
+from offsetlm.protocol import FingerprintMismatchError, ServerSession, serve_channel
 from offsetlm.transport import (
     CAT_DATA,
     CAT_HANDSHAKE,
@@ -856,9 +856,7 @@ def test_criterion_9_transport_determinism(world):
 
         def served_socket_pair(ledger):
             client_end, server_end = queue_channel_pair(timeout=5.0)
-            thread = threading.Thread(target=server().serve_connection,
-                                      args=(FramedConnection(server_end, side="server"),))
-            thread.start()
+            thread = serve_channel(server(), server_end)
 
             def finish():
                 thread.join(timeout=10)

@@ -62,6 +62,7 @@ from offsetlm.protocol import (
     RemoteProtocolError,
     ServerSession,
     finished,
+    serve_channel,
 )
 from offsetlm.core import gumbel_vectors, pick
 from offsetlm.models import VocabMismatchError, decode_model, encode_model
@@ -1001,13 +1002,9 @@ _requests = st.one_of(
 
 
 def serve_on_thread(server: Server) -> tuple[FramedConnection, threading.Thread]:
-    """``server.serve_connection`` on a thread over a socket pair; the thread fails the test
-    if the loop raises."""
+    """``server.serve_connection`` on a thread over a socket pair (``serve_channel``)."""
     client_end, server_end = queue_channel_pair(timeout=5.0)
-    thread = threading.Thread(target=server.serve_connection,
-                              args=(FramedConnection(server_end, side="server"),), daemon=True)
-    thread.start()
-    return FramedConnection(client_end, side="client"), thread
+    return FramedConnection(client_end, side="client"), serve_channel(server, server_end)
 
 
 # the two drivers of Server.connection_loop

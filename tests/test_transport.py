@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import socket
 import struct
 import time
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from offsetlm import CostLedger, FramedConnection, GenerationConfig, decode_message, encode_message, transport
+from offsetlm import CostLedger, FramedConnection, GenerationConfig, decode_message, encode_message
 from offsetlm.messages import (
     Commit,
     DraftBatch,
@@ -33,6 +34,7 @@ from offsetlm.transport import (
     SERVER_TO_CLIENT,
     ConnectionClosedError,
     FrameTooLargeError,
+    MESSAGE_LAYOUTS,
     LatencyReport,
     MalformedPayloadError,
     SocketChannel,
@@ -165,6 +167,13 @@ class TestRoundTrip:
         with pytest.raises(TypeError):
             encode_message(object())
 
+    @pytest.mark.parametrize("cls", MESSAGE_LAYOUTS, ids=lambda cls: cls.__name__)
+    def test_each_layout_lists_fields_in_constructor_order(self, cls):
+        """The decoder passes a message's values to its builder by position."""
+        layout = MESSAGE_LAYOUTS[cls]
+        params = list(inspect.signature(layout.build or cls).parameters)
+        assert params == [name for name, _ in layout.fields]
+
 
 class TestFrameSizes:
     def test_hello_frame_is_21_bytes(self):
@@ -289,6 +298,14 @@ class TestStrictDecoding:
         except MalformedPayloadError:
             pass  # rejection is fine; any other exception type is a bug
 
+    @pytest.mark.parametrize("row", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, -np.inf]],
+                             ids=["inf", "nan", "all-minus-inf"])
+    def test_a_non_finite_row_is_refused_at_the_end(self, row):
+        payload = encode_message(draft_batch(n=1, vocab=2))[:-8] + np.asarray(row, "<f4").tobytes()
+        with pytest.raises(MalformedPayloadError, match="non-finite") as err:
+            decode_message(payload)
+        assert err.value.offset == len(payload)
+
     @settings(max_examples=200, deadline=None)
     @given(st.binary(max_size=300))
     def test_random_bytes_never_crash(self, blob):
@@ -296,43 +313,6 @@ class TestStrictDecoding:
             decode_message(blob)
         except MalformedPayloadError:
             pass
-
-
-def _outcome(decode, data: bytes):
-    """A decoder's message, or its error's type, text and offset."""
-    try:
-        return decode(data)
-    except MalformedPayloadError as exc:
-        return type(exc), str(exc), exc.offset
-
-
-class TestDirectCodec:
-    """DraftBatch and Commit, the two messages of every round, also have a direct codec;
-    it writes and reads exactly what the field-by-field codec does."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.one_of(draft_msgs, commit_msgs))
-    def test_direct_encoders_write_the_layout(self, msg):
-        assert transport._DIRECT_ENCODERS[type(msg)](msg) == transport._encode_fields(msg)
-
-    @settings(max_examples=400, deadline=None)
-    @given(st.one_of(draft_msgs, commit_msgs), st.integers(0, 2**16), st.integers(0, 255),
-           st.integers(-4, 3))
-    def test_decoding_agrees_with_the_field_reader(self, msg, pos, value, resize):
-        """A corrupted byte, then a cut or extra bytes: the same message or the same error."""
-        data = bytearray(encode_message(msg))
-        data[pos % len(data)] = value
-        data = bytes(data[:len(data) + resize] if resize < 0 else data + b"\x00" * resize)
-        assert _outcome(decode_message, data) == _outcome(transport._decode_fields, data)
-
-    @pytest.mark.parametrize("row", [[0.0, np.inf], [np.nan, 1.0], [-np.inf, -np.inf]],
-                             ids=["inf", "nan", "all-minus-inf"])
-    def test_a_non_finite_row_is_refused_with_the_field_readers_offset(self, row):
-        payload = encode_message(draft_batch(n=1, vocab=2))[:-8] + np.asarray(row, "<f4").tobytes()
-        with pytest.raises(MalformedPayloadError, match="non-finite") as err:
-            decode_message(payload)
-        assert err.value.offset == len(payload)
-        assert _outcome(decode_message, payload) == _outcome(transport._decode_fields, payload)
 
 
 class TestChannels:
