@@ -1,5 +1,6 @@
-"""Vocabulary, token-sequence, logit, and sampling primitives, and the
-byte reader behind every binary decoder (PRDM, PRDL, wire messages).
+"""Vocabulary, token-sequence, logit, and sampling primitives, and
+:class:`ByteReader`, the one byte reader of every binary decoder (PRDM,
+PRDL, wire messages), which holds the one truncation check they share.
 
 Conventions used throughout the package:
 
@@ -26,7 +27,8 @@ import numpy as np
 
 GREEDY = "greedy"
 STOCHASTIC = "stochastic"
-_U16, _U32, _F32 = (struct.Struct(fmt) for fmt in ("<H", "<I", "<f"))  # for ByteReader
+# the little-endian scalars of every binary format (PRDM, PRDL, wire messages)
+U8, U16, U32, U64, F32 = (struct.Struct(fmt) for fmt in ("<B", "<H", "<I", "<Q", "<f"))
 
 
 @dataclass(frozen=True)
@@ -202,47 +204,60 @@ def read_corpus(path, vocab: Vocab | None = None) -> list[list[int]]:
 
 
 class ByteReader:
-    """Sequential little-endian reads over one payload.
+    """Sequential little-endian reads over one payload, from byte ``pos`` on.
 
     ``error(message, offset)`` builds the caller's exception, so each format
-    raises its own error type. A short read fails at the end of the data;
+    raises its own error type. Every read checks its length once, in
+    :meth:`skip`, and a short read fails at the end of the data;
     :meth:`fail` reports the current position or a given offset.
     """
 
-    def __init__(self, data: bytes, error) -> None:
+    __slots__ = ("data", "pos", "error")
+
+    def __init__(self, data: bytes, error, pos: int = 0) -> None:
         self.data = data
-        self.pos = 0
+        self.pos = pos
         self.error = error
 
     def fail(self, why: str, offset: int | None = None) -> Exception:
         return self.error(why, self.pos if offset is None else offset)
 
+    def skip(self, n: int) -> int:
+        """Move past the next ``n`` bytes and return the offset they start at."""
+        at = self.pos
+        end = at + n
+        if end > len(self.data):
+            raise self.error(f"truncated: needed {n} bytes, {len(self.data) - at} left", len(self.data))
+        self.pos = end
+        return at
+
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise self.error(
-                f"truncated: needed {n} bytes, {len(self.data) - self.pos} left", len(self.data)
-            )
-        chunk = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return chunk
+        at = self.skip(n)
+        return self.data[at : self.pos]
 
     def unpack(self, fmt: str) -> tuple:
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.data, self.skip(struct.calcsize(fmt)))
 
     def u8(self) -> int:
-        return self.take(1)[0]
+        return self.data[self.skip(1)]
 
     def u16(self) -> int:
-        return _U16.unpack(self.take(2))[0]
+        return U16.unpack_from(self.data, self.skip(2))[0]
 
     def u32(self) -> int:
-        return _U32.unpack(self.take(4))[0]
+        return U32.unpack_from(self.data, self.skip(4))[0]
+
+    def u64(self) -> int:
+        return U64.unpack_from(self.data, self.skip(8))[0]
 
     def f32(self) -> float:
-        return _F32.unpack(self.take(4))[0]
+        return F32.unpack_from(self.data, self.skip(4))[0]
+
+    def u32s(self, n: int) -> tuple[int, ...]:
+        return struct.unpack_from(f"<{n}I", self.data, self.skip(4 * n))
 
     def array(self, dtype: str, *shape: int) -> np.ndarray:
-        """A read-only view of ``shape`` items of ``dtype``."""
+        """A read-only view of ``shape`` items of ``dtype``, over a copy of their bytes."""
         n = np.dtype(dtype).itemsize * math.prod(shape)
         return np.frombuffer(self.take(n), dtype=dtype).reshape(shape)
 

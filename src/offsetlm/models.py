@@ -40,7 +40,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from .core import ByteReader, Vocab, VocabMismatchError, check_token_range  # noqa: F401
+from .core import ByteReader, Vocab, check_token_range
 
 PRDM_MAGIC = b"PRDM"
 PRDM_VERSION = 1

@@ -605,8 +605,7 @@ class Client:
                     f"{msg.logits.shape} logits does not fit vocab size {v}"
                 )
             commit = self._verify(mirror, msg, config, noise, len(prompt))
-            ledger.note_draft(n)
-            ledger.note_commit(commit.accept_count, n, commit.replacement is not None)
+            ledger.note_round(n, commit.accept_count, commit.replacement is not None)
             conn.send_message(commit)
 
     def _verify(

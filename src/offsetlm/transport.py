@@ -10,14 +10,17 @@ Wire conventions (little-endian throughout):
   kind of field is written and read;
 * a connection opens with the 5-byte preamble ``b"PRDA"`` + version.
 
-Decoding is strict: truncation, unknown tags, non-UTF-8 text, and invariant
+Decoding is strict and reads through one :class:`~offsetlm.core.ByteReader`
+per payload: truncation, unknown tags, non-UTF-8 text, and invariant
 violations all raise :class:`MalformedPayloadError` carrying the byte offset
 of the failure — a decoded message is always well-formed.
 
-The :class:`CostLedger` attributes every frame (header included) to a
-category — ``data_transfer`` for prompt shipping, ``model_transfer`` for
-adapter uploads, ``inference`` for draft/commit/result traffic — and a
-direction; handshake traffic is tallied separately. Token counters obey
+:class:`FramedConnection` is the one place bytes are billed: it adds every
+frame (header included) to its :class:`CostLedger` under a category —
+``data_transfer`` for prompt shipping, ``model_transfer`` for adapter
+uploads, ``inference`` for draft/commit/result traffic, ``handshake`` for the
+preamble, ``Hello`` and ``HelloAck`` — and a direction, looked up in a table
+built at import. Token counters obey
 ``tokens_committed + tokens_dropped == tokens_drafted + replacements``.
 """
 
@@ -28,12 +31,11 @@ import struct
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .core import GREEDY, STOCHASTIC, GenerationConfig
+from .core import GREEDY, STOCHASTIC, U8, U16, U32, U64, ByteReader, GenerationConfig
 from .messages import (
     Commit,
     DraftBatch,
@@ -48,7 +50,6 @@ from .messages import (
 )
 
 FRAME_HEADER_LEN = 4
-_U8, _U16, _U32, _U64 = (struct.Struct(fmt) for fmt in ("<B", "<H", "<I", "<Q"))
 _ROW = np.dtype("<f4")  # one logit of a draft row
 MAX_PAYLOAD_LEN = 64 * 1024 * 1024
 
@@ -88,87 +89,40 @@ class FrameTooLargeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-# Each field reader takes the payload, the offset of its field and the values
-# of the message read so far, and returns its value and the offset after it.
+# Each field reader takes the message's ByteReader, at its field, and the
+# values of the message read so far, and returns the field's value.
 
 
-def _truncated(data: bytes, at: int, n: int) -> MalformedPayloadError:
-    return MalformedPayloadError(f"truncated: needed {n} bytes, {len(data) - at} left", len(data))
-
-
-def _read_fixed(s: struct.Struct, data: bytes, at: int, _=None) -> tuple[Any, int]:
-    """The one value of struct ``s`` at ``at``."""
-    end = at + s.size
-    if end > len(data):
-        raise _truncated(data, at, s.size)
-    return s.unpack_from(data, at)[0], end
-
-
-def _read_u32s(data: bytes, at: int, n: int) -> tuple[tuple[int, ...], int]:
-    end = at + 4 * n
-    if end > len(data):
-        raise _truncated(data, at, 4 * n)
-    return struct.unpack_from(f"<{n}I", data, at), end
-
-
-def _read_sized(head: struct.Struct, data: bytes, at: int, _=None) -> tuple[bytes, int]:
-    """A byte count of struct ``head``, then that many bytes."""
-    n, at = _read_fixed(head, data, at)
-    end = at + n
-    if end > len(data):
-        raise _truncated(data, at, n)
-    return data[at:end], end
-
-
-def _read_flag(data: bytes, at: int, _=None) -> tuple[bool, int]:
-    if at >= len(data):
-        raise _truncated(data, at, 1)
-    b = data[at]
+def _read_flag(r: ByteReader, _=None) -> bool:
+    b = r.u8()
     if b > 1:
-        raise MalformedPayloadError(f"flag byte must be 0 or 1, got {b}", at)
-    return b == 1, at + 1
+        raise r.fail(f"flag byte must be 0 or 1, got {b}", r.pos - 1)
+    return b == 1
 
 
 def _pack_text(text: str) -> bytes:
     raw = text.encode("utf-8")
     if len(raw) > 0xFFFF:
         raise ValueError("text field exceeds 16-bit length")
-    return _U16.pack(len(raw)) + raw
+    return U16.pack(len(raw)) + raw
 
 
-def _read_text(data: bytes, at: int, _) -> tuple[str, int]:
-    raw, end = _read_sized(_U16, data, at)
+def _read_text(r: ByteReader, _) -> str:
+    raw = r.take(r.u16())
     try:
-        return raw.decode("utf-8"), end
+        return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise MalformedPayloadError(f"invalid UTF-8 text: {exc}", end - len(raw)) from exc
+        raise r.fail(f"invalid UTF-8 text: {exc}", r.pos - len(raw)) from exc
 
 
-def _read_tokens(data: bytes, at: int, _) -> tuple[list[int], int]:
-    n, at = _read_fixed(_U32, data, at)
-    tokens, end = _read_u32s(data, at, n)
-    return list(tokens), end
-
-
-def _read_opt_u32(data: bytes, at: int, _) -> tuple[int | None, int]:
-    present, at = _read_flag(data, at)
-    return _read_fixed(_U32, data, at) if present else (None, at)
-
-
-def _read_draft_tokens(data: bytes, at: int, _) -> tuple[tuple[int, ...], int]:
-    n, at = _read_fixed(_U16, data, at)
-    return _read_u32s(data, at, n)
-
-
-def _read_draft_rows(data: bytes, at: int, values: list) -> tuple[np.ndarray, int]:
-    n, rest = len(values[-1]), len(data) - at  # values[-1]: the token ids just read
+def _read_draft_rows(r: ByteReader, values: list) -> np.ndarray:
+    n, rest = len(values[-1]), len(r.data) - r.pos  # values[-1]: the token ids just read
     if n < 1:
-        raise MalformedPayloadError("draft batch token count must be at least 1", at)
+        raise r.fail("draft batch token count must be at least 1")
     if rest == 0 or rest % (4 * n) != 0:
-        raise MalformedPayloadError(
-            f"draft logits block of {rest} bytes does not divide into {n} float32 rows", at)
-    # the slice copies the rows out of the frame, so the array is aligned
-    return np.frombuffer(data[at:], _ROW).reshape(n, rest // (4 * n)), len(data)
+        raise r.fail(f"draft logits block of {rest} bytes does not divide into {n} float32 rows")
+    # the rows are copied out of the frame, so the array is aligned
+    return np.frombuffer(r.take(rest), _ROW).reshape(n, rest // (4 * n))
 
 
 _SAMPLING_MODES = (GREEDY, STOCHASTIC)  # a config's mode byte indexes this
@@ -179,37 +133,38 @@ def _pack_config(c: GenerationConfig) -> bytes:
     return _CONFIG.pack(_SAMPLING_MODES.index(c.mode), c.temperature, c.seed, c.max_new_tokens)
 
 
-def _read_config(data: bytes, at: int, _) -> tuple[GenerationConfig, int]:
-    end = at + _CONFIG.size
-    if end > len(data):
-        raise _truncated(data, at, _CONFIG.size)
-    mode, temperature, seed, max_new_tokens = _CONFIG.unpack_from(data, at)
+def _read_config(r: ByteReader, _) -> GenerationConfig:
+    mode, temperature, seed, max_new_tokens = r.unpack(_CONFIG.format)
     if mode >= len(_SAMPLING_MODES):
-        raise MalformedPayloadError(f"unknown sampling mode byte {mode}", at)
+        raise r.fail(f"unknown sampling mode byte {mode}", r.pos - _CONFIG.size)
     try:
-        return GenerationConfig(max_new_tokens, _SAMPLING_MODES[mode], temperature, seed), end
+        return GenerationConfig(max_new_tokens, _SAMPLING_MODES[mode], temperature, seed)
     except ValueError as exc:
-        raise MalformedPayloadError(f"message invariant violated: {exc}", end) from exc
+        raise r.fail(f"message invariant violated: {exc}") from exc
 
 
 class FieldKind(NamedTuple):
     write: Callable[[Any], bytes]
-    read: Callable[[bytes, int, list], tuple[Any, int]]
+    read: Callable[[ByteReader, list], Any]
 
 
 FIELD_KINDS = {
-    "u8": FieldKind(_U8.pack, partial(_read_fixed, _U8)),
-    "u32": FieldKind(_U32.pack, partial(_read_fixed, _U32)),
-    "u64": FieldKind(_U64.pack, partial(_read_fixed, _U64)),
+    "u8": FieldKind(U8.pack, lambda r, _: r.u8()),
+    "u32": FieldKind(U32.pack, lambda r, _: r.u32()),
+    "u64": FieldKind(U64.pack, lambda r, _: r.u64()),
     "flag": FieldKind(lambda v: b"\x01" if v else b"\x00", _read_flag),
     "text": FieldKind(_pack_text, _read_text),
-    "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v), _read_tokens),
+    # u32 count, then that many u32 token ids
+    "tokens": FieldKind(lambda v: struct.pack(f"<I{len(v)}I", len(v), *v),
+                        lambda r, _: r.u32s(r.u32())),
     # u32 byte length, then the bytes
-    "blob": FieldKind(lambda v: _U32.pack(len(v)) + v, partial(_read_sized, _U32)),
+    "blob": FieldKind(lambda v: U32.pack(len(v)) + v, lambda r, _: r.take(r.u32())),
     # presence flag, then a u32 when present
-    "opt_u32": FieldKind(lambda v: b"\x00" if v is None else struct.pack("<BI", 1, v), _read_opt_u32),
+    "opt_u32": FieldKind(lambda v: b"\x00" if v is None else struct.pack("<BI", 1, v),
+                         lambda r, _: r.u32() if _read_flag(r) else None),
     # u16 count, then that many u32 token ids
-    "draft_tokens": FieldKind(lambda v: struct.pack(f"<H{len(v)}I", len(v), *v), _read_draft_tokens),
+    "draft_tokens": FieldKind(lambda v: struct.pack(f"<H{len(v)}I", len(v), *v),
+                              lambda r, _: r.u32s(r.u16())),
     # binary32 rows to the end of the payload, one per drafted token (at
     # least one); the decoder infers the row width from the bytes left
     "draft_rows": FieldKind(lambda v: np.asarray(v, dtype=_ROW).tobytes(), _read_draft_rows),
@@ -274,19 +229,17 @@ def decode_message(data: bytes) -> Message:
     if entry is None:
         raise MalformedPayloadError(f"unknown message tag {data[0]}", 0)
     build, reads = entry
+    r = ByteReader(data, MalformedPayloadError, 1)
     values: list[Any] = []
-    at = 1
     try:
         for read in reads:
-            value, at = read(data, at, values)
-            values.append(value)
+            values.append(read(r, values))
         msg = build(*values)
     except ValueError as exc:
         if isinstance(exc, MalformedPayloadError):
             raise
-        raise MalformedPayloadError(f"message invariant violated: {exc}", at) from exc
-    if at != len(data):
-        raise MalformedPayloadError(f"{len(data) - at} trailing bytes", at)
+        raise r.fail(f"message invariant violated: {exc}") from exc
+    r.finish()
     return msg
 
 
@@ -457,37 +410,18 @@ class CostLedger:
     tokens_dropped: int = 0
     replacements: int = 0
 
-    @staticmethod
-    def key(category: str, direction: str) -> tuple[str, str]:
-        """The ``bytes_by`` key of a category and a direction, which must be known labels."""
-        if category not in CATEGORIES:
-            raise ValueError(f"unknown ledger category {category!r}")
-        if direction not in DIRECTIONS:
-            raise ValueError(f"unknown ledger direction {direction!r}")
-        return category, direction
-
-    def record_frame(self, category: str, direction: str, nbytes: int) -> None:
-        if nbytes < 0:
-            raise ValueError("byte count must be non-negative")
-        self._add_bytes(self.key(category, direction), nbytes)
-
-    def _add_bytes(self, key: tuple[str, str], nbytes: int) -> None:
-        """Bill ``nbytes`` (not negative) to ``key``, a :meth:`key` checked beforehand."""
-        self.bytes_by[key] = self.bytes_by.get(key, 0) + nbytes
-
     def bytes_total(self, category: str, direction: str | None = None) -> int:
         if direction is not None:
             return self.bytes_by.get((category, direction), 0)
         return sum(self.bytes_by.get((category, d), 0) for d in DIRECTIONS)
 
-    def note_draft(self, drafted: int) -> None:
+    def note_round(self, drafted: int, accepted: int, replaced: bool) -> None:
+        """Count one draft round: ``accepted`` of ``drafted`` tokens taken, then a replacement or not."""
         self.round_count += 1
         self.tokens_drafted += drafted
-
-    def note_commit(self, accepted: int, drafted: int, replaced: bool) -> None:
-        self.tokens_committed += accepted + (1 if replaced else 0)
+        self.tokens_committed += accepted + replaced
         self.tokens_dropped += drafted - accepted
-        self.replacements += 1 if replaced else 0
+        self.replacements += replaced
 
     def acceptance_rate(self) -> float | None:
         """Fraction of drafted tokens committed verbatim; None before any draft."""
@@ -502,11 +436,6 @@ class CostLedger:
                 f"committed {self.tokens_committed} + dropped {self.tokens_dropped} "
                 f"!= drafted {self.tokens_drafted} + replacements {self.replacements}"
             )
-
-
-def classify_message(msg: Message) -> str:
-    """Ledger category for a message type."""
-    return MESSAGE_LAYOUTS[type(msg)].category
 
 
 def ledger_report(ledger: CostLedger) -> str:
@@ -531,6 +460,15 @@ def ledger_report(ledger: CostLedger) -> str:
 # ---------------------------------------------------------------------------
 
 
+# the CostLedger key of every frame that travels in a direction: by message
+# class, and the preamble under PREAMBLE
+_LEDGER_KEYS = {
+    direction: {cls: (layout.category, direction) for cls, layout in MESSAGE_LAYOUTS.items()}
+    | {PREAMBLE: (CAT_HANDSHAKE, direction)}
+    for direction in DIRECTIONS
+}
+
+
 class FramedConnection:
     """Length-prefixed message exchange over a byte channel, with accounting.
 
@@ -547,15 +485,15 @@ class FramedConnection:
         self.side = side
         self.ledger = ledger if ledger is not None else CostLedger()
         sent, received = DIRECTIONS if side == "client" else DIRECTIONS[::-1]
-        # every ledger key this connection bills, by message class, checked once here
-        self._sent = {cls: CostLedger.key(layout.category, sent) for cls, layout in MESSAGE_LAYOUTS.items()}
-        self._received = {cls: CostLedger.key(layout.category, received)
-                          for cls, layout in MESSAGE_LAYOUTS.items()}
-        self._preamble_keys = CostLedger.key(CAT_HANDSHAKE, sent), CostLedger.key(CAT_HANDSHAKE, received)
+        self._sent, self._received = _LEDGER_KEYS[sent], _LEDGER_KEYS[received]
+
+    def _bill(self, key: tuple[str, str], nbytes: int) -> None:
+        by = self.ledger.bytes_by
+        by[key] = by.get(key, 0) + nbytes
 
     def send_preamble(self) -> None:
         self.channel.send(PREAMBLE)
-        self.ledger._add_bytes(self._preamble_keys[0], len(PREAMBLE))
+        self._bill(self._sent[PREAMBLE], len(PREAMBLE))
 
     def expect_preamble(self) -> None:
         raw = self.channel.recv_exact(len(PREAMBLE))
@@ -563,24 +501,24 @@ class FramedConnection:
             raise MalformedPayloadError(f"bad connection magic {raw[:4]!r}", 0)
         if raw[4] != PREAMBLE_VERSION:
             raise MalformedPayloadError(f"unsupported protocol version {raw[4]}", 4)
-        self.ledger._add_bytes(self._preamble_keys[1], len(PREAMBLE))
+        self._bill(self._received[PREAMBLE], len(PREAMBLE))
 
     def send_message(self, msg: Message) -> None:
         payload = encode_message(msg)
         size = len(payload)
         if size > MAX_PAYLOAD_LEN:
             raise FrameTooLargeError(f"payload of {size} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap")
-        self.channel.send(_U32.pack(size) + payload)
-        self.ledger._add_bytes(self._sent[type(msg)], FRAME_HEADER_LEN + size)
+        self.channel.send(U32.pack(size) + payload)
+        self._bill(self._sent[type(msg)], FRAME_HEADER_LEN + size)
 
     def recv_message(self) -> Message:
-        (length,) = _U32.unpack(self.channel.recv_exact(FRAME_HEADER_LEN))
+        (length,) = U32.unpack(self.channel.recv_exact(FRAME_HEADER_LEN))
         if length > MAX_PAYLOAD_LEN:
             raise FrameTooLargeError(
                 f"incoming frame of {length} bytes exceeds the {MAX_PAYLOAD_LEN}-byte cap"
             )
         msg = decode_message(self.channel.recv_exact(length))
-        self.ledger._add_bytes(self._received[type(msg)], FRAME_HEADER_LEN + length)
+        self._bill(self._received[type(msg)], FRAME_HEADER_LEN + length)
         return msg
 
     def close(self) -> None:

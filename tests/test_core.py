@@ -10,8 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from offsetlm import GenerationConfig, Vocab, argmax_sample, gumbel_vectors, make_rng, pick
-from offsetlm.core import check_prompt, parse_token_line, read_corpus
-from offsetlm.models import VocabMismatchError
+from offsetlm.core import VocabMismatchError, check_prompt, parse_token_line, read_corpus
 
 from conftest import argmax_oracle, gumbel_max_oracle, softmax_oracle
 

@@ -30,6 +30,7 @@ from offsetlm import (
     train_lora,
 )
 from offsetlm import lora
+from offsetlm.core import VocabMismatchError
 from offsetlm.lora import (
     AdapterFormatError,
     DegenerateBatchError,
@@ -42,7 +43,6 @@ from offsetlm.models import (
     MIN_BLOCK_VALUES,
     ROW_BLOCK,
     SMALL_GEMM,
-    VocabMismatchError,
     hash64,
     mlp_forward,
     row_blocks,

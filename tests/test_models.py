@@ -21,11 +21,11 @@ from offsetlm import (
     train_neural_lm,
 )
 from offsetlm import lora, models
+from offsetlm.core import VocabMismatchError
 from offsetlm.models import (
     EmptyCorpusError,
     SnapshotFormatError,
     TrainingDivergedError,
-    VocabMismatchError,
     decode_model,
     encode_model,
     hash64,

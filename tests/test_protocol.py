@@ -64,8 +64,8 @@ from offsetlm.protocol import (
     finished,
     serve_channel,
 )
-from offsetlm.core import gumbel_vectors, pick
-from offsetlm.models import VocabMismatchError, decode_model, encode_model
+from offsetlm.core import VocabMismatchError, gumbel_vectors, pick
+from offsetlm.models import decode_model, encode_model
 from offsetlm.transport import (
     MAX_PAYLOAD_LEN,
     MAX_RESULT_TOKENS,

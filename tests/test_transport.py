@@ -30,7 +30,9 @@ from offsetlm.transport import (
     CAT_INFERENCE,
     CAT_MODEL,
     CLIENT_TO_SERVER,
+    FRAME_HEADER_LEN,
     MAX_PAYLOAD_LEN,
+    PREAMBLE,
     SERVER_TO_CLIENT,
     ConnectionClosedError,
     FrameTooLargeError,
@@ -38,7 +40,6 @@ from offsetlm.transport import (
     LatencyReport,
     MalformedPayloadError,
     SocketChannel,
-    classify_message,
     latency_probe,
     latency_report,
     ledger_report,
@@ -478,31 +479,36 @@ class TestFramedConnection:
 
 
 class TestCostLedger:
-    def test_classification(self):
-        assert classify_message(EXAMPLES[0]) == CAT_HANDSHAKE
-        assert classify_message(HelloAck(accept=True)) == CAT_HANDSHAKE
-        assert classify_message(EXAMPLES[3]) == CAT_DATA
-        assert classify_message(EXAMPLES[9]) == CAT_DATA
-        assert classify_message(EXAMPLES[8]) == CAT_MODEL
-        for msg in (draft_batch(), Commit(session_id=1, accept_count=0),
-                    GenerationResult(session_id=1, tokens=(3,)),
-                    ProtocolError(code="x")):
-            assert classify_message(msg) == CAT_INFERENCE
+    def test_each_frame_is_billed_to_its_category_and_direction(self):
+        client_end, server_end = memory_channel_pair()
+        client, server = FramedConnection(client_end, "client"), FramedConnection(server_end, "server")
+        legs = ((client, server, CLIENT_TO_SERVER), (server, client, SERVER_TO_CLIENT))
+        want = {}
+        for sender, receiver, direction in legs:
+            sender.send_preamble()
+            receiver.expect_preamble()
+            want[(CAT_HANDSHAKE, direction)] = len(PREAMBLE)
+            assert client.ledger.bytes_by == want == server.ledger.bytes_by
+        assert {type(msg) for msg in EXAMPLES} == set(MESSAGE_LAYOUTS)
+        for msg in EXAMPLES:
+            for sender, receiver, direction in legs:
+                sender.send_message(msg)
+                assert receiver.recv_message() == msg
+                key = (MESSAGE_LAYOUTS[type(msg)].category, direction)
+                want[key] = want.get(key, 0) + FRAME_HEADER_LEN + len(encode_message(msg))
+                assert client.ledger.bytes_by == want == server.ledger.bytes_by
+        assert client.ledger.bytes_by[(CAT_MODEL, SERVER_TO_CLIENT)] == 4 + 20  # one UploadAdapter
 
-    def test_record_frame_validation(self):
-        ledger = CostLedger()
-        with pytest.raises(ValueError):
-            ledger.record_frame("snacks", CLIENT_TO_SERVER, 1)
-        with pytest.raises(ValueError):
-            ledger.record_frame(CAT_DATA, "sideways", 1)
-        with pytest.raises(ValueError):
-            ledger.record_frame(CAT_DATA, CLIENT_TO_SERVER, -1)
+    def test_an_unknown_side_is_refused(self):
+        client_end, _ = memory_channel_pair()
+        for side in ("middle", "", "Client"):
+            with pytest.raises(ValueError, match="side must be 'client' or 'server'"):
+                FramedConnection(client_end, side)
 
     def test_acceptance_rate_lifecycle(self):
         ledger = CostLedger()
         assert ledger.acceptance_rate() is None
-        ledger.note_draft(8)
-        ledger.note_commit(accepted=5, drafted=8, replaced=True)
+        ledger.note_round(drafted=8, accepted=5, replaced=True)
         assert ledger.round_count == 1
         assert ledger.tokens_committed == 6
         assert ledger.tokens_dropped == 3
@@ -511,20 +517,21 @@ class TestCostLedger:
 
     def test_token_flow_violation_detected(self):
         ledger = CostLedger()
-        ledger.note_draft(4)
+        ledger.tokens_drafted = 4
         with pytest.raises(AssertionError):
             ledger.check_token_flow()
 
     def test_report_format(self):
-        ledger = CostLedger()
-        ledger.record_frame(CAT_DATA, CLIENT_TO_SERVER, 37)
+        client_end, server_end = memory_channel_pair()
+        conn = FramedConnection(client_end, "client")
+        conn.send_message(EXAMPLES[4])  # a StartSession: 34 payload bytes
+        ledger = conn.ledger
         text = ledger_report(ledger)
         lines = text.splitlines()
         assert len([l for l in lines if l.startswith("record=ledger_bytes")]) == 8
-        assert "record=ledger_bytes category=data_transfer direction=client_to_server bytes=37" in lines
+        assert "record=ledger_bytes category=data_transfer direction=client_to_server bytes=38" in lines
         assert not any("acceptance_rate" in l for l in lines)
-        ledger.note_draft(4)
-        ledger.note_commit(accepted=2, drafted=4, replaced=True)
+        ledger.note_round(drafted=4, accepted=2, replaced=True)
         assert "record=ledger_ratio name=acceptance_rate value=0.500000" in ledger_report(ledger)
         for line in ledger_report(ledger).splitlines():
             for part in line.split():

@@ -1,4 +1,4 @@
-"""Print three SHA-256 digests over the package's outputs at fixed seeds.
+"""Print four SHA-256 digests over the package's outputs at fixed seeds.
 
 The ``values`` digest covers, at several model shapes: binary32
 ``next_logits`` rows of the base, adapted and black-box models at every
@@ -12,7 +12,12 @@ base and black-box models of every shape carry seeded nonzero biases, since
 adding zero hides a reordered bias addition. The ``billing`` digest covers
 each protocol session's billed bytes per ledger category and direction and
 its round and token counters, so a change to how drafts are sized moves it
-and leaves ``values`` alone. One more case
+and leaves ``values`` alone. The ``decode`` digest covers what the strict
+decoders make of corrupted input: for a wire payload of every message kind,
+a bigram and a neural PRDM snapshot and a PRDL adapter, each truncation,
+each one-byte overwrite with 0, 1, 0x80 or 0xFF, and seeded random
+overwrites, insertions and appends, it hashes the decoded value's class and
+fields, or the error's type, text and offset. One more case
 runs adapter training at the benchmark's train-adapter size (V = 512,
 context 8, embed 16, hidden 64, rank 8, 32 documents of 64 tokens, batch 8,
 one epoch) and then ``loss_and_grads`` over the whole corpus (2016
@@ -26,13 +31,13 @@ and the transfer mode must each equal ``generate_adapted``, greedy and
 stochastic. A mismatch exits nonzero and names the run.
 
 A refactor that must not change any output runs this before and after, on
-one machine, and compares the last three lines. The digests depend on the numpy
+one machine, and compares the last four lines. The digests depend on the numpy
 and BLAS build, so they are never golden values to commit. They also depend
 on the BLAS thread count, so compare runs under one setting. With numpy
 2.4.6 and OpenBLAS 0.3.31 on 2 vCPUs, ``OPENBLAS_NUM_THREADS=1`` moves only
 the ``train=`` line and the ``shape=257x8x32x128x8`` line, and with them the
-``values`` digest; inference rows and every ``stochastic`` and ``billing``
-line stay the same.
+``values`` digest; inference rows, every ``stochastic`` and ``billing``
+line and the ``decode`` digest stay the same.
 A training gradient that reduces over one batch of 504 positions (8
 documents of 63), such as a (512x504)@(504x64) product, takes other bits
 with one thread than with two; reductions over 2016 and 16128 positions do
@@ -41,14 +46,16 @@ not.
 Every ``RuntimeWarning`` raised on the way (numpy's floating-point warnings)
 is printed after its case as a ``record=fp_warning`` line on stdout, naming
 the case, the warning's file:line and its message, and is still shown on
-stderr. Every floating-point array and loss the tool hashes must be finite:
-a NaN or an infinity ends the run nonzero with a ``record=non_finite`` line.
+stderr. Every floating-point array and loss the tool hashes from training or
+generation must be finite: a NaN or an infinity ends the run nonzero with a
+``record=non_finite`` line.
 
     PYTHONPATH=src python3 tools/output_digest.py
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import struct
 import warnings
@@ -66,13 +73,30 @@ from offsetlm import (
     Vocab,
     apply_adapter,
     connect_in_process,
+    decode_adapter,
+    decode_message,
+    decode_model,
     encode_adapter,
+    encode_message,
     encode_model,
+    fit_bigram,
     generate_adapted,
     generate_blackbox,
+    init_adapter,
     loss_and_grads,
     train_lora,
     train_neural_lm,
+)
+from offsetlm.messages import (
+    Commit,
+    DraftBatch,
+    GenerationResult,
+    Hello,
+    HelloAck,
+    ProtocolError,
+    ServerGenerate,
+    StartSession,
+    UploadAdapter,
 )
 
 # (vocab size, context, embed dim, hidden dim, adapter rank)
@@ -224,6 +248,89 @@ def train_digest(seed: int) -> str:
     return h.hexdigest()
 
 
+def wire_examples() -> list:
+    """At least one message of every kind, with the fields that can be refused set."""
+    stochastic = GenerationConfig(max_new_tokens=9, mode="stochastic", temperature=0.75, seed=2**40 + 3)
+    rows = np.random.Generator(np.random.PCG64(3)).normal(size=(3, 5)).astype(np.float32)
+    return [
+        Hello(protocol_version=4, vocab_size=32, eos_id=1, bos_id=2),
+        HelloAck(accept=True),
+        HelloAck(accept=False, reason="vocabulary mismatch: 32 \u2260 16"),
+        StartSession(9, (3, 4, 5), 8, stochastic),
+        StartSession(0, (), 1, GenerationConfig(max_new_tokens=0)),
+        DraftBatch(7, (4, 0, 3), rows),
+        DraftBatch(2**64 - 1, (2**32 - 1,), rows[:1, :1]),
+        Commit(9, 3),
+        Commit(9, 2, replacement=11, done=True),
+        UploadAdapter(b"PRDL\x01\x00", 77),
+        ServerGenerate(4, (6,), 1, stochastic),
+        GenerationResult(4, (6, 7, 1)),
+        ProtocolError("unknown-session", "no session 12"),
+    ]
+
+
+def describe(value) -> str:
+    """A decoded value as text: its class and public fields, an array as dtype, shape and bytes."""
+    if isinstance(value, np.ndarray):
+        raw = np.ascontiguousarray(value).tobytes()
+        return f"array({value.dtype.str},{value.shape},{hashlib.sha256(raw).hexdigest()})"
+    if isinstance(value, (list, tuple)):
+        return f"{type(value).__name__}({','.join(map(describe, value))})"
+    if dataclasses.is_dataclass(value):
+        fields = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif hasattr(value, "__dict__"):
+        fields = {k: v for k, v in vars(value).items() if not k.startswith("_")}
+    else:
+        return repr(value)
+    return f"{type(value).__name__}({','.join(f'{k}={describe(v)}' for k, v in fields.items())})"
+
+
+def outcome(decode, data: bytes) -> str:
+    """What ``decode(data)`` gives: the decoded value, or the error's type, text and offset."""
+    try:
+        return describe(decode(data))
+    except Exception as exc:  # every refusal is part of the outcome
+        return f"{type(exc).__name__}:{exc}:{getattr(exc, 'offset', None)}"
+
+
+def corruptions(rng: np.random.Generator, data: bytes, count: int):
+    """``data``, each of its truncations, each copy with one byte set to 0, 1, 0x80 or 0xFF,
+    then ``count`` seeded copies with 1-4 random bytes overwritten, inserted or appended."""
+    yield data
+    for n in range(len(data)):
+        yield data[:n]
+    for at in range(len(data)):
+        for b in (0, 1, 0x80, 0xFF):
+            yield data[:at] + bytes((b,)) + data[at + 1 :]
+    for _ in range(count):
+        noise = rng.bytes(int(rng.integers(1, 5)))
+        at, kind = int(rng.integers(0, len(data) + 1)), int(rng.integers(3))
+        if kind == 0:  # overwrite
+            yield data[:at] + noise + data[at + len(noise) :]
+        elif kind == 1:  # insert
+            yield data[:at] + noise + data[at:]
+        else:  # append
+            yield data + noise
+
+
+def decode_digest(count: int = 2000) -> str:
+    """The outcomes of decoding seeded corruptions of a wire payload of every
+    kind, a bigram and a neural PRDM snapshot, and a PRDL adapter."""
+    vocab = Vocab(size=6, eos_id=1, bos_id=2)
+    rng = np.random.Generator(np.random.PCG64(11))
+    neural = with_biases(TinyNeuralLM.random(vocab, 2, 3, 4, seed=11), rng)
+    cases = [(decode_message, encode_message(msg)) for msg in wire_examples()] + [
+        (decode_model, encode_model(fit_bigram(corpus(rng, vocab, 4), vocab, alpha=0.5))),
+        (decode_model, encode_model(neural)),
+        (decode_adapter, encode_adapter(init_adapter(neural, rank=2, seed=11))),
+    ]
+    h = hashlib.sha256()
+    for index, (decode, data) in enumerate(cases):
+        for corrupted in corruptions(np.random.Generator(np.random.PCG64(1000 + index)), data, count):
+            h.update(f"{index}:{outcome(decode, corrupted)}\n".encode())
+    return h.hexdigest()
+
+
 def main() -> None:
     values, stochastic, billing = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for index, shape in enumerate(SHAPES):
@@ -239,6 +346,7 @@ def main() -> None:
     print(f"values sha256={values.hexdigest()}")
     print(f"stochastic sha256={stochastic.hexdigest()}")
     print(f"billing sha256={billing.hexdigest()}")
+    print(f"decode sha256={run_case('decode', decode_digest)}")
 
 
 if __name__ == "__main__":
