@@ -4,7 +4,9 @@ These are plain records; their byte layout lives in :mod:`offsetlm.transport`.
 Structural invariants that a decoder can check without session state are
 enforced here in ``__post_init__`` so that a decoded message is always a
 well-formed one; :meth:`DraftBatch.from_rows`, for a round's parts that
-already have the batch's shape, runs only the check they leave open.
+already have the batch's shape, runs only the check they leave open, and
+:meth:`Commit.from_wire` and :meth:`GenerationResult.from_wire`, for fields
+whose wire types already bound them, run none.
 Sampling settings travel as the
 :class:`~offsetlm.core.GenerationConfig` itself, which checks its own ranges.
 Cross-message invariants (commit counts versus the last draft, session ids,
@@ -23,6 +25,13 @@ PROTOCOL_VERSION = 4
 
 FLAVOR_BLACKBOX = 0  # generate from the black-box model alone (api mode)
 FLAVOR_ADAPTED = 1  # offset-adapted generation using the uploaded adapter
+
+
+def _from_fields(cls, **fields):
+    """A ``cls`` holding ``fields``, made past its ``__post_init__``."""
+    msg = object.__new__(cls)
+    vars(msg).update(fields)
+    return msg
 
 
 def _token_tuple(tokens, what: str) -> tuple[int, ...]:
@@ -153,6 +162,13 @@ class Commit:
         if self.replacement is not None:
             object.__setattr__(self, "replacement", _token_tuple([self.replacement], "replacement")[0])
 
+    @classmethod
+    def from_wire(cls, session_id: int, accept_count: int, replacement: int | None, done: bool) -> "Commit":
+        """A commit from decoded fields: a u32 count, a u32 or None, and a bool, which the
+        constructor's checks already pass."""
+        return _from_fields(cls, session_id=session_id, accept_count=accept_count,
+                            replacement=replacement, done=done)
+
 
 @dataclass(frozen=True)
 class UploadAdapter:
@@ -194,6 +210,12 @@ class GenerationResult:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", _token_tuple(self.tokens, "result tokens"))
+
+    @classmethod
+    def from_wire(cls, session_id: int, tokens: tuple[int, ...]) -> "GenerationResult":
+        """A result from decoded fields: its tokens a tuple of u32 ids, which the constructor's
+        checks already pass."""
+        return _from_fields(cls, session_id=session_id, tokens=tokens)
 
 
 @dataclass(frozen=True)

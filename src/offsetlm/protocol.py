@@ -43,10 +43,13 @@ sequence ends in eos.
 A connection's server side is one loop, :meth:`Server.connection_loop`, a
 generator that yields after each reply it sends, with two drivers.
 :meth:`Server.serve_connection` drains it on a thread of its own, as
-:class:`SocketServer` does for each accepted socket. :func:`connect_in_process`
-steps it on the client's thread over a memory channel pair: a client read
-that finds no reply waiting serves one message first. The frames, their
-checks and their bills are the same over both.
+:func:`serve_channel` does for a socket pair. :class:`InlineServer` steps it
+over a memory channel pair, one message and its reply a step: on the
+client's thread in :func:`connect_in_process`, where a client read that
+finds no reply waiting serves one message first, and on the one service
+thread of :class:`SocketServer`, which relays each accepted socket to a
+pair and steps that connection once the step's reads have arrived. The
+frames, their checks and their bills are the same over every driver.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import logging
+import selectors
 import socket
 import threading
 from collections.abc import Iterator
@@ -61,7 +65,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import GenerationConfig, Vocab, check_prompt, check_same_vocab, gumbel_vectors, pick
+from .core import U32, GenerationConfig, Vocab, check_prompt, check_same_vocab, gumbel_vectors, pick
 from .lora import AdapterFormatError, LoraAdapter, apply_adapter, decode_adapter, encode_adapter
 from .models import LogitModel, TinyNeuralLM
 from .messages import (
@@ -81,6 +85,9 @@ from .messages import (
 )
 from .offset import OffsetProxy, adapted_next_token
 from .transport import (
+    FRAME_HEADER_LEN,
+    MAX_PAYLOAD_LEN,
+    PREAMBLE,
     ConnectionClosedError,
     CostLedger,
     FramedConnection,
@@ -332,13 +339,16 @@ class Server:
         too big for a frame, is a fault of this server: it is logged with its
         session id and answered with ``ProtocolError(server-fault, <exception
         type>)``, then a close. A peer that leaves, at any point, ends the loop
-        quietly. A reply followed by a close is sent before the close and is
-        not followed by a yield.
+        quietly. Any other exception, raised outside a request's handling, is
+        logged with the session id of the message being served and ends the
+        loop. A reply followed by a close is sent before the close and is not
+        followed by a yield.
 
         :meth:`serve_connection` drains it on a thread of its own;
-        :func:`connect_in_process` runs it a step at a time on the client's thread.
+        :class:`InlineServer` runs it a step at a time.
         """
         state = _ConnectionState()
+        msg = None
         try:
             try:
                 conn.expect_preamble()
@@ -368,6 +378,9 @@ class Server:
                 conn.send_message(ProtocolError(ERR_MALFORMED, str(exc)))
         except ConnectionClosedError:
             pass
+        except Exception:
+            log.exception("session %s: connection fault", getattr(msg, "session_id", None))
+            raise
         finally:
             conn.close()
 
@@ -692,9 +705,11 @@ def serve_channel(server: Server, channel) -> threading.Thread:
 
 
 class InlineServer:
-    """The server end of :func:`connect_in_process`: its connection loop, a step at a time.
+    """A connection loop stepped by its caller, one message and its reply a step.
 
-    ``is_alive`` and ``join`` stand in for those of a service thread.
+    It drives :func:`connect_in_process` on the client's thread and every
+    connection of a :class:`SocketServer` on its service thread; ``is_alive``
+    and ``join`` stand in for those of a thread serving one connection.
     """
 
     def __init__(self, loop: Iterator[None], channel: MemoryChannel) -> None:
@@ -703,13 +718,16 @@ class InlineServer:
 
     def step(self) -> bool:
         """Serve the next message the client has sent; False when the loop has ended or has
-        nothing to read yet."""
+        nothing to read yet. An exception that escapes the loop ends it and is raised."""
         if self._loop is None or not self._channel.readable():
             return False
         try:
             next(self._loop)
         except StopIteration:
             self._loop = None  # frees the loop's connection and session
+        except BaseException:
+            self._loop = None
+            raise
         return True
 
     def is_alive(self) -> bool:
@@ -724,6 +742,13 @@ class InlineServer:
             pass
 
 
+def _serve_inline(server: Server) -> tuple[MemoryChannel, InlineServer]:
+    """One end of a memory channel pair, and the handle that runs ``server``'s loop on the other."""
+    near_end, server_end = memory_channel_pair()
+    return near_end, InlineServer(server.connection_loop(FramedConnection(server_end, side="server")),
+                                  server_end)
+
+
 def connect_in_process(
     server: Server, ledger: CostLedger | None = None
 ) -> tuple[FramedConnection, InlineServer]:
@@ -736,14 +761,126 @@ def connect_in_process(
     bills the client end; the server end keeps its own. The handle's ``join``
     runs the server to its end once the client has closed.
     """
-    client_end, server_end = memory_channel_pair()
-    handle = InlineServer(server.connection_loop(FramedConnection(server_end, side="server")), server_end)
+    client_end, handle = _serve_inline(server)
     client_end.pump = handle.step
     return FramedConnection(client_end, side="client", ledger=ledger), handle
 
 
+class _Accepted:
+    """One accepted socket of a :class:`SocketServer`, relayed to an inline connection loop.
+
+    ``requests`` holds what the socket delivered and the loop has not read,
+    ``replies`` what the loop sent and the socket has not taken. The loop is
+    stepped only when no reply waits and the step's reads are all in
+    ``requests`` or the peer has closed; the socket is read only while no
+    reply waits, so a peer that stops reading stops being served.
+    """
+
+    def __init__(self, server: Server, sock: socket.socket, selector: selectors.BaseSelector) -> None:
+        sock.setblocking(False)
+        with contextlib.suppress(OSError):  # a peer that has already reset it is seen on its first read
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock, self.selector = sock, selector
+        self.wire, self.loop = _serve_inline(server)
+        self.requests, self.replies = self.wire.outbound, self.wire.inbound
+        self.at = len(PREAMBLE)  # where the next step's frame starts: past the preamble, at first
+        self.eof = False  # the peer sends no more
+        self.events = selectors.EVENT_READ
+        selector.register(sock, self.events, self)
+
+    def on_event(self, mask: int) -> None:
+        if mask & selectors.EVENT_WRITE:
+            self.flush()
+        if mask & selectors.EVENT_READ:
+            try:
+                chunk = self.sock.recv(1 << 16)
+            except BlockingIOError:
+                return
+            except OSError:
+                chunk = b""
+            if not chunk:
+                self.eof = True
+            elif self.loop.is_alive():  # an ended loop reads nothing more
+                self.wire.send(chunk)
+
+    def buffered(self) -> bool:
+        """Whether ``requests`` holds all the next step reads: at first the preamble, then a frame.
+
+        A preamble other than :data:`PREAMBLE`, or a frame header announcing
+        more than ``MAX_PAYLOAD_LEN`` bytes, is refused without reading on.
+        """
+        buf, at = self.requests, self.at
+        if at and len(buf) >= at and not buf.startswith(PREAMBLE):
+            return True
+        if len(buf) < at + FRAME_HEADER_LEN:
+            return False
+        (size,) = U32.unpack_from(buf, at)
+        return size > MAX_PAYLOAD_LEN or len(buf) >= at + FRAME_HEADER_LEN + size
+
+    def runnable(self) -> bool:
+        """Whether the loop can step now: no reply waits, and the step's reads are buffered or
+        the peer has closed."""
+        return not self.replies and self.loop.is_alive() and (self.eof or self.buffered())
+
+    def advance(self) -> bool:
+        """Step the loop once if it can run; True when it can run again before the socket stirs.
+
+        Otherwise wait on the socket for what the connection needs next, or
+        close it once the loop has ended and its last reply has been taken.
+        """
+        if self.runnable():
+            if not self.buffered():
+                self.wire.close()  # the peer has closed mid-frame: the next read ends the loop
+            try:
+                self.loop.step()
+            except Exception:  # logged by the loop; it ends only this connection
+                self.replies.clear()
+            self.at = 0
+            self.flush()
+            if self.runnable():
+                return True
+        if self.replies:
+            self._wait_for(selectors.EVENT_WRITE)
+        elif self.loop.is_alive() and not self.eof:
+            self._wait_for(selectors.EVENT_READ)
+        else:
+            self.selector.unregister(self.sock)
+            with contextlib.suppress(OSError):
+                self.sock.shutdown(socket.SHUT_RDWR)
+            self.sock.close()
+        return False
+
+    def _wait_for(self, events: int) -> None:
+        if events != self.events:
+            self.selector.modify(self.sock, events, self)
+            self.events = events
+
+    def flush(self) -> None:
+        """Send as much of ``replies`` as the socket takes now."""
+        out = self.replies
+        try:
+            while out:
+                del out[: self.sock.send(out)]
+        except BlockingIOError:
+            pass
+        except OSError:  # the peer has gone: nothing more reaches it
+            out.clear()
+            self.eof = True
+
+
 class SocketServer:
-    """Loopback/TCP front end: one service thread per accepted connection.
+    """Loopback/TCP front end: one service thread steps every accepted connection.
+
+    The thread waits in one ``selectors`` loop over the listener and every
+    accepted socket, all non-blocking. Each socket is relayed to its own
+    :meth:`Server.connection_loop` over a memory channel pair, stepped by an
+    :class:`InlineServer` once the step's reads have arrived whole. A reply
+    the socket cannot take yet waits in that connection's buffer, and the
+    connection is neither read nor stepped until the buffer drains, so a peer
+    that stalls mid-frame or never reads holds up no other connection; an
+    exception that escapes a step closes only its own connection. Messages
+    are served one at a time, in the order their connections become ready,
+    so a long request delays the replies of every other connection.
 
     ``host`` is an IPv4 or IPv6 address or a name; a literal holding ``:``
     listens on IPv6. ``address`` is the bound ``(host, port)``.
@@ -753,29 +890,67 @@ class SocketServer:
         self.server = server
         family = socket.AF_INET6 if ":" in host else socket.AF_INET
         self._listener = socket.create_server((host, port), family=family)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]  # IPv6 adds flow info and scope id
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._wake, self._waker = socket.socketpair()  # close() wakes the service thread through it
+        self._wake.setblocking(False)
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake, selectors.EVENT_READ)
+        self._closing = False
+        self.service_thread = threading.Thread(
+            target=self._serve, name=f"serve_connections on {self.address}", daemon=True)
 
     def start(self) -> "SocketServer":
-        self._accept_thread.start()
+        self.service_thread.start()
         return self
 
-    def _accept_loop(self) -> None:
-        while True:  # until close() shuts the listener down
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                break
-            serve_channel(self.server, SocketChannel(sock))
+    def _serve(self) -> None:
+        """Accept and step connections until close(), then until the last connection ends."""
+        selector = self._selector
+        ready: dict[_Accepted, None] = {}  # connections that may step before their socket stirs
+        listening = True
+        try:
+            while listening or len(selector.get_map()) > 1:  # the wake socket stays registered
+                for key, mask in selector.select(0 if ready else None):
+                    if key.fileobj is self._listener:
+                        try:
+                            _Accepted(self.server, self._listener.accept()[0], selector)
+                        except (BlockingIOError, ConnectionAbortedError):
+                            pass
+                        except OSError:  # such as no file descriptor left
+                            log.exception("accept failed: the server stops accepting")
+                            self._closing = True
+                    elif key.fileobj is self._wake:
+                        with contextlib.suppress(BlockingIOError):
+                            self._wake.recv(64)
+                    else:
+                        key.data.on_event(mask)
+                        ready[key.data] = None
+                if self._closing and listening:
+                    selector.unregister(self._listener)
+                    self._listener.close()
+                    listening = False
+                for conn in list(ready):  # one step each, in turn
+                    if not conn.advance():
+                        del ready[conn]
+        finally:
+            for key in list(selector.get_map().values()):
+                key.fileobj.close()
+            selector.close()
+            self._waker.close()
 
     def close(self) -> None:
-        """Stop accepting; already accepted connections run on."""
-        # a bare close() leaves a blocked accept() waiting; shutdown wakes it
-        # (where the platform shuts down a listening socket at all)
-        with contextlib.suppress(OSError):
-            self._listener.shutdown(socket.SHUT_RDWR)
-        with contextlib.suppress(OSError):
-            self._listener.close()
+        """Stop accepting; already accepted connections run on, and the service
+        thread ends with the last of them."""
+        self._closing = True
+        if self.service_thread.ident is None:  # never started: the sockets are ours to close
+            for sock in (self._listener, self._wake, self._waker):
+                sock.close()
+            self._selector.close()
+            return
+        with contextlib.suppress(OSError):  # the service thread has already ended
+            self._waker.send(b"\0")
 
     def __enter__(self) -> "SocketServer":
         return self.start()

@@ -179,7 +179,8 @@ class MessageLayout(NamedTuple):
     fields: tuple[tuple[str, str], ...]  # (attribute, field kind) in wire order
     # makes the message from its field values in wire order; the class by
     # default. The DraftBatch readers already give its parts the batch's
-    # shape, so its builder, from_rows, runs only the check they leave open
+    # shape, so its builder, from_rows, runs only the check they leave open;
+    # the Commit and GenerationResult readers leave none open
     build: Callable[..., Any] | None = None
 
 
@@ -196,12 +197,13 @@ MESSAGE_LAYOUTS: dict[type, MessageLayout] = {
     ), DraftBatch.from_rows),
     Commit: MessageLayout(5, CAT_INFERENCE, (
         ("session_id", "u64"), ("accept_count", "u32"), ("replacement", "opt_u32"), ("done", "flag"),
-    )),
+    ), Commit.from_wire),
     UploadAdapter: MessageLayout(6, CAT_MODEL, (("adapter_bytes", "blob"), ("base_fingerprint", "u64"))),
     ServerGenerate: MessageLayout(7, CAT_DATA, (
         ("session_id", "u64"), ("prompt", "tokens"), ("flavor", "u8"), ("config", "config"),
     )),
-    GenerationResult: MessageLayout(8, CAT_INFERENCE, (("session_id", "u64"), ("tokens", "tokens"))),
+    GenerationResult: MessageLayout(8, CAT_INFERENCE, (("session_id", "u64"), ("tokens", "tokens")),
+                                    GenerationResult.from_wire),
     ProtocolError: MessageLayout(9, CAT_INFERENCE, (("code", "text"), ("text", "text"))),
 }
 
@@ -352,26 +354,27 @@ class MemoryChannel(ByteChannel):
     ``pump()``, which runs the peer a step and returns False when the peer
     has nothing to do; the read then raises :class:`ConnectionClosedError`.
     So does a read past the bytes sent before either end closed, and any
-    send after a close.
+    send after a close. A driver that relays one end to a socket reads and
+    trims its ``inbound`` and ``outbound`` buffers in place.
     """
 
     def __init__(self, inbound: bytearray, outbound: bytearray, link: _Link) -> None:
-        self._in = inbound
-        self._out = outbound
+        self.inbound = inbound  # sent to this end and not read yet
+        self.outbound = outbound  # sent by this end and not read yet
         self._link = link
         self.pump: Callable[[], bool] | None = None
 
     def readable(self) -> bool:
         """Whether a read can make progress: bytes are waiting, or the pair has closed."""
-        return bool(self._in) or self._link.closed
+        return bool(self.inbound) or self._link.closed
 
     def send(self, data: bytes) -> None:
         if self._link.closed:
             raise ConnectionClosedError("memory channel closed")
-        self._out += data
+        self.outbound += data
 
     def recv_exact(self, n: int) -> bytes:
-        buf = self._in
+        buf = self.inbound
         while len(buf) < n:
             if self._link.closed or self.pump is None or not self.pump():
                 raise ConnectionClosedError(

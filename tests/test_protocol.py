@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import gc
 import itertools
+import logging
+import select
+import socket
 import struct
 import threading
 import weakref
@@ -73,6 +77,7 @@ from offsetlm.transport import (
     ByteChannel,
     ConnectionClosedError,
     FramedConnection,
+    SocketChannel,
     encode_message,
     max_draft_rows,
     queue_channel_pair,
@@ -1476,9 +1481,49 @@ class TestTransports:
 
     def test_close_ends_the_accept_loop(self, world):
         srv = SocketServer(Server(world[0])).start()
+        assert "serve_connection" in srv.service_thread.name  # bench/serve.py joins it by name
         srv.close()
-        srv._accept_thread.join(timeout=5)
-        assert not srv._accept_thread.is_alive()
+        srv.service_thread.join(timeout=5)
+        assert not srv.service_thread.is_alive()
+
+    def test_already_accepted_connections_run_on(self, vocab, world):
+        blackbox, base, adapter = world
+        srv = SocketServer(Server(blackbox)).start()
+        conn = connect_socket(*srv.address)
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()  # the server has accepted the connection
+        srv.close()
+        assert client.run_speculative([3], GREEDY_CFG, draft_len=3) == monolithic_generate_oracle(
+            blackbox, base, apply_adapter(base, adapter), [3], GREEDY_CFG)
+        assert srv.service_thread.is_alive()
+        conn.close()
+        srv.service_thread.join(timeout=5)
+        assert not srv.service_thread.is_alive()
+
+    def test_a_failed_accept_stops_accepting_and_accepted_connections_run_on(
+            self, vocab, world, monkeypatch, caplog):
+        blackbox, base, adapter = world
+        srv = SocketServer(Server(blackbox)).start()
+        conn = connect_socket(*srv.address)
+        client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+        client.handshake()
+
+        def accept(self):
+            raise OSError(errno.EMFILE, "too many open files")
+
+        monkeypatch.setattr(socket.socket, "accept", accept)
+        with caplog.at_level(logging.ERROR, logger="offsetlm.protocol"):
+            try:  # the listener closes with this connection in its queue
+                with socket.create_connection(srv.address, timeout=5.0) as refused:
+                    assert refused.recv(1) == b""
+            except ConnectionResetError:
+                pass
+            assert client.run_speculative([3], GREEDY_CFG, draft_len=3) == monolithic_generate_oracle(
+                blackbox, base, apply_adapter(base, adapter), [3], GREEDY_CFG)
+        assert "accept failed" in caplog.text
+        conn.close()
+        srv.service_thread.join(timeout=5)
+        assert not srv.service_thread.is_alive()
 
     def test_same_session_ids_on_separate_connections_do_not_collide(self, vocab, world):
         blackbox, base, adapter = world
@@ -1497,6 +1542,146 @@ class TestTransports:
         assert isinstance(b.conn.recv_message(), DraftBatch)
         a.conn.close()
         b.conn.close()
+
+
+@pytest.fixture(scope="module")
+def wide_world():
+    """V = 512, so that one draft of a few thousand rows outgrows the loopback socket buffers.
+
+    The bigram counts leave eos and bos at zero, so greedy drafts never stop early.
+    """
+    vocab = Vocab(size=512, eos_id=1, bos_id=2)
+    counts = np.random.default_rng(3).integers(1, 30, size=(vocab.size, vocab.size))
+    counts[:, [vocab.eos_id, vocab.bos_id]] = 0
+    base = TinyNeuralLM.random(vocab, context=2, embed_dim=4, hidden_dim=8, seed=2)
+    return vocab, BigramTableModel(vocab, counts, alpha=1.0), base, rich_adapter(base)
+
+
+def tcp_socket(address, rcvbuf: int | None = None) -> socket.socket:
+    """A client socket whose reads give up after 10 s, so a server that hangs fails the test."""
+    sock = socket.socket(socket.AF_INET)
+    if rcvbuf is not None:  # set before connecting, so the window starts small
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(10.0)
+    sock.connect(address)
+    return sock
+
+
+def tcp_conn(address) -> FramedConnection:
+    return FramedConnection(SocketChannel(tcp_socket(address)), side="client")
+
+
+def assert_a_prada_sd_session_completes(address, world) -> None:
+    vocab, blackbox, base, adapter = world
+    config = GenerationConfig(max_new_tokens=12, mode="stochastic", temperature=1.0, seed=7)
+    conn = tcp_conn(address)
+    client = Client(conn, vocab, base_proxy=base, adapter=adapter)
+    client.handshake()
+    got = client.run_speculative([3, 4], config, draft_len=4)
+    conn.close()
+    assert got == generate_adapted(blackbox, base, apply_adapter(base, adapter), [3, 4], config)
+
+
+class TestHostileClients:
+    """A stalled, non-reading or faulting client over TCP delays no other client's session.
+
+    One service thread steps every connection: no thread starts per socket.
+    """
+
+    @pytest.mark.parametrize("where", ["in-preamble", "in-first-header", "in-first-payload",
+                                       "in-header", "in-payload"])
+    def test_a_client_that_stalls_mid_frame(self, wide_world, where):
+        vocab = wide_world[0]
+        greeting = PREAMBLE + frame(hello_for(vocab))
+        start = StartSession(9, (3,), 4, GenerationConfig(max_new_tokens=4, mode="greedy"))
+        opening = greeting + frame(start)
+        cut = {"in-preamble": 3, "in-first-header": 7, "in-first-payload": 15,
+               "in-header": len(greeting) + 2, "in-payload": len(greeting) + 20}[where]
+        with SocketServer(Server(wide_world[1])) as srv:
+            threads = threading.active_count()
+            stalled = tcp_conn(srv.address)
+            stalled.channel.send(opening[:cut])
+            assert_a_prada_sd_session_completes(srv.address, wide_world)
+            assert threading.active_count() == threads  # no thread serves the hostile socket
+            stalled.channel.send(opening[cut:])  # the rest of the frame: it is served
+            assert isinstance(stalled.recv_message(), HelloAck)
+            draft = stalled.recv_message()
+            assert isinstance(draft, DraftBatch) and draft.session_id == 9 and len(draft.tokens) == 4
+            stalled.close()
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("opening", [b"XXXX\x01", PREAMBLE + struct.pack("<I", MAX_PAYLOAD_LEN + 1)],
+                             ids=["bad-magic", "oversized-header"])
+    def test_an_opening_refused_before_its_frame_is_answered_at_once(self, world, opening):
+        with SocketServer(Server(world[0])) as srv:
+            conn = tcp_conn(srv.address)
+            conn.channel.send(opening)  # and nothing more
+            reply = conn.recv_message()
+            assert isinstance(reply, ProtocolError) and reply.code == ERR_MALFORMED
+            with pytest.raises(ConnectionClosedError):
+                conn.recv_message()
+            conn.close()
+
+    def test_a_client_that_never_reads_a_reply_larger_than_the_socket_buffers(self, wide_world):
+        vocab = wide_world[0]
+        rows = 4000  # 8 MB of draft rows
+        with SocketServer(Server(wide_world[1])) as srv:
+            threads = threading.active_count()
+            sock = tcp_socket(srv.address, rcvbuf=4096)
+            reader = FramedConnection(SocketChannel(sock), side="client")
+            Client(reader, vocab).handshake()
+            reader.send_message(StartSession(9, (3,), rows, GenerationConfig(max_new_tokens=rows)))
+            # the draft has started to arrive, so the rest waits in the server's out-buffer
+            assert select.select([sock], [], [], 10.0)[0] == [sock]
+            assert_a_prada_sd_session_completes(srv.address, wide_world)
+            assert threading.active_count() == threads  # no thread serves the hostile socket
+            draft = reader.recv_message()  # the reply arrives whole once the client reads
+            assert isinstance(draft, DraftBatch) and draft.logits.shape == (rows, vocab.size)
+            reader.close()
+            assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("where", ["escapes-a-step", "in-a-request"])
+    def test_a_fault_in_one_connections_step(self, wide_world, caplog, monkeypatch, where):
+        vocab = wide_world[0]
+        server = Server(wide_world[1])
+        if where == "escapes-a-step":  # the Hello is checked outside a request's handling
+            check, calls = server.check_hello, []
+
+            def check_hello(hello):
+                calls.append(hello)
+                if len(calls) == 1:
+                    raise RuntimeError("injected")
+                return check(hello)
+
+            monkeypatch.setattr(server, "check_hello", check_hello)
+        else:
+            draft = ServerSession.draft
+
+            def failing_draft(session, blackbox):
+                if session.session_id == 9:
+                    raise RuntimeError("injected")
+                return draft(session, blackbox)
+
+            monkeypatch.setattr(ServerSession, "draft", failing_draft)
+        with caplog.at_level(logging.ERROR, logger="offsetlm.protocol"), SocketServer(server) as srv:
+            threads = threading.active_count()
+            faulty = tcp_conn(srv.address)
+            if where == "escapes-a-step":
+                with pytest.raises(ConnectionClosedError):
+                    Client(faulty, vocab).handshake()
+            else:
+                Client(faulty, vocab).handshake()
+                faulty.send_message(StartSession(9, (3,), 4, GenerationConfig(max_new_tokens=4)))
+                reply = faulty.recv_message()
+                assert isinstance(reply, ProtocolError) and reply.code == ERR_SERVER_FAULT
+                with pytest.raises(ConnectionClosedError):
+                    faulty.recv_message()
+            assert_a_prada_sd_session_completes(srv.address, wide_world)
+            assert threading.active_count() == threads  # no thread serves the hostile socket
+            faulty.close()
+            assert threading.active_count() == threads
+        logged = "session None: connection fault" if where == "escapes-a-step" else "session 9: server fault"
+        assert logged in caplog.text
 
 
 class TestResultIntegrity:

@@ -175,6 +175,22 @@ class TestRoundTrip:
         params = list(inspect.signature(layout.build or cls).parameters)
         assert params == [name for name, _ in layout.fields]
 
+    @pytest.mark.parametrize("msg", [Commit(9, 2, replacement=11, done=True), GenerationResult(4, (6, 7, 1))],
+                             ids=lambda m: type(m).__name__)
+    def test_a_message_built_past_its_checks_is_the_constructed_one(self, msg):
+        clone = decode_message(encode_message(msg))
+        assert clone == msg and hash(clone) == hash(msg)
+        with pytest.raises(AttributeError):  # still frozen
+            clone.session_id = 0
+
+    @pytest.mark.parametrize("build", [
+        lambda: Commit(1, -1), lambda: Commit(1, 0, replacement=2**32),
+        lambda: GenerationResult(1, (-1,)), lambda: GenerationResult(1, (2**32,)),
+    ])
+    def test_constructors_keep_the_checks_the_wire_builders_skip(self, build):
+        with pytest.raises(ValueError):
+            build()
+
 
 class TestFrameSizes:
     def test_hello_frame_is_21_bytes(self):
